@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,10 +87,17 @@ class FittedRegressor:
     """A trained pixel->temperature model.
 
     ``params`` holds the kind-specific fitted state (intercept/slope for the
-    linear family, stored samples for knn, the split tree for trees);
-    ``hyperparams`` the knobs it was fitted with; ``train_mse``/``train_r2``
-    the in-sample diagnostics (R2 is NaN when the training temperatures are
-    constant).
+    linear family, stored samples in insertion order for knn, the split tree
+    for trees); ``hyperparams`` the knobs it was fitted with;
+    ``train_mse``/``train_r2`` the in-sample diagnostics (R2 is NaN when the
+    training temperatures are constant) and ``training_digest`` the sha256 of
+    the training pairs. The public fitters fill in the diagnostics; the
+    throw-away fits inside cross-validation folds leave them at NaN and "".
+
+    ``predict_batch`` works on whole arrays for every kind and agrees bit for
+    bit with ``predict``. knn ranks stored samples by distance, then lower
+    pixel, then insertion order, and sums the k nearest temperatures left to
+    right.
     """
 
     kind: str
@@ -104,28 +111,75 @@ class FittedRegressor:
     def predict(self, max_pixel: float) -> float:
         if self.kind in LINEAR_KINDS:
             return self.params["intercept"] + self.params["slope"] * max_pixel
-        if self.kind == "knn":
-            return self._predict_knn(max_pixel)
-        if self.kind == "decision_tree":
-            return self._predict_tree(max_pixel)
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        return float(self.predict_batch([max_pixel])[0])
 
     def predict_batch(self, pixels: Iterable[float]) -> np.ndarray:
-        return np.array([self.predict(float(p)) for p in pixels], dtype=float)
+        q = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.float64)
+        if self.kind in LINEAR_KINDS:
+            return self.params["intercept"] + self.params["slope"] * q
+        if self.kind == "knn":
+            return _knn_batch(self.params, q)
+        if self.kind == "decision_tree":
+            return _tree_batch(self.params["tree"], q)
+        raise ValueError(f"unknown model kind {self.kind!r}")
 
-    def _predict_knn(self, query: float) -> float:
-        pixels = self.params["pixels"]
-        temps = self.params["temps"]
-        k = self.params["k"]
-        # Distance ties break toward the lower pixel value, then insertion order.
-        order = sorted(range(len(pixels)), key=lambda i: (abs(pixels[i] - query), pixels[i], i))
-        return sum(temps[i] for i in order[:k]) / k
 
-    def _predict_tree(self, query: float) -> float:
-        node = self.params["tree"]
-        while node["kind"] == "split":
-            node = node["left"] if query <= node["threshold"] else node["right"]
-        return node["value"]
+def _knn_batch(params: dict, q: np.ndarray) -> np.ndarray:
+    pixels = np.asarray(params["pixels"], dtype=np.float64)
+    k = params["k"]
+    order = np.argsort(pixels, kind="stable")  # by (pixel, insertion index)
+    temps = np.asarray(params["temps"], dtype=np.float64)[order]
+    pixels = pixels[order]
+    # One run per distinct pixel value: its samples are temps[start:start + count].
+    starts = np.flatnonzero(np.diff(pixels, prepend=np.nan))
+    counts = np.diff(starts, append=pixels.size)
+    values = pixels[starts]
+    pos = np.searchsorted(values, q)  # values[pos - 1] < q <= values[pos]
+
+    def window_means(q: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+        # Only the `width` nearest runs on each side of q can hold one of the
+        # k nearest samples. Rank them by (distance, pixel): columns are in
+        # ascending pixel order and the sort is stable. Runs past either end
+        # of `values` are clipped duplicates given zero samples.
+        rows = np.arange(q.size)[:, None]
+        cols = pos[:, None] + np.arange(-width, width)
+        inside = (cols >= 0) & (cols < values.size)
+        cols = cols.clip(0, values.size - 1)
+        sizes = np.where(inside, counts[cols], 0)
+        rank = np.argsort(np.abs(values[cols] - q[:, None]), axis=1, kind="stable")
+        cols, sizes = cols[rows, rank], sizes[rows, rank]
+        # Fill the k slots run by run, each run in insertion order.
+        ends = np.cumsum(sizes, axis=1)
+        slots = np.arange(k)
+        run = (ends[:, :, None] <= slots).sum(axis=1)
+        first_slot = (ends - sizes)[rows, run]
+        picked = temps[starts[cols[rows, run]] + slots - first_slot]
+        total = np.zeros(q.size)
+        for column in picked.T:  # left to right, as Python's sum() adds
+            total += column
+        return total / k
+
+    means = window_means(q, pos, k)
+    # Rounded distances on the lower side can tie across distinct pixels; the
+    # lower (farther) one then wins, so the run just past the window may
+    # belong in it. Rescan such queries over every run.
+    edge = pos - k  # the window's farthest lower run
+    tied = edge > 0
+    edge, near = edge[tied], q[tied]
+    tied[tied] = np.abs(values[edge - 1] - near) == np.abs(values[edge] - near)
+    if tied.any():
+        means[tied] = window_means(q[tied], pos[tied], values.size)
+    return means
+
+
+def _tree_batch(node: dict, q: np.ndarray) -> np.ndarray:
+    if node["kind"] == "leaf":
+        return np.full(q.size, node["value"], dtype=np.float64)
+    left = q <= node["threshold"]
+    out = np.empty(q.size)
+    out[left] = _tree_batch(node["left"], q[left])
+    out[~left] = _tree_batch(node["right"], q[~left])
+    return out
 
 
 def _as_xy(samples: Sequence[CalibrationSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +193,12 @@ def _digest(samples: Sequence[CalibrationSample]) -> str:
     return "sha256:" + hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
-def _with_diagnostics(model: FittedRegressor, samples: Sequence[CalibrationSample]) -> FittedRegressor:
+def _with_diagnostics(
+    core: Callable[..., FittedRegressor], samples: Sequence[CalibrationSample], *hyper
+) -> FittedRegressor:
+    """Fit ``core(p, t, *hyper)`` and attach the in-sample scores and digest."""
     p, t = _as_xy(samples)
+    model = core(p, t, *hyper)
     preds = model.predict_batch(p)
     model.train_mse = mse(t, preds)
     sst = float(np.sum((t - t.mean()) ** 2))
@@ -161,19 +219,32 @@ def _linear_core(p: np.ndarray, t: np.ndarray, lam: float) -> tuple[float, float
     return t_bar - slope * p_bar, slope
 
 
+def _fit_ols(p: np.ndarray, t: np.ndarray) -> FittedRegressor:
+    if p.size < 2:
+        raise ValueError("need at least 2 samples")
+    if np.unique(p).size < 2:
+        raise ValueError("need at least 2 distinct pixel values")
+    intercept, slope = _linear_core(p, t, 0.0)
+    return FittedRegressor("linear", {"intercept": intercept, "slope": slope})
+
+
 def fit_ols(samples: Sequence[CalibrationSample]) -> FittedRegressor:
     """Least-squares line through the calibration pairs.
 
     Needs at least two samples with at least two distinct pixel values.
     """
-    if len(samples) < 2:
+    return _with_diagnostics(_fit_ols, samples)
+
+
+def _fit_ridge(p: np.ndarray, t: np.ndarray, lam: float) -> FittedRegressor:
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if p.size < 2:
         raise ValueError("need at least 2 samples")
-    p, t = _as_xy(samples)
-    if np.unique(p).size < 2:
-        raise ValueError("need at least 2 distinct pixel values")
-    intercept, slope = _linear_core(p, t, 0.0)
-    model = FittedRegressor("linear", {"intercept": intercept, "slope": slope})
-    return _with_diagnostics(model, samples)
+    if lam == 0.0 and np.unique(p).size < 2:
+        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
+    intercept, slope = _linear_core(p, t, lam)
+    return FittedRegressor("ridge", {"intercept": intercept, "slope": slope}, {"lambda": lam})
 
 
 def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
@@ -181,16 +252,7 @@ def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegress
 
     lambda = 0 reduces to fit_ols exactly (same arithmetic path).
     """
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    p, t = _as_xy(samples)
-    if lam == 0.0 and np.unique(p).size < 2:
-        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
-    intercept, slope = _linear_core(p, t, lam)
-    model = FittedRegressor("ridge", {"intercept": intercept, "slope": slope}, {"lambda": lam})
-    return _with_diagnostics(model, samples)
+    return _with_diagnostics(_fit_ridge, samples, lam)
 
 
 def _coordinate_descent(
@@ -232,48 +294,49 @@ def _coordinate_descent(
 
 
 def _fit_penalized(
-    samples: Sequence[CalibrationSample], lam: float, mix: float, kind: str, hyper: dict
+    p: np.ndarray, t: np.ndarray, lam: float, mix: float, kind: str, hyper: dict
 ) -> FittedRegressor:
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if len(samples) < 2:
+    if p.size < 2:
         raise ValueError("need at least 2 samples")
-    p, t = _as_xy(samples)
     if lam == 0.0 and np.unique(p).size < 2:
         raise ValueError("need at least 2 distinct pixel values when lambda is 0")
     p_bar = float(p.mean())
     t_bar = float(t.mean())
     slope, _ = _coordinate_descent(p - p_bar, t - t_bar, lam, mix)
-    model = FittedRegressor(kind, {"intercept": t_bar - slope * p_bar, "slope": slope}, hyper)
-    return _with_diagnostics(model, samples)
+    return FittedRegressor(kind, {"intercept": t_bar - slope * p_bar, "slope": slope}, hyper)
+
+
+def _fit_lasso(p: np.ndarray, t: np.ndarray, lam: float) -> FittedRegressor:
+    return _fit_penalized(p, t, lam, 1.0, "lasso", {"lambda": lam})
 
 
 def fit_lasso(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
     """L1-penalized line via coordinate descent; large lambda zeroes the slope."""
-    return _fit_penalized(samples, lam, 1.0, "lasso", {"lambda": lam})
+    return _with_diagnostics(_fit_lasso, samples, lam)
+
+
+def _fit_elastic_net(p: np.ndarray, t: np.ndarray, lam: float, mix: float) -> FittedRegressor:
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError(f"mix must be in [0, 1], got {mix}")
+    return _fit_penalized(p, t, lam, mix, "elastic_net", {"lambda": lam, "mix": mix})
 
 
 def fit_elastic_net(samples: Sequence[CalibrationSample], lam: float, mix: float) -> FittedRegressor:
     """Blend of L1 and L2 penalties; mix=0 equals ridge, mix=1 equals lasso."""
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must be in [0, 1], got {mix}")
-    return _fit_penalized(samples, lam, mix, "elastic_net", {"lambda": lam, "mix": mix})
+    return _with_diagnostics(_fit_elastic_net, samples, lam, mix)
+
+
+def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= p.size:
+        raise ValueError(f"k must be in [1, {p.size}], got {k!r}")
+    return FittedRegressor("knn", {"pixels": p.tolist(), "temps": t.tolist(), "k": k}, {"k": k})
 
 
 def fit_knn(samples: Sequence[CalibrationSample], k: int) -> FittedRegressor:
     """Store the samples; predict the unweighted mean of the k nearest by |dpixel|."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(samples):
-        raise ValueError(f"k must be in [1, {len(samples)}], got {k!r}")
-    model = FittedRegressor(
-        "knn",
-        {
-            "pixels": [s.max_pixel for s in samples],
-            "temps": [s.temperature_c for s in samples],
-            "k": k,
-        },
-        {"k": k},
-    )
-    return _with_diagnostics(model, samples)
+    return _with_diagnostics(_fit_knn, samples, k)
 
 
 def _build_tree(
@@ -308,6 +371,26 @@ def _build_tree(
     }
 
 
+def _fit_tree(
+    p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int
+) -> FittedRegressor:
+    if not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
+    if not isinstance(min_samples_leaf, int) or min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf!r}")
+    if p.size < 2 * min_samples_leaf:
+        raise ValueError(
+            f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
+        )
+    order = np.argsort(p, kind="stable")
+    tree = _build_tree(p[order], t[order], 0, max_depth, min_samples_leaf)
+    return FittedRegressor(
+        "decision_tree",
+        {"tree": tree},
+        {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf},
+    )
+
+
 def fit_tree(
     samples: Sequence[CalibrationSample], max_depth: int, min_samples_leaf: int
 ) -> FittedRegressor:
@@ -318,23 +401,7 @@ def fit_tree(
     Growth stops at max_depth, at min_samples_leaf, or on a zero-variance
     node; leaves predict their mean temperature.
     """
-    if not isinstance(max_depth, int) or max_depth < 0:
-        raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
-    if not isinstance(min_samples_leaf, int) or min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf!r}")
-    if len(samples) < 2 * min_samples_leaf:
-        raise ValueError(
-            f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
-        )
-    p, t = _as_xy(samples)
-    order = np.argsort(p, kind="stable")
-    tree = _build_tree(p[order], t[order], 0, max_depth, min_samples_leaf)
-    model = FittedRegressor(
-        "decision_tree",
-        {"tree": tree},
-        {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf},
-    )
-    return _with_diagnostics(model, samples)
+    return _with_diagnostics(_fit_tree, samples, max_depth, min_samples_leaf)
 
 
 def mse(truth: Sequence[float], pred: Sequence[float]) -> float:
@@ -374,18 +441,22 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
     def fit(self, samples: Sequence[CalibrationSample]) -> FittedRegressor:
+        return _with_diagnostics(self._fit_arrays, samples)
+
+    def _fit_arrays(self, p: np.ndarray, t: np.ndarray) -> FittedRegressor:
+        """Fit on pixel/temperature arrays, without training diagnostics."""
         h = self.hyperparams
         if self.kind == "linear":
-            return fit_ols(samples)
+            return _fit_ols(p, t)
         if self.kind == "ridge":
-            return fit_ridge(samples, h["lambda"])
+            return _fit_ridge(p, t, h["lambda"])
         if self.kind == "lasso":
-            return fit_lasso(samples, h["lambda"])
+            return _fit_lasso(p, t, h["lambda"])
         if self.kind == "elastic_net":
-            return fit_elastic_net(samples, h["lambda"], h["mix"])
+            return _fit_elastic_net(p, t, h["lambda"], h["mix"])
         if self.kind == "knn":
-            return fit_knn(samples, h["k"])
-        return fit_tree(samples, h["max_depth"], h["min_samples_leaf"])
+            return _fit_knn(p, t, h["k"])
+        return _fit_tree(p, t, h["max_depth"], h["min_samples_leaf"])
 
 
 @dataclass
@@ -445,21 +516,21 @@ def k_fold_cv(
 
     Per-fold R2 is NaN when a fold's truth is constant (always the case for
     leave-one-out); the mean skips NaN folds and is NaN if none remain.
+    Fold models are fitted without training diagnostics.
     """
-    samples = list(samples)
-    folds = kfold_partition(len(samples), k_folds, seed)
+    p, t = _as_xy(samples)
+    folds = kfold_partition(p.size, k_folds, seed)
     fold_mses: list[float] = []
     fold_r2s: list[float] = []
     for fold in folds:
-        held_out = set(int(i) for i in fold)
-        train = [s for i, s in enumerate(samples) if i not in held_out]
-        test = [samples[int(i)] for i in fold]
+        train = np.ones(p.size, dtype=bool)
+        train[fold] = False
         try:
-            model = spec.fit(train)
+            model = spec._fit_arrays(p[train], t[train])
         except ValueError as exc:
             raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
-        truth = [s.temperature_c for s in test]
-        preds = [model.predict(s.max_pixel) for s in test]
+        truth = t[fold]
+        preds = model.predict_batch(p[fold])
         fold_mses.append(mse(truth, preds))
         try:
             fold_r2s.append(r2(truth, preds))
@@ -539,14 +610,11 @@ def plausibility_guard(
     known to be afebrile, so any prediction above the ceiling is a model
     artifact, not a detection.
     """
-    pixels = list(screening_pixels)
-    if not pixels:
+    pixels = np.asarray(list(screening_pixels), dtype=np.float64)
+    if not pixels.size:
         raise ValueError("screening set must be nonempty")
-    offending = []
-    for px in pixels:
-        pred = model.predict(float(px))
-        if pred > ceiling_c:
-            offending.append((float(px), pred))
+    preds = model.predict_batch(pixels)
+    offending = [(float(pixels[i]), float(preds[i])) for i in np.flatnonzero(preds > ceiling_c)]
     return GuardResult(passed=not offending, ceiling_c=ceiling_c, offending=offending)
 
 
@@ -619,6 +687,31 @@ def save_model(model: FittedRegressor, path: str | Path) -> None:
     atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _params_problem(kind: str, params) -> str | None:
+    """Why ``params`` cannot drive a ``kind`` model's predict, or None."""
+    if not isinstance(params, dict):
+        return "params must be an object"
+    if kind in LINEAR_KINDS:
+        for name in ("intercept", "slope"):
+            if not _is_finite_number(params.get(name)):
+                return f"{name} must be a finite number, got {params.get(name)!r}"
+    elif kind == "knn":
+        pixels, temps, k = params.get("pixels"), params.get("temps"), params.get("k")
+        if not (isinstance(pixels, list) and isinstance(temps, list) and len(pixels) == len(temps)):
+            return "knn pixels and temps must be lists of equal length"
+        if not all(_is_finite_number(v) for v in pixels + temps):
+            return "knn pixels and temps must be finite numbers"
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(pixels):
+            return f"knn k must be an integer in [1, {len(pixels)}], got {k!r}"
+    return None
+
+
 def load_model(path: str | Path) -> FittedRegressor:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != MODEL_FORMAT:
@@ -627,6 +720,9 @@ def load_model(path: str | Path) -> FittedRegressor:
         raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
     if doc.get("kind") not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    problem = _params_problem(doc["kind"], doc.get("params"))
+    if problem:
+        raise ValueError(f"{path}: {problem}")
     return FittedRegressor(
         kind=doc["kind"],
         params=doc["params"],

@@ -147,3 +147,11 @@ def strict_local_maxima(pixels, floor):
             if all(value > n for n in neighbors):
                 maxima.append((y, x))
     return maxima
+
+
+def knn_sorted_mean(pixels, temps, k, query):
+    """k-nearest-neighbor mean by a full sort of every stored sample: nearest
+    |pixel - query| first, ties to the lower pixel, then to the earlier
+    sample; the k temperatures summed left to right."""
+    order = sorted(range(len(pixels)), key=lambda i: (abs(pixels[i] - query), pixels[i], i))
+    return sum(temps[i] for i in order[:k]) / k

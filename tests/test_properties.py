@@ -22,9 +22,16 @@ from thermotrack.annotations import GroundTruthLabel
 from thermotrack.thermoreg import (
     CalibrationSample,
     _coordinate_descent,
+    fit_elastic_net,
+    fit_knn,
+    fit_lasso,
+    fit_ols,
     fit_ridge,
+    fit_tree,
     kfold_partition,
 )
+
+from _oracles import knn_sorted_mean
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -141,3 +148,54 @@ def test_fold_partition_is_disjoint_cover(data):
     sizes = [len(fold) for fold in folds]
     assert max(sizes) - min(sizes) <= 1
     assert sorted(int(i) for fold in folds for i in fold) == list(range(n))
+
+
+def _nudged(pixel: int, ulps: int) -> float:
+    """``pixel`` moved up by a few ulps: distinct stored pixels that can round
+    to the same distance from a far query."""
+    value = float(pixel)
+    for _ in range(ulps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@BULK
+@given(seed=st.integers(0, 2**32 - 1))
+def test_knn_predict_batch_matches_sorted_oracle(seed):
+    # Integer pixels from a narrow range force duplicates and exact distance
+    # ties; half-pixel queries near the range add ties between neighbors.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 31))
+    low = int(rng.integers(0, 246))
+    pixels = [
+        _nudged(int(p), int(u)) for p, u in zip(rng.integers(low, low + 6, n), rng.integers(0, 3, n))
+    ]
+    temps = [float(t) for t in rng.uniform(0.0, 60.0, n)]
+    k = int(rng.integers(1, n + 1))
+    queries = [h / 2 for h in rng.integers(2 * low - 6, 2 * low + 17, 5).tolist()]
+    queries += rng.uniform(0.0, 255.0, 5).tolist()
+    model = fit_knn([CalibrationSample(p, t) for p, t in zip(pixels, temps)], k)
+    expected = [knn_sorted_mean(pixels, temps, k, q) for q in queries]
+    assert model.predict_batch(queries).tolist() == expected
+
+
+@BULK
+@given(seed=st.integers(0, 2**32 - 1))
+def test_predict_agrees_with_predict_batch(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 21))
+    pixels = rng.choice(256, size=n, replace=False).astype(float)
+    samples = [CalibrationSample(p, t) for p, t in zip(pixels.tolist(), rng.uniform(25, 45, n).tolist())]
+    queries = rng.uniform(-50.0, 300.0, 3).tolist() + rng.integers(0, 256, 3).tolist()
+    models = [
+        fit_ols(samples),
+        fit_ridge(samples, 1.0),
+        fit_lasso(samples, 1.0),
+        fit_elastic_net(samples, 1.0, 0.5),
+        fit_knn(samples, min(3, n)),
+        fit_tree(samples, 3, 1),
+    ]
+    for model in models:
+        batch = model.predict_batch(queries).tolist()
+        assert [model.predict(q) for q in queries] == batch
+        assert all(model.predict(q) == model.predict_batch([q])[0] for q in queries)

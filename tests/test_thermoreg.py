@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
     DEFAULT_GRIDS,
     CalibrationSample,
@@ -191,6 +193,25 @@ class TestKnn:
         # query 1.5 is equidistant from pixels 1 and 2
         assert model.predict(1.5) == 10.0
 
+    def test_rounded_distance_tie_prefers_lower_pixel(self):
+        # 5 - 1.0000000000000002 rounds to 4.0 = 5 - 1.0: the farther, lower
+        # pixel wins the tie although it lies outside a k = 1 window.
+        samples = [CalibrationSample(1.0, 10.0), CalibrationSample(1.0000000000000002, 20.0)]
+        model = fit_knn(samples, 1)
+        assert model.predict(5.0) == 10.0
+        assert model.predict_batch([5.0, 0.5]).tolist() == [10.0, 10.0]
+
+    def test_duplicates_fill_slots_in_insertion_order(self):
+        samples = [
+            CalibrationSample(9.0, 1.0),
+            CalibrationSample(5.0, 2.0),
+            CalibrationSample(5.0, 4.0),
+            CalibrationSample(5.0, 8.0),
+        ]
+        model = fit_knn(samples, 2)
+        assert model.predict(5.0) == 3.0
+        assert model.predict(8.0) == 1.5  # pixel 9 at distance 1, then the first 5
+
     def test_k1_zero_training_error_on_distinct_pixels(self, rng):
         pixels = rng.choice(np.arange(256), size=20, replace=False).astype(float)
         temps = rng.uniform(30, 40, 20)
@@ -362,6 +383,42 @@ class TestGridSearch:
             grid_search(_noisy_line(), {"ridge": []}, 5, 0)
 
 
+def _integer_pixel_set():
+    """Rounded pixels with many duplicates, 22 of them saturated at 255."""
+    return [
+        CalibrationSample(float(min(255, round(s.max_pixel))), s.temperature_c)
+        for s in generate_calibration_set(200, 20.0, 0.07, seed=7)
+    ]
+
+
+class TestGridSearchPins:
+    """grid_search output recorded from the scalar (sort-per-query) kNN and
+    per-sample fold fitting; the array path must reproduce it bit for bit."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "grid_search_pins.json").read_text())
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("n200", lambda: generate_calibration_set(200, 20.0, 0.1, seed=11)),
+            ("integer_dups", _integer_pixel_set),
+        ],
+    )
+    def test_report_and_fold_scores_unchanged(self, name, make):
+        report = grid_search(make(), seed=0)
+        pinned = self.PINS[name]
+        assert report.to_text() == pinned["text"]
+        assert [
+            {
+                "kind": e.spec.kind,
+                "grid_index": e.grid_index,
+                "fold_mses": e.fold_mses,
+                "fold_r2s": e.fold_r2s,
+            }
+            for e in report.entries
+        ] == pinned["entries"]
+
+
 class TestGuardAndSelection:
     def test_hot_prediction_fails(self):
         model = fit_ols(TWO_POINTS)  # predicts 25 + 0.1 p
@@ -475,6 +532,35 @@ class TestPersistence:
         assert doc["format"] == "thermotrack-model"
         assert doc["version"] == 1
         assert doc["training_digest"].startswith("sha256:")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("knn", {"pixels": [1.0, 2.0, 3.0], "temps": [10.0, 20.0, 30.0], "k": 5}),
+            ("knn", {"pixels": [1.0, 2.0, 3.0], "temps": [10.0, 20.0, 30.0], "k": 0}),
+            ("knn", {"pixels": [1.0, 2.0, 3.0], "temps": [10.0, 20.0, 30.0], "k": 2.0}),
+            ("knn", {"pixels": [1.0, 2.0, 3.0], "temps": [10.0, 20.0], "k": 1}),
+            ("knn", {"pixels": [1.0, float("nan")], "temps": [10.0, 20.0], "k": 1}),
+            ("knn", {"pixels": [1.0, "2"], "temps": [10.0, 20.0], "k": 1}),
+            ("linear", {"intercept": float("inf"), "slope": 0.1}),
+            ("ridge", {"intercept": 20.0, "slope": None}),
+        ],
+        ids=[
+            "knn-k-above-n",
+            "knn-k-zero",
+            "knn-k-not-int",
+            "knn-length-mismatch",
+            "knn-nonfinite-pixel",
+            "knn-non-number-pixel",
+            "linear-nonfinite-intercept",
+            "ridge-missing-slope",
+        ],
+    )
+    def test_unusable_params_rejected(self, tmp_path, kind, params):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format": "thermotrack-model", "version": 1, "kind": kind, "params": params}))
+        with pytest.raises(ValueError, match="bad.json"):
+            load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
