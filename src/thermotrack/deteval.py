@@ -193,11 +193,13 @@ def map_over_thresholds(
             raise ValueError(f"IoU threshold {thr} outside (0, 1]")
 
     ap_by_threshold: dict[float, float] = {}
+    matches: dict[float, MatchResult] = {}
     for thr in thresholds:
         match, confs = _pooled_match(dets_per_image, gts_per_image, thr)
         ap_by_threshold[float(thr)] = average_precision(match, list(confs))
+        matches[float(thr)] = match
 
-    match50, _ = _pooled_match(dets_per_image, gts_per_image, 0.5)
+    match50 = matches.get(0.5) or _pooled_match(dets_per_image, gts_per_image, 0.5)[0]
     tp = sum(match50.tp_flags)
     n_det = len(match50.tp_flags)
     precision = tp / n_det if n_det else 0.0

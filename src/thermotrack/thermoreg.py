@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -52,16 +53,22 @@ DEFAULT_GRIDS: dict[str, list[dict]] = {
     ],
 }
 
-_CD_TOL = 1e-8
-_CD_MAX_ITER = 10_000
-
-
-class NonConvergenceError(RuntimeError):
-    """Coordinate descent hit the iteration cap; carries the last iterate."""
-
-    def __init__(self, message: str, last_slope: float):
-        super().__init__(message)
-        self.last_slope = last_slope
+# Hyperparameter names of each kind, exactly as grids and model JSON spell them.
+_HYPERPARAM_NAMES: dict[str, tuple[str, ...]] = {
+    "linear": (),
+    "ridge": ("lambda",),
+    "lasso": ("lambda",),
+    "elastic_net": ("lambda", "mix"),
+    "knn": ("k",),
+    "decision_tree": ("max_depth", "min_samples_leaf"),
+}
+# The linear kinds share one fitter; each fixes the penalty its names leave out.
+_LINEAR_FIXED: dict[str, dict[str, float]] = {
+    "linear": {"lambda": 0.0, "mix": 0.0},
+    "ridge": {"mix": 0.0},
+    "lasso": {"mix": 1.0},
+    "elastic_net": {},
+}
 
 
 class NoViableModelError(RuntimeError):
@@ -207,25 +214,32 @@ def _with_diagnostics(
     return model
 
 
-def _linear_core(p: np.ndarray, t: np.ndarray, lam: float) -> tuple[float, float]:
-    p_bar = float(p.mean())
-    t_bar = float(t.mean())
-    sxx = float(np.sum((p - p_bar) ** 2))
-    sxy = float(np.sum((p - p_bar) * (t - t_bar)))
-    denom = sxx + lam
-    if denom == 0.0:
-        raise ValueError("all pixel values identical: slope is unidentifiable")
-    slope = sxy / denom
-    return t_bar - slope * p_bar, slope
+def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float) -> FittedRegressor:
+    """Exact minimiser of 0.5 * SSE + lam * (mix * |b| + (1 - mix) * b^2 / 2).
 
-
-def _fit_ols(p: np.ndarray, t: np.ndarray) -> FittedRegressor:
+    With one feature, the soft-threshold update on centred data is the
+    closed-form solution: slope = soft(Sxy, lam * mix) / (Sxx + lam * (1 - mix)),
+    and 0 when the denominator is 0 (no pixel spread and no L2 penalty). The
+    intercept is unpenalized. Least squares is lam = 0, ridge mix = 0 and
+    lasso mix = 1, so each equals elastic net at those values bit for bit.
+    """
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError(f"mix must be in [0, 1], got {mix}")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
     if p.size < 2:
         raise ValueError("need at least 2 samples")
-    if np.unique(p).size < 2:
-        raise ValueError("need at least 2 distinct pixel values")
-    intercept, slope = _linear_core(p, t, 0.0)
-    return FittedRegressor("linear", {"intercept": intercept, "slope": slope})
+    if lam == 0.0 and np.unique(p).size < 2:
+        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
+    p_bar = float(p.mean())
+    t_bar = float(t.mean())
+    pc = p - p_bar
+    sxx = float(np.sum(pc * pc))
+    sxy = float(np.sum(pc * (t - t_bar)))
+    denom = sxx + lam * (1.0 - mix)
+    slope = 0.0 if denom == 0.0 else math.copysign(max(abs(sxy) - lam * mix, 0.0), sxy) / denom
+    hyper = dict(zip(_HYPERPARAM_NAMES[kind], (lam, mix)))
+    return FittedRegressor(kind, {"intercept": t_bar - slope * p_bar, "slope": slope}, hyper)
 
 
 def fit_ols(samples: Sequence[CalibrationSample]) -> FittedRegressor:
@@ -233,99 +247,25 @@ def fit_ols(samples: Sequence[CalibrationSample]) -> FittedRegressor:
 
     Needs at least two samples with at least two distinct pixel values.
     """
-    return _with_diagnostics(_fit_ols, samples)
-
-
-def _fit_ridge(p: np.ndarray, t: np.ndarray, lam: float) -> FittedRegressor:
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if p.size < 2:
-        raise ValueError("need at least 2 samples")
-    if lam == 0.0 and np.unique(p).size < 2:
-        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
-    intercept, slope = _linear_core(p, t, lam)
-    return FittedRegressor("ridge", {"intercept": intercept, "slope": slope}, {"lambda": lam})
+    return _with_diagnostics(_fit_linear, samples, "linear", 0.0, 0.0)
 
 
 def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
     """L2-penalized line: slope = Sxy / (Sxx + lambda), intercept unpenalized.
 
-    lambda = 0 reduces to fit_ols exactly (same arithmetic path).
+    lambda = 0 equals fit_ols bit for bit.
     """
-    return _with_diagnostics(_fit_ridge, samples, lam)
-
-
-def _coordinate_descent(
-    pc: np.ndarray, tc: np.ndarray, lam: float, mix: float
-) -> tuple[float, list[float]]:
-    """Soft-threshold coordinate descent on centered data.
-
-    Penalty is lam * (mix * |b| + (1 - mix) * b^2 / 2), so mix=0 matches the
-    ridge closed form and mix=1 is the lasso. Returns the slope and the
-    objective trajectory; the objective must never increase.
-    """
-    sxx = float(np.sum(pc * pc))
-    sxy = float(np.sum(pc * tc))
-    l1 = lam * mix
-    l2 = lam * (1.0 - mix)
-
-    def objective(b: float) -> float:
-        resid = tc - b * pc
-        return 0.5 * float(np.sum(resid * resid)) + l1 * abs(b) + 0.5 * l2 * b * b
-
-    slope = 0.0
-    trajectory = [objective(slope)]
-    for _ in range(_CD_MAX_ITER):
-        if sxx + l2 == 0.0:
-            new_slope = 0.0  # no pixel variation and no quadratic penalty: stay at 0
-        else:
-            shrunk = math.copysign(max(abs(sxy) - l1, 0.0), sxy)
-            new_slope = shrunk / (sxx + l2)
-        obj = objective(new_slope)
-        if obj > trajectory[-1] + 1e-9:
-            raise AssertionError("coordinate descent objective increased")
-        trajectory.append(obj)
-        if abs(new_slope - slope) < _CD_TOL:
-            return new_slope, trajectory
-        slope = new_slope
-    raise NonConvergenceError(
-        f"no convergence after {_CD_MAX_ITER} iterations", last_slope=slope
-    )
-
-
-def _fit_penalized(
-    p: np.ndarray, t: np.ndarray, lam: float, mix: float, kind: str, hyper: dict
-) -> FittedRegressor:
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if p.size < 2:
-        raise ValueError("need at least 2 samples")
-    if lam == 0.0 and np.unique(p).size < 2:
-        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
-    p_bar = float(p.mean())
-    t_bar = float(t.mean())
-    slope, _ = _coordinate_descent(p - p_bar, t - t_bar, lam, mix)
-    return FittedRegressor(kind, {"intercept": t_bar - slope * p_bar, "slope": slope}, hyper)
-
-
-def _fit_lasso(p: np.ndarray, t: np.ndarray, lam: float) -> FittedRegressor:
-    return _fit_penalized(p, t, lam, 1.0, "lasso", {"lambda": lam})
+    return _with_diagnostics(_fit_linear, samples, "ridge", lam, 0.0)
 
 
 def fit_lasso(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
-    """L1-penalized line via coordinate descent; large lambda zeroes the slope."""
-    return _with_diagnostics(_fit_lasso, samples, lam)
-
-
-def _fit_elastic_net(p: np.ndarray, t: np.ndarray, lam: float, mix: float) -> FittedRegressor:
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must be in [0, 1], got {mix}")
-    return _fit_penalized(p, t, lam, mix, "elastic_net", {"lambda": lam, "mix": mix})
+    """L1-penalized line by soft thresholding; lambda >= |Sxy| zeroes the slope."""
+    return _with_diagnostics(_fit_linear, samples, "lasso", lam, 1.0)
 
 
 def fit_elastic_net(samples: Sequence[CalibrationSample], lam: float, mix: float) -> FittedRegressor:
     """Blend of L1 and L2 penalties; mix=0 equals ridge, mix=1 equals lasso."""
-    return _with_diagnostics(_fit_elastic_net, samples, lam, mix)
+    return _with_diagnostics(_fit_linear, samples, "elastic_net", lam, mix)
 
 
 def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
@@ -439,6 +379,16 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        names = _HYPERPARAM_NAMES[self.kind]
+        if set(self.hyperparams) != set(names):
+            raise ValueError(
+                f"{self.kind} takes hyperparameters {list(names)}, got {list(self.hyperparams)}"
+            )
+        if self.kind in LINEAR_KINDS:
+            for name in names:
+                value = self.hyperparams[name]
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValueError(f"{self.kind} {name} must be a number, got {value!r}")
 
     def fit(self, samples: Sequence[CalibrationSample]) -> FittedRegressor:
         return _with_diagnostics(self._fit_arrays, samples)
@@ -446,14 +396,9 @@ class ModelSpec:
     def _fit_arrays(self, p: np.ndarray, t: np.ndarray) -> FittedRegressor:
         """Fit on pixel/temperature arrays, without training diagnostics."""
         h = self.hyperparams
-        if self.kind == "linear":
-            return _fit_ols(p, t)
-        if self.kind == "ridge":
-            return _fit_ridge(p, t, h["lambda"])
-        if self.kind == "lasso":
-            return _fit_lasso(p, t, h["lambda"])
-        if self.kind == "elastic_net":
-            return _fit_elastic_net(p, t, h["lambda"], h["mix"])
+        if self.kind in LINEAR_KINDS:
+            penalty = {**_LINEAR_FIXED[self.kind], **h}
+            return _fit_linear(p, t, self.kind, penalty["lambda"], penalty["mix"])
         if self.kind == "knn":
             return _fit_knn(p, t, h["k"])
         return _fit_tree(p, t, h["max_depth"], h["min_samples_leaf"])
@@ -709,7 +654,24 @@ def _params_problem(kind: str, params) -> str | None:
             return "knn pixels and temps must be finite numbers"
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(pixels):
             return f"knn k must be an integer in [1, {len(pixels)}], got {k!r}"
+    elif kind == "decision_tree":
+        return _tree_problem(params.get("tree"))
     return None
+
+
+def _tree_problem(node) -> str | None:
+    """Why ``node`` cannot route a tree prediction, or None."""
+    if not isinstance(node, dict):
+        return f"tree nodes must be objects, got {type(node).__name__}"
+    if node.get("kind") == "leaf":
+        if not _is_finite_number(node.get("value")):
+            return f"tree leaf value must be a finite number, got {node.get('value')!r}"
+        return None
+    if node.get("kind") != "split":
+        return f"tree node kind must be leaf or split, got {node.get('kind')!r}"
+    if not _is_finite_number(node.get("threshold")):
+        return f"tree split threshold must be a finite number, got {node.get('threshold')!r}"
+    return _tree_problem(node.get("left")) or _tree_problem(node.get("right"))
 
 
 def load_model(path: str | Path) -> FittedRegressor:

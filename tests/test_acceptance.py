@@ -283,6 +283,6 @@ def test_criterion_9_property_suites():
     test_properties.test_flip_involution()
     test_properties.test_label_round_trip()
     test_properties.test_ridge_slope_magnitude_monotone_in_lambda()
-    test_properties.test_coordinate_descent_objective_monotone()
+    test_properties.test_linear_fit_minimizes_elastic_net_objective()
     test_properties.test_fold_partition_is_disjoint_cover()
     _passed(9, "six 1000-case property suites hold")

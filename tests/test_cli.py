@@ -165,6 +165,30 @@ class TestCalibrate:
         csv_path = self._csv(tmp_path)
         assert run_cli("calibrate", str(csv_path), "--out", str(tmp_path / "m.json"), "--folds", "1") == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"ridge": [{}]},
+            {"ridge": [{"lamda": 1}]},
+            {"linear": [{"lambda": 5}]},
+            {"ridge": [{"lambda": "1"}]},
+            {"elastic_net": [{"lambda": 1.0, "mix": None}]},
+            {"knn": [{"k": 3, "weights": "distance"}]},
+        ],
+        ids=[
+            "missing-name", "misspelt-name", "name-not-taken", "string-lambda", "null-mix", "extra-name"
+        ],
+    )
+    def test_bad_hyperparameters_are_data_errors(self, tmp_path, capsys, grid):
+        csv_path = self._csv(tmp_path)
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps(grid))
+        model_path = tmp_path / "m.json"
+        code = run_cli("calibrate", str(csv_path), "--out", str(model_path), "--grids", str(grids))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
+
     def test_guard_set_rejects_steep_candidate(self, tmp_path, capsys):
         # A steep exact line: its nearest-neighbor memorization CV-wins, but
         # predicts 38.75 at the 255-intensity screening region; the heavily

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import ap_enumeration, greedy_match_flags, iou_corners
 from thermotrack.annotations import PixelBBox
+from thermotrack import deteval
 from thermotrack.detectors import Detection
 from thermotrack.deteval import (
     DEFAULT_IOU_THRESHOLDS,
@@ -182,6 +183,58 @@ class TestMapOverThresholds:
         expected = average_precision(pooled, [confs[i] for i in order])
         assert report.map_50 == pytest.approx(expected, abs=1e-15)
         assert report.map_50_95 == pytest.approx(expected, abs=1e-15)
+
+    SWEEP_TEXT = (
+        "images=8\nground_truths=21\ndetections=31\nprecision=0.483871\nrecall=0.714286\n"
+        "map50=0.613647\nmap5095=0.251158\nap_0.50=0.613647\nap_0.55=0.457784\n"
+        "ap_0.60=0.457784\nap_0.65=0.269661\nap_0.70=0.153634\nap_0.75=0.153634\n"
+        "ap_0.80=0.153634\nap_0.85=0.109106\nap_0.90=0.109106\nap_0.95=0.033584\n"
+    )
+    NO_HALF_TEXT = (
+        "images=8\nground_truths=21\ndetections=31\nprecision=0.483871\nrecall=0.714286\n"
+        "map50=nan\nmap5095=0.427341\nap_0.30=0.670604\nap_0.55=0.457784\nap_0.75=0.153634\n"
+    )
+
+    @staticmethod
+    def _shifted_detections():
+        # Truth boxes shifted by 0-3 px plus strays: IoUs spread across the
+        # sweep, so precision/recall at 0.5 differ from any other threshold's.
+        rng = np.random.default_rng(31)
+        gts = [_random_boxes(rng, int(rng.integers(1, 6))) for _ in range(8)]
+        dets = []
+        for image in gts:
+            dx = rng.integers(0, 4, len(image))
+            dy = rng.integers(0, 4, len(image))
+            shifted = [
+                PixelBBox(b.x1 + int(x), b.y1 + int(y), b.x2 + int(x), b.y2 + int(y))
+                for b, x, y in zip(image, dx, dy)
+            ]
+            strays = _random_boxes(rng, int(rng.integers(0, 3)))
+            dets.append(_ranked_detections(rng, shifted + strays))
+        return dets, gts
+
+    @pytest.mark.parametrize(
+        "thresholds, expected",
+        [(DEFAULT_IOU_THRESHOLDS, SWEEP_TEXT), ((0.3, 0.55, 0.75), NO_HALF_TEXT)],
+        ids=["sweep-with-0.5", "sweep-without-0.5"],
+    )
+    def test_report_text_pinned(self, thresholds, expected):
+        dets, gts = self._shifted_detections()
+        assert map_over_thresholds(dets, gts, thresholds).to_text() == expected
+
+    def test_one_matching_pass_per_threshold(self, monkeypatch):
+        dets, gts = self._shifted_detections()
+        calls = []
+        original = deteval.match_greedy
+        monkeypatch.setattr(
+            deteval, "match_greedy", lambda *args: calls.append(args[2]) or original(*args)
+        )
+        map_over_thresholds(dets, gts)
+        assert len(calls) == len(gts) * len(DEFAULT_IOU_THRESHOLDS)
+        calls.clear()
+        map_over_thresholds(dets, gts, (0.3, 0.75))
+        assert sorted(set(calls)) == [0.3, 0.5, 0.75]
+        assert len(calls) == len(gts) * 3
 
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ValueError):

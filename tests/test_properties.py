@@ -21,7 +21,6 @@ from thermotrack.frameio import DatasetItem, ThermalFrame, horizontal_flip
 from thermotrack.annotations import GroundTruthLabel
 from thermotrack.thermoreg import (
     CalibrationSample,
-    _coordinate_descent,
     fit_elastic_net,
     fit_knn,
     fit_lasso,
@@ -123,18 +122,53 @@ def test_ridge_slope_magnitude_monotone_in_lambda(pairs, lam_a, lam_b):
     assert slope_high <= slope_low + 1e-12
 
 
+# Offsets from the fitted slope for the dense search: 1e-6 to 100, both signs,
+# in absolute terms and relative to the slope.
+_OFFSETS = np.array([sign * 10.0**e for e in range(-6, 3) for sign in (-1.0, 1.0)])
+
+
+def _penalized_objective(pc, tc, slopes, lam, mix):
+    """0.5 * SSE + lam * mix * |b| + lam * (1 - mix) * b^2 / 2 for each slope
+    b, on centred data."""
+    resid = tc[None, :] - slopes[:, None] * pc[None, :]
+    penalty = lam * mix * np.abs(slopes) + 0.5 * lam * (1.0 - mix) * slopes**2
+    return 0.5 * np.sum(resid * resid, axis=1) + penalty
+
+
 @BULK
 @given(
     pairs=samples_strategy,
     lam=st.floats(0.0, 1e4, allow_nan=False),
     mix=st.floats(0.0, 1.0, allow_nan=False),
 )
-def test_coordinate_descent_objective_monotone(pairs, lam, mix):
-    p = np.array([float(a) for a, _ in pairs])
-    t = np.array([float(b) for _, b in pairs])
-    slope, trajectory = _coordinate_descent(p - p.mean(), t - t.mean(), lam, mix)
-    assert math.isfinite(slope)
-    assert all(earlier >= later - 1e-9 for earlier, later in zip(trajectory, trajectory[1:]))
+def test_linear_fit_minimizes_elastic_net_objective(pairs, lam, mix):
+    samples = [CalibrationSample(float(p), float(t)) for p, t in pairs]
+    p_bar = math.fsum(float(p) for p, _ in pairs) / len(pairs)
+    t_bar = math.fsum(float(t) for _, t in pairs) / len(pairs)
+    pc = np.array([float(p) - p_bar for p, _ in pairs])
+    tc = np.array([float(t) - t_bar for _, t in pairs])
+    sxx = math.fsum(x * x for x in pc)
+    sxy = math.fsum(x * y for x, y in zip(pc, tc))
+    stt = math.fsum(y * y for y in tc)
+    for model, lam_k, mix_k in (
+        (fit_ols(samples), 0.0, 0.0),
+        (fit_ridge(samples, lam), lam, 0.0),
+        (fit_lasso(samples, lam), lam, 1.0),
+        (fit_elastic_net(samples, lam, mix), lam, mix),
+    ):
+        b = model.params["slope"]
+        assert math.isfinite(b)
+        l1, l2 = lam_k * mix_k, lam_k * (1.0 - mix_k)
+        # KKT: Sxy - (Sxx + l2) b lies in l1 * subgradient of |b|.
+        tol = 1e-9 * (math.sqrt(sxx * stt) + l1 + (sxx + l2) * abs(b)) + 1e-12
+        if b == 0.0:
+            assert abs(sxy) <= l1 + tol
+        else:
+            assert abs(sxy - (sxx + l2) * b - l1 * math.copysign(1.0, b)) <= tol
+        # No nearby slope does better.
+        slopes = np.concatenate(([b], b + _OFFSETS, b + abs(b) * _OFFSETS))
+        objective = _penalized_objective(pc, tc, slopes, lam_k, mix_k)
+        assert objective[0] <= objective[1:].min() + 1e-12 * (objective[0] + 1.0)
 
 
 @BULK

@@ -12,7 +12,6 @@ from thermotrack.thermoreg import (
     CrossValReport,
     ModelSpec,
     NoViableModelError,
-    _coordinate_descent,
     fit_elastic_net,
     fit_knn,
     fit_lasso,
@@ -125,8 +124,8 @@ class TestLassoElasticNet:
     def test_lambda_zero_matches_ols(self):
         ols = fit_ols(TWO_POINTS)
         for model in (fit_lasso(TWO_POINTS, 0.0), fit_elastic_net(TWO_POINTS, 0.0, 0.5)):
-            assert model.params["slope"] == pytest.approx(ols.params["slope"], abs=1e-6)
-            assert model.params["intercept"] == pytest.approx(ols.params["intercept"], abs=1e-6)
+            assert model.params["slope"] == ols.params["slope"]
+            assert model.params["intercept"] == ols.params["intercept"]
 
     def test_soft_threshold_kills_slope(self):
         # |Sxy| = 500 for the two-point set, so lambda >= 500 zeroes it.
@@ -140,8 +139,8 @@ class TestLassoElasticNet:
             lam = float(rng.uniform(0, 50))
             enet = fit_elastic_net(samples, lam, 0.0)
             ridge = fit_ridge(samples, lam)
-            assert enet.params["slope"] == pytest.approx(ridge.params["slope"], abs=1e-6)
-            assert enet.params["intercept"] == pytest.approx(ridge.params["intercept"], abs=1e-6)
+            assert enet.params["slope"] == ridge.params["slope"]
+            assert enet.params["intercept"] == ridge.params["intercept"]
 
     def test_elastic_net_mix_one_equals_lasso(self, rng):
         for _ in range(20):
@@ -149,21 +148,54 @@ class TestLassoElasticNet:
             lam = float(rng.uniform(0, 50))
             enet = fit_elastic_net(samples, lam, 1.0)
             lasso = fit_lasso(samples, lam)
-            assert enet.params["slope"] == pytest.approx(lasso.params["slope"], abs=1e-6)
+            assert enet.params["slope"] == lasso.params["slope"]
+            assert enet.params["intercept"] == lasso.params["intercept"]
 
     def test_mix_out_of_range(self):
         with pytest.raises(ValueError):
             fit_elastic_net(TWO_POINTS, 1.0, 1.5)
 
-    def test_objective_trajectory_never_increases(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 40))
-            p = rng.uniform(0, 255, n)
-            t = rng.uniform(30, 40, n)
-            lam = float(rng.uniform(0, 200))
-            mix = float(rng.uniform(0, 1))
-            _, trajectory = _coordinate_descent(p - p.mean(), t - t.mean(), lam, mix)
-            assert all(a >= b - 1e-9 for a, b in zip(trajectory, trajectory[1:]))
+
+def _linear_pin_fits():
+    """Each public linear fitter over a small (lambda, mix) grid on two seeded
+    sets, plus a slope zeroed by the soft threshold and lasso on identical
+    pixels (zero denominator), as exact reprs of the fitted numbers."""
+    fits = {}
+    seeded = {
+        "noisy": _noisy_line(n=40, seed=5),
+        "calib": generate_calibration_set(50, 20.0, 0.1, seed=21),
+    }
+    for name, samples in seeded.items():
+        fits[f"{name}/linear"] = fit_ols(samples)
+        for lam in (0.0, 0.5, 10.0, 1e4):
+            fits[f"{name}/ridge/{lam!r}"] = fit_ridge(samples, lam)
+            fits[f"{name}/lasso/{lam!r}"] = fit_lasso(samples, lam)
+            for mix in (0.0, 0.3, 1.0):
+                fits[f"{name}/elastic_net/{lam!r}/{mix!r}"] = fit_elastic_net(samples, lam, mix)
+    # |Sxy| = 500 on TWO_POINTS, so lambda * mix >= 500 zeroes the slope.
+    fits["two/lasso/500.0"] = fit_lasso(TWO_POINTS, 500.0)
+    fits["two/elastic_net/1000.0/0.5"] = fit_elastic_net(TWO_POINTS, 1000.0, 0.5)
+    same = [CalibrationSample(100.0, 36.0), CalibrationSample(100.0, 37.0)]
+    fits["same/lasso/1.0"] = fit_lasso(same, 1.0)
+    return {
+        key: [
+            json.dumps(m.hyperparams, sort_keys=True),
+            repr(m.params["intercept"]),
+            repr(m.params["slope"]),
+            repr(m.train_mse),
+            repr(m.train_r2),
+        ]
+        for key, m in fits.items()
+    }
+
+
+class TestLinearPins:
+    """Linear-family fits recorded from the coordinate-descent fitters; the
+    closed form must reproduce them bit for bit."""
+
+    def test_fits_unchanged(self):
+        pinned = json.loads((Path(__file__).parent / "data" / "linear_fit_pins.json").read_text())
+        assert _linear_pin_fits() == pinned
 
 
 class TestKnn:
@@ -544,6 +576,33 @@ class TestPersistence:
             ("knn", {"pixels": [1.0, "2"], "temps": [10.0, 20.0], "k": 1}),
             ("linear", {"intercept": float("inf"), "slope": 0.1}),
             ("ridge", {"intercept": 20.0, "slope": None}),
+            ("decision_tree", {"tree": {"kind": "split", "threshold": 100.0}}),
+            ("decision_tree", {"tree": {"kind": "leaf"}}),
+            ("decision_tree", {"tree": {"kind": "stump", "value": 36.0}}),
+            ("decision_tree", {"tree": {"kind": "leaf", "value": "36"}}),
+            (
+                "decision_tree",
+                {
+                    "tree": {
+                        "kind": "split",
+                        "threshold": float("nan"),
+                        "left": {"kind": "leaf", "value": 35.0},
+                        "right": {"kind": "leaf", "value": 37.0},
+                    }
+                },
+            ),
+            (
+                "decision_tree",
+                {
+                    "tree": {
+                        "kind": "split",
+                        "threshold": 100.0,
+                        "left": {"kind": "leaf", "value": 35.0},
+                        "right": [37.0],
+                    }
+                },
+            ),
+            ("decision_tree", {}),
         ],
         ids=[
             "knn-k-above-n",
@@ -554,6 +613,13 @@ class TestPersistence:
             "knn-non-number-pixel",
             "linear-nonfinite-intercept",
             "ridge-missing-slope",
+            "tree-split-without-children",
+            "tree-leaf-without-value",
+            "tree-unknown-node-kind",
+            "tree-non-number-value",
+            "tree-nonfinite-threshold",
+            "tree-child-not-object",
+            "tree-missing",
         ],
     )
     def test_unusable_params_rejected(self, tmp_path, kind, params):
