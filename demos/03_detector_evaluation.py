@@ -42,7 +42,6 @@ replay_report = evaluate("replay detector (labels echoed back)", ReplayDetector.
 assert replay_report.map_50 == 1.0
 
 blob_cfg = DetectorConfig(
-    kind="blob",
     intensity_threshold=32,   # just above background 20 +/- 4
     min_blob_area=40,
     confidence_threshold=0.1,

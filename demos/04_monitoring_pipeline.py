@@ -21,7 +21,7 @@ OUT.mkdir(parents=True, exist_ok=True)
 model = FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
 
 detector = BlobDetector(
-    DetectorConfig(kind="blob", intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
+    DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
 )
 
 seq = SequenceSpec(

@@ -118,17 +118,15 @@ def _build_detector(args, config, section: str, items: list[DatasetItem] | None)
     """Returns (detector, adapter); adapter is None unless external."""
     spec = _resolve(args.detector, config, section, "detector", str, "blob")
     conf_thr = _resolve(args.conf_threshold, config, section, "conf_threshold", float, 0.25)
-    timeout = _resolve(args.adapter_timeout, config, section, "adapter_timeout", float, 2.0)
     if spec == "replay":
         if items is None:
             raise ValueError("the replay detector needs a labeled dataset directory")
         nms_thr = _resolve(args.nms_threshold, config, section, "nms_threshold", float, REPLAY_NMS_IOU)
-        cfg = DetectorConfig(kind="replay", confidence_threshold=conf_thr, nms_iou_threshold=nms_thr)
+        cfg = DetectorConfig(confidence_threshold=conf_thr, nms_iou_threshold=nms_thr)
         return ReplayDetector.from_items(items, cfg), None
     nms_thr = _resolve(args.nms_threshold, config, section, "nms_threshold", float, 0.45)
     if spec == "blob":
         cfg = DetectorConfig(
-            kind="blob",
             confidence_threshold=conf_thr,
             nms_iou_threshold=nms_thr,
             intensity_threshold=_resolve(args.blob_threshold, config, section, "blob_threshold", int, 200),
@@ -140,13 +138,9 @@ def _build_detector(args, config, section: str, items: list[DatasetItem] | None)
         command = shlex.split(spec[len("external:") :])
         if not command:
             raise ValueError("external detector needs a command line after 'external:'")
-        cfg = DetectorConfig(
-            kind="external",
-            confidence_threshold=conf_thr,
-            nms_iou_threshold=nms_thr,
-            external_command=tuple(command),
-            response_timeout_s=timeout,
-        )
+        # Built before the launch, so a bad threshold leaves no process behind.
+        cfg = DetectorConfig(confidence_threshold=conf_thr, nms_iou_threshold=nms_thr)
+        timeout = _resolve(args.adapter_timeout, config, section, "adapter_timeout", float, 2.0)
         adapter = ExternalAdapter(command, response_timeout_s=timeout)
         return ExternalDetector(adapter, cfg), adapter
     raise ValueError(f"unknown detector {spec!r}; use replay, blob, or external:<cmd>")
@@ -274,7 +268,6 @@ def cmd_run(args, config) -> int:
     else:
         paths = list_frame_paths(args.frames)
         items = pair_frames_with_labels(args.frames, args.frames)
-    detector, adapter = _build_detector(args, config, section, items)
     cfg = PipelineConfig(
         min_bbox_area=_resolve(args.min_bbox_area, config, section, "min_bbox_area", float, 100.0),
         overlay_enabled=not args.no_overlay,
@@ -283,6 +276,7 @@ def cmd_run(args, config) -> int:
         log_path=args.log,
         output_dir=args.out,
     )
+    detector, adapter = _build_detector(args, config, section, items)
     try:
         summary = run_stream(paths, detector, model, cfg)
     finally:

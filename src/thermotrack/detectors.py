@@ -86,20 +86,14 @@ class Detection:
 
 @dataclass
 class DetectorConfig:
-    kind: str = "blob"
     confidence_threshold: float = 0.25
     nms_iou_threshold: float = 0.45
     # Blob parameters; min_blob_area is in squared pixels at the frame's own scale.
     intensity_threshold: int = 200
     min_blob_area: int = 64
     max_aspect_ratio: float = 2.5
-    # External adapter launch line and per-frame response timeout.
-    external_command: tuple[str, ...] | None = None
-    response_timeout_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("replay", "blob", "external"):
-            raise ValueError(f"unknown detector kind {self.kind!r}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError(f"confidence_threshold {self.confidence_threshold} outside [0, 1]")
         if not 0.0 < self.nms_iou_threshold < 1.0:
@@ -108,10 +102,8 @@ class DetectorConfig:
             raise ValueError(f"intensity_threshold {self.intensity_threshold} outside [0, 255]")
         if self.min_blob_area < 0:
             raise ValueError(f"min_blob_area {self.min_blob_area} must be >= 0")
-        if self.max_aspect_ratio < 1.0:
+        if not self.max_aspect_ratio >= 1.0:
             raise ValueError(f"max_aspect_ratio {self.max_aspect_ratio} must be >= 1")
-        if self.response_timeout_s <= 0:
-            raise ValueError("response_timeout_s must be positive")
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
@@ -173,7 +165,6 @@ class Detector:
     def detect(self, frame: ThermalFrame) -> list[Detection]:
         raw = self._detect_raw(frame)
         kept = [d for d in raw if d.confidence >= self.config.confidence_threshold]
-        kept.sort(key=lambda d: -d.confidence)
         return nms(kept, self.config.nms_iou_threshold)
 
     def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
@@ -189,7 +180,7 @@ class ReplayDetector(Detector):
         labels_by_source: Mapping[str, Sequence[GroundTruthLabel]],
         config: DetectorConfig | None = None,
     ):
-        super().__init__(config or DetectorConfig(kind="replay", nms_iou_threshold=REPLAY_NMS_IOU))
+        super().__init__(config or DetectorConfig(nms_iou_threshold=REPLAY_NMS_IOU))
         self._labels = {key: list(value) for key, value in labels_by_source.items()}
 
     @classmethod
@@ -208,7 +199,7 @@ class BlobDetector(Detector):
     """In-house thermal blob baseline; stateless and safe to share across streams."""
 
     def __init__(self, config: DetectorConfig | None = None):
-        super().__init__(config or DetectorConfig(kind="blob"))
+        super().__init__(config or DetectorConfig())
 
     def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
         return blob_detect(frame, self.config)
@@ -222,6 +213,11 @@ class ExternalAdapter:
     """
 
     def __init__(self, command: Sequence[str], response_timeout_s: float = 2.0):
+        # A queue wait longer than threading.TIMEOUT_MAX raises OverflowError.
+        if not 0 < response_timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"response_timeout_s must be in (0, {threading.TIMEOUT_MAX:g}], got {response_timeout_s}"
+            )
         self.command = tuple(command)
         self.response_timeout_s = response_timeout_s
         self._request_ids = count(1)
@@ -338,7 +334,7 @@ class ExternalDetector(Detector):
     """Bridges the detector contract onto an ExternalAdapter."""
 
     def __init__(self, adapter: ExternalAdapter, config: DetectorConfig | None = None):
-        super().__init__(config or DetectorConfig(kind="external"))
+        super().__init__(config or DetectorConfig())
         self.adapter = adapter
 
     def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:

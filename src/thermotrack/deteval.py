@@ -87,6 +87,30 @@ def _check_sorted_desc(confidences: Sequence[float]) -> None:
             raise ValueError("detections must be sorted by descending confidence")
 
 
+def _iou_table(dets: Sequence["Detection"], gts: Sequence[PixelBBox]) -> list[list[float]]:
+    """IoU of every detection (rows, confidence order) with every ground truth."""
+    _check_sorted_desc([d.confidence for d in dets])
+    return [[iou(d.bbox, g) for g in gts] for d in dets]
+
+
+def _greedy_claim(ious: list[list[float]], num_gt: int, iou_thr: float) -> list[bool]:
+    """The claim rule of ``match_greedy``, over a detection x truth IoU table."""
+    claimed = [False] * num_gt
+    flags: list[bool] = []
+    for row in ious:
+        best_iou = 0.0
+        best_j = -1
+        for j, value in enumerate(row):
+            if not claimed[j] and value > best_iou:
+                best_iou = value
+                best_j = j
+        hit = best_j >= 0 and best_iou >= iou_thr
+        if hit:
+            claimed[best_j] = True
+        flags.append(hit)
+    return flags
+
+
 def match_greedy(
     dets: Sequence["Detection"],
     gts: Sequence[PixelBBox],
@@ -99,25 +123,7 @@ def match_greedy(
     IoU ties go to the lowest ground-truth index, so the outcome is
     deterministic. Input must already be sorted by descending confidence.
     """
-    _check_sorted_desc([d.confidence for d in dets])
-    claimed = [False] * len(gts)
-    flags: list[bool] = []
-    for det in dets:
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(gts):
-            if claimed[j]:
-                continue
-            value = iou(det.bbox, gt)
-            if value > best_iou:
-                best_iou = value
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_thr:
-            claimed[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return MatchResult(flags, len(gts))
+    return MatchResult(_greedy_claim(_iou_table(dets, gts), len(gts), iou_thr), len(gts))
 
 
 def average_precision(match: MatchResult, confidences: Sequence[float]) -> float:
@@ -151,27 +157,6 @@ def average_precision(match: MatchResult, confidences: Sequence[float]) -> float
     return math.fsum(recall_steps * envelope)
 
 
-def _pooled_match(
-    dets_per_image: Sequence[Sequence["Detection"]],
-    gts_per_image: Sequence[Sequence[PixelBBox]],
-    iou_thr: float,
-) -> tuple[MatchResult, np.ndarray]:
-    """Match per image, then merge all images under one global stable
-    confidence sort."""
-    flags: list[bool] = []
-    confs: list[float] = []
-    total_gt = 0
-    for dets, gts in zip(dets_per_image, gts_per_image):
-        result = match_greedy(dets, list(gts), iou_thr)
-        flags.extend(result.tp_flags)
-        confs.extend(d.confidence for d in dets)
-        total_gt += len(gts)
-    conf_arr = np.asarray(confs, dtype=float)
-    order = np.argsort(-conf_arr, kind="stable")
-    pooled_flags = [flags[i] for i in order]
-    return MatchResult(pooled_flags, total_gt), conf_arr[order]
-
-
 def map_over_thresholds(
     dets_per_image: Sequence[Sequence["Detection"]],
     gts_per_image: Sequence[Sequence[PixelBBox]],
@@ -192,14 +177,23 @@ def map_over_thresholds(
         if not 0.0 < thr <= 1.0:
             raise ValueError(f"IoU threshold {thr} outside (0, 1]")
 
-    ap_by_threshold: dict[float, float] = {}
+    # Only the greedy claim depends on the threshold: IoUs and the pooled
+    # stable confidence order are computed once per evaluation.
+    tables = [(_iou_table(dets, gts), len(gts)) for dets, gts in zip(dets_per_image, gts_per_image)]
+    conf_arr = np.asarray([d.confidence for dets in dets_per_image for d in dets], dtype=float)
+    order = np.argsort(-conf_arr, kind="stable")
+    pooled_confs = list(conf_arr[order])
+    total_gt = sum(num_gt for _, num_gt in tables)
     matches: dict[float, MatchResult] = {}
-    for thr in thresholds:
-        match, confs = _pooled_match(dets_per_image, gts_per_image, thr)
-        ap_by_threshold[float(thr)] = average_precision(match, list(confs))
-        matches[float(thr)] = match
+    for thr in [*thresholds, 0.5]:  # precision and recall need the 0.5 match
+        if float(thr) not in matches:
+            flags = [flag for table, num_gt in tables for flag in _greedy_claim(table, num_gt, thr)]
+            matches[float(thr)] = MatchResult([flags[i] for i in order], total_gt)
+    ap_by_threshold = {
+        float(thr): average_precision(matches[float(thr)], pooled_confs) for thr in thresholds
+    }
 
-    match50 = matches.get(0.5) or _pooled_match(dets_per_image, gts_per_image, 0.5)[0]
+    match50 = matches[0.5]
     tp = sum(match50.tp_flags)
     n_det = len(match50.tp_flags)
     precision = tp / n_det if n_det else 0.0

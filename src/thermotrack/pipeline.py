@@ -11,6 +11,7 @@ monitoring session.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,13 +21,15 @@ import numpy as np
 
 from .annotations import PixelBBox
 from .detectors import Detection, Detector
-from .frameio import ThermalFrame, bgr_to_grayscale, gray_to_bgr, load_frame, save_frame
+from .frameio import (
+    NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame, bgr_to_grayscale, gray_to_bgr, load_frame, save_frame
+)
 from .thermoreg import FittedRegressor
 
 logger = logging.getLogger(__name__)
 
 # Reference area for min_bbox_area scaling: the native 160x120 sensor.
-NATIVE_FRAME_AREA = 160 * 120
+NATIVE_FRAME_AREA = NATIVE_WIDTH * NATIVE_HEIGHT
 
 LOG_CSV_HEADER = "frame_index,x1,y1,x2,y2,max_pixel,temperature_c,flagged"
 
@@ -78,8 +81,10 @@ class PipelineConfig:
     output_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.min_bbox_area < 1:
-            raise ValueError(f"min_bbox_area must be >= 1, got {self.min_bbox_area}")
+        if not 1 <= self.min_bbox_area < math.inf:
+            raise ValueError(f"min_bbox_area must be finite and >= 1, got {self.min_bbox_area}")
+        if not math.isfinite(self.fever_threshold_c):
+            raise ValueError(f"fever_threshold_c must be finite, got {self.fever_threshold_c}")
         if self.overlay_decimals < 0:
             raise ValueError("overlay_decimals must be >= 0")
 

@@ -62,6 +62,25 @@ _HYPERPARAM_NAMES: dict[str, tuple[str, ...]] = {
     "knn": ("k",),
     "decision_tree": ("max_depth", "min_samples_leaf"),
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# The sample-independent range of each hyperparameter, checked by ModelSpec;
+# the fitters check only what depends on the training samples.
+_HYPERPARAM_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "lambda": ("a finite number >= 0", lambda v: _is_real(v) and 0 <= v < math.inf),
+    "mix": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
+    "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "max_depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "min_samples_leaf": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+}
 # The linear kinds share one fitter; each fixes the penalty its names leave out.
 _LINEAR_FIXED: dict[str, dict[str, float]] = {
     "linear": {"lambda": 0.0, "mix": 0.0},
@@ -200,20 +219,6 @@ def _digest(samples: Sequence[CalibrationSample]) -> str:
     return "sha256:" + hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
-def _with_diagnostics(
-    core: Callable[..., FittedRegressor], samples: Sequence[CalibrationSample], *hyper
-) -> FittedRegressor:
-    """Fit ``core(p, t, *hyper)`` and attach the in-sample scores and digest."""
-    p, t = _as_xy(samples)
-    model = core(p, t, *hyper)
-    preds = model.predict_batch(p)
-    model.train_mse = mse(t, preds)
-    sst = float(np.sum((t - t.mean()) ** 2))
-    model.train_r2 = float("nan") if sst == 0.0 else r2(t, preds)
-    model.training_digest = _digest(samples)
-    return model
-
-
 def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float) -> FittedRegressor:
     """Exact minimiser of 0.5 * SSE + lam * (mix * |b| + (1 - mix) * b^2 / 2).
 
@@ -223,10 +228,6 @@ def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float)
     intercept is unpenalized. Least squares is lam = 0, ridge mix = 0 and
     lasso mix = 1, so each equals elastic net at those values bit for bit.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must be in [0, 1], got {mix}")
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
     if p.size < 2:
         raise ValueError("need at least 2 samples")
     if lam == 0.0 and np.unique(p).size < 2:
@@ -247,7 +248,7 @@ def fit_ols(samples: Sequence[CalibrationSample]) -> FittedRegressor:
 
     Needs at least two samples with at least two distinct pixel values.
     """
-    return _with_diagnostics(_fit_linear, samples, "linear", 0.0, 0.0)
+    return ModelSpec("linear", {}).fit(samples)
 
 
 def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
@@ -255,28 +256,28 @@ def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegress
 
     lambda = 0 equals fit_ols bit for bit.
     """
-    return _with_diagnostics(_fit_linear, samples, "ridge", lam, 0.0)
+    return ModelSpec("ridge", {"lambda": lam}).fit(samples)
 
 
 def fit_lasso(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
     """L1-penalized line by soft thresholding; lambda >= |Sxy| zeroes the slope."""
-    return _with_diagnostics(_fit_linear, samples, "lasso", lam, 1.0)
+    return ModelSpec("lasso", {"lambda": lam}).fit(samples)
 
 
 def fit_elastic_net(samples: Sequence[CalibrationSample], lam: float, mix: float) -> FittedRegressor:
     """Blend of L1 and L2 penalties; mix=0 equals ridge, mix=1 equals lasso."""
-    return _with_diagnostics(_fit_linear, samples, "elastic_net", lam, mix)
+    return ModelSpec("elastic_net", {"lambda": lam, "mix": mix}).fit(samples)
 
 
 def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= p.size:
+    if k > p.size:
         raise ValueError(f"k must be in [1, {p.size}], got {k!r}")
     return FittedRegressor("knn", {"pixels": p.tolist(), "temps": t.tolist(), "k": k}, {"k": k})
 
 
 def fit_knn(samples: Sequence[CalibrationSample], k: int) -> FittedRegressor:
     """Store the samples; predict the unweighted mean of the k nearest by |dpixel|."""
-    return _with_diagnostics(_fit_knn, samples, k)
+    return ModelSpec("knn", {"k": k}).fit(samples)
 
 
 def _build_tree(
@@ -314,10 +315,6 @@ def _build_tree(
 def _fit_tree(
     p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int
 ) -> FittedRegressor:
-    if not isinstance(max_depth, int) or max_depth < 0:
-        raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
-    if not isinstance(min_samples_leaf, int) or min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf!r}")
     if p.size < 2 * min_samples_leaf:
         raise ValueError(
             f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
@@ -341,7 +338,8 @@ def fit_tree(
     Growth stops at max_depth, at min_samples_leaf, or on a zero-variance
     node; leaves predict their mean temperature.
     """
-    return _with_diagnostics(_fit_tree, samples, max_depth, min_samples_leaf)
+    hyperparams = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
+    return ModelSpec("decision_tree", hyperparams).fit(samples)
 
 
 def mse(truth: Sequence[float], pred: Sequence[float]) -> float:
@@ -384,14 +382,21 @@ class ModelSpec:
             raise ValueError(
                 f"{self.kind} takes hyperparameters {list(names)}, got {list(self.hyperparams)}"
             )
-        if self.kind in LINEAR_KINDS:
-            for name in names:
-                value = self.hyperparams[name]
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                    raise ValueError(f"{self.kind} {name} must be a number, got {value!r}")
+        for name in names:
+            rule, ok = _HYPERPARAM_RANGES[name]
+            if not ok(self.hyperparams[name]):
+                raise ValueError(f"{self.kind} {name} must be {rule}, got {self.hyperparams[name]!r}")
 
     def fit(self, samples: Sequence[CalibrationSample]) -> FittedRegressor:
-        return _with_diagnostics(self._fit_arrays, samples)
+        """Fit and attach the in-sample scores and training digest."""
+        p, t = _as_xy(samples)
+        model = self._fit_arrays(p, t)
+        preds = model.predict_batch(p)
+        model.train_mse = mse(t, preds)
+        sst = float(np.sum((t - t.mean()) ** 2))
+        model.train_r2 = float("nan") if sst == 0.0 else r2(t, preds)
+        model.training_digest = _digest(samples)
+        return model
 
     def _fit_arrays(self, p: np.ndarray, t: np.ndarray) -> FittedRegressor:
         """Fit on pixel/temperature arrays, without training diagnostics."""

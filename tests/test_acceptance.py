@@ -49,9 +49,7 @@ from thermotrack.thermoreg import (
 STUB = Path(__file__).parent / "stub_adapter.py"
 
 EXACT_LAW = FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
-BLOB_CFG = DetectorConfig(
-    kind="blob", intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1
-)
+BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
 
 
 def _passed(number: int, detail: str) -> None:

@@ -1,5 +1,8 @@
 import io
 import json
+import shlex
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from thermotrack.thermoreg import (
     save_model,
 )
 from conftest import gray_frame
+from test_detectors import STUB
 
 SCENE_SPEC = """
 [scene]
@@ -174,9 +178,14 @@ class TestCalibrate:
             {"ridge": [{"lambda": "1"}]},
             {"elastic_net": [{"lambda": 1.0, "mix": None}]},
             {"knn": [{"k": 3, "weights": "distance"}]},
+            {"ridge": [{"lambda": -1}]},
+            {"elastic_net": [{"lambda": 1.0, "mix": 2}]},
+            {"knn": [{"k": 0}]},
+            {"decision_tree": [{"max_depth": -1, "min_samples_leaf": 1}]},
         ],
         ids=[
-            "missing-name", "misspelt-name", "name-not-taken", "string-lambda", "null-mix", "extra-name"
+            "missing-name", "misspelt-name", "name-not-taken", "string-lambda", "null-mix", "extra-name",
+            "negative-lambda", "mix-above-one", "zero-k", "negative-depth",
         ],
     )
     def test_bad_hyperparameters_are_data_errors(self, tmp_path, capsys, grid):
@@ -186,8 +195,19 @@ class TestCalibrate:
         model_path = tmp_path / "m.json"
         code = run_cli("calibrate", str(csv_path), "--out", str(model_path), "--grids", str(grids))
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "fold underflow" not in err
         assert not model_path.exists()
+
+    def test_k_above_fold_size_is_fold_underflow(self, tmp_path, capsys):
+        # 100 samples in 5 folds leave 80 to train on: k = 90 fits no fold.
+        csv_path = self._csv(tmp_path)
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"knn": [{"k": 90}]}))
+        code = run_cli("calibrate", str(csv_path), "--out", str(tmp_path / "m.json"), "--grids", str(grids))
+        assert code == 3
+        assert "fold underflow for knn" in capsys.readouterr().err
 
     def test_guard_set_rejects_steep_candidate(self, tmp_path, capsys):
         # A steep exact line: its nearest-neighbor memorization CV-wins, but
@@ -324,6 +344,37 @@ class TestRun:
         code = run_cli("run", "-", "--model", str(model), "--detector", "blob", *BLOB_FLAGS)
         assert code == 0
         assert "frames=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--min-bbox-area", "nan"],
+            ["--blob-max-aspect", "nan"],
+            ["--fever-threshold", "nan"],
+        ],
+        ids=["min-bbox-area", "blob-max-aspect", "fever-threshold"],
+    )
+    def test_nan_flag_is_data_error(self, tmp_path, capsys, flags):
+        ds = self._dataset(tmp_path, frames=2)
+        model = _ridge_law_model(tmp_path)
+        log = tmp_path / "readings.csv"
+        code = run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS, *flags, "--log", str(log))
+        assert code == 3
+        assert "nan" in capsys.readouterr().err
+        assert not log.exists()
+
+    def test_zero_adapter_timeout_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ds = self._dataset(tmp_path, frames=2)
+        model = _ridge_law_model(tmp_path)
+        command = shlex.join([sys.executable, str(STUB)])
+        code = run_cli(
+            "run", str(ds), "--model", str(model), "--detector", f"external:{command}",
+            "--adapter-timeout", "0",
+        )
+        assert code == 3
+        assert "response_timeout_s" in capsys.readouterr().err
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
     def test_replay_detector_needs_directory(self, tmp_path, capsys, monkeypatch):
         model = _ridge_law_model(tmp_path)

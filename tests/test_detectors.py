@@ -1,4 +1,5 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,6 @@ class TestDetectionTypes:
             DetectorConfig(nms_iou_threshold=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(intensity_threshold=300)
-        with pytest.raises(ValueError):
-            DetectorConfig(kind="mystery")
 
 
 class TestNms:
@@ -85,7 +84,7 @@ class TestNms:
 
 
 class TestBlobDetect:
-    CFG = DetectorConfig(kind="blob", intensity_threshold=128, min_blob_area=50)
+    CFG = DetectorConfig(intensity_threshold=128, min_blob_area=50)
 
     def test_quiet_frame_yields_nothing(self):
         assert blob_detect(gray_frame(40, 30, value=100), self.CFG) == []
@@ -110,7 +109,7 @@ class TestBlobDetect:
         assert got == expected
 
     def test_random_masks_match_bfs_oracle(self, rng):
-        cfg = DetectorConfig(kind="blob", intensity_threshold=128, min_blob_area=1, max_aspect_ratio=100.0)
+        cfg = DetectorConfig(intensity_threshold=128, min_blob_area=1, max_aspect_ratio=100.0)
         for _ in range(25):
             pixels = (rng.random((20, 26)) < 0.35).astype(np.uint8) * 200
             frame = ThermalFrame.from_array(pixels)
@@ -131,7 +130,7 @@ class TestBlobDetect:
         assert blob_detect(frame, self.CFG) == []
 
     def test_elongated_blob_dropped(self):
-        cfg = DetectorConfig(kind="blob", intensity_threshold=128, min_blob_area=10, max_aspect_ratio=2.5)
+        cfg = DetectorConfig(intensity_threshold=128, min_blob_area=10, max_aspect_ratio=2.5)
         pixels = np.zeros((40, 80), dtype=np.uint8)
         pixels[10:14, 10:50] = 255  # 4x40: aspect 10
         assert blob_detect(ThermalFrame.from_array(pixels), cfg) == []
@@ -142,7 +141,7 @@ class TestBlobDetect:
             blob_detect(ThermalFrame.from_array(pixels), self.CFG)
 
     def test_translation_equivariance(self):
-        cfg = DetectorConfig(kind="blob", intensity_threshold=100, min_blob_area=20)
+        cfg = DetectorConfig(intensity_threshold=100, min_blob_area=20)
         base = blob_detect(_frame_with_square(80, 60, 20, 15, 10, 230), cfg)
         for dx, dy in ((3, 0), (0, 4), (7, 9), (-5, -2)):
             moved = blob_detect(_frame_with_square(80, 60, 20 + dx, 15 + dy, 10, 230), cfg)
@@ -156,7 +155,7 @@ class TestDetectorContract:
         assert BlobDetector().detect(gray_frame(32, 24)) == []
 
     def test_output_sorted_and_nms_clean(self, rng):
-        cfg = DetectorConfig(kind="blob", intensity_threshold=100, min_blob_area=4, confidence_threshold=0.0)
+        cfg = DetectorConfig(intensity_threshold=100, min_blob_area=4, confidence_threshold=0.0)
         detector = BlobDetector(cfg)
         pixels = np.zeros((60, 80), dtype=np.uint8)
         pixels[5:15, 5:15] = 250
@@ -172,9 +171,9 @@ class TestDetectorContract:
     def test_confidence_threshold_applied(self):
         pixels = np.zeros((40, 40), dtype=np.uint8)
         pixels[5:15, 5:15] = 120  # mean 120/255 = 0.47
-        cfg = DetectorConfig(kind="blob", intensity_threshold=100, min_blob_area=4, confidence_threshold=0.5)
+        cfg = DetectorConfig(intensity_threshold=100, min_blob_area=4, confidence_threshold=0.5)
         assert BlobDetector(cfg).detect(ThermalFrame.from_array(pixels)) == []
-        cfg_low = DetectorConfig(kind="blob", intensity_threshold=100, min_blob_area=4, confidence_threshold=0.25)
+        cfg_low = DetectorConfig(intensity_threshold=100, min_blob_area=4, confidence_threshold=0.25)
         assert len(BlobDetector(cfg_low).detect(ThermalFrame.from_array(pixels))) == 1
 
 
@@ -186,7 +185,7 @@ def test_blob_finds_synthetic_face_centroid():
         faces=[FaceSpec(80, 60, 10, 11, 36.6)], beta0=20.0, beta1=0.1, seed=6,
     )
     frame, _, _ = generate(spec)
-    cfg = DetectorConfig(kind="blob", intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
+    cfg = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
     dets = BlobDetector(cfg).detect(frame)
     assert len(dets) == 1
     box = dets[0].bbox
@@ -274,6 +273,13 @@ class TestExternalAdapter:
     def test_handshake_timeout(self):
         with pytest.raises(AdapterTimeoutError):
             ExternalAdapter(stub_command("silent"), response_timeout_s=0.3)
+
+    @pytest.mark.parametrize("timeout", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+    def test_bad_timeout_rejected_before_launch(self, tmp_path, monkeypatch, timeout):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match="response_timeout_s"):
+            ExternalAdapter(stub_command(), response_timeout_s=timeout)
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
     def test_missing_command_fails_cleanly(self):
         with pytest.raises(AdapterExitedError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -223,18 +225,28 @@ class TestMapOverThresholds:
         assert map_over_thresholds(dets, gts, thresholds).to_text() == expected
 
     def test_one_matching_pass_per_threshold(self, monkeypatch):
+        # One greedy claim per image and threshold, all over IoUs computed
+        # once per evaluation: sum(n_det * n_gt) scalar iou() calls in total.
         dets, gts = self._shifted_detections()
-        calls = []
-        original = deteval.match_greedy
+        passes = Counter()
+        iou_calls = []
+        claim, scalar_iou = deteval._greedy_claim, deteval.iou
         monkeypatch.setattr(
-            deteval, "match_greedy", lambda *args: calls.append(args[2]) or original(*args)
+            deteval, "_greedy_claim", lambda *args: passes.update([args[2]]) or claim(*args)
         )
+        monkeypatch.setattr(deteval, "iou", lambda a, b: iou_calls.append(1) or scalar_iou(a, b))
+        pairs = sum(len(d) * len(g) for d, g in zip(dets, gts))
+        assert pairs > 0
+
         map_over_thresholds(dets, gts)
-        assert len(calls) == len(gts) * len(DEFAULT_IOU_THRESHOLDS)
-        calls.clear()
+        assert passes == {thr: len(gts) for thr in DEFAULT_IOU_THRESHOLDS}
+        assert len(iou_calls) == pairs
+
+        passes.clear()
+        iou_calls.clear()
         map_over_thresholds(dets, gts, (0.3, 0.75))
-        assert sorted(set(calls)) == [0.3, 0.5, 0.75]
-        assert len(calls) == len(gts) * 3
+        assert passes == {0.3: len(gts), 0.5: len(gts), 0.75: len(gts)}
+        assert len(iou_calls) == pairs
 
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ValueError):

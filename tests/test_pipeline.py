@@ -28,9 +28,7 @@ from thermotrack.pipeline import (
 from thermotrack.synthscene import FaceSpec, SceneSpec, SequenceSpec, generate, generate_sequence
 from thermotrack.thermoreg import FittedRegressor
 
-BLOB_CFG = DetectorConfig(
-    kind="blob", intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1
-)
+BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
 LAW = FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
 
 
