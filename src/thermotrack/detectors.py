@@ -15,7 +15,8 @@ stdin/stdout):
 
 * handshake: adapter emits ``READY 1``
 * request: ``FRAME <request-id> <width> <height> <absolute-file-path>``
-  (the file is PGM/PPM)
+  (the file is PGM/PPM; it is deleted once the response has been read, so
+  the adapter reads it before answering)
 * response: ``OK <n>`` followed by n lines
   ``DET <class> <conf> <cx> <cy> <w> <h>`` in normalized coordinates,
   or ``ERR <message>``
@@ -23,9 +24,10 @@ stdin/stdout):
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
 import queue
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -233,11 +235,16 @@ class ExternalAdapter:
                 bufsize=1,
             )
         except OSError as exc:
+            shutil.rmtree(self._scratch_dir, ignore_errors=True)
             raise AdapterExitedError(f"could not launch {self.command}: {exc}") from exc
         self._lines: queue.Queue[str | None] = queue.Queue()
         self._reader = threading.Thread(target=self._pump_stdout, daemon=True)
-        self._reader.start()
-        self._handshake()
+        try:
+            self._reader.start()
+            self._handshake()
+        except BaseException:
+            self.close()
+            raise
 
     def _pump_stdout(self) -> None:
         assert self._proc.stdout is not None
@@ -273,14 +280,22 @@ class ExternalAdapter:
             frame_path = Path(self._scratch_dir) / f"frame-{request_id}.{'pgm' if frame.channels == 1 else 'ppm'}"
             save_frame(frame, frame_path)
             try:
-                assert self._proc.stdin is not None
-                self._proc.stdin.write(
-                    f"FRAME {request_id} {frame.width} {frame.height} {frame_path}\n"
-                )
-                self._proc.stdin.flush()
-            except (OSError, ValueError) as exc:
-                raise AdapterExitedError(f"adapter {self.command} rejected input: {exc}") from exc
-            return self._read_response()
+                try:
+                    assert self._proc.stdin is not None
+                    self._proc.stdin.write(
+                        f"FRAME {request_id} {frame.width} {frame.height} {frame_path}\n"
+                    )
+                    self._proc.stdin.flush()
+                except (OSError, ValueError) as exc:
+                    raise AdapterExitedError(f"adapter {self.command} rejected input: {exc}") from exc
+                return self._read_response()
+            finally:
+                # Each request has its own file, dropped once answered or
+                # abandoned, so an endless stream holds no scratch disk. A
+                # fresh name per request, not one path rewritten by
+                # os.replace: ext4 flushes a replaced file at rename.
+                with contextlib.suppress(OSError):
+                    frame_path.unlink()
 
     def _read_response(self) -> list[tuple[int, float, NormBBox]]:
         header = self._read_line().split()
@@ -313,15 +328,8 @@ class ExternalAdapter:
                 self._proc.wait(timeout=2)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
-        for leftover in Path(self._scratch_dir).glob("frame-*"):
-            try:
-                leftover.unlink()
-            except OSError:
-                pass
-        try:
-            os.rmdir(self._scratch_dir)
-        except OSError:
-            pass
+                self._proc.wait()
+        shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
     def __enter__(self) -> "ExternalAdapter":
         return self

@@ -86,12 +86,14 @@ class DatasetItem:
     labels: list[GroundTruthLabel] = field(default_factory=list)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, *chunks) -> None:
+    """Write bytes-like chunks, in order, via temp-file-and-rename."""
     # Temp file in the same directory so os.replace stays atomic.
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,10 +104,11 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text via temp-file-and-rename so readers never see a
     truncated file."""
-    _atomic_write_bytes(Path(path), text.encode("utf-8"))
+    _atomic_write(Path(path), text.encode("utf-8"))
 
 
-def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, bytes]:
+def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, int]:
+    """Header fields and the offset of the raster: (width, height, channels, offset)."""
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
         raise FrameFormatError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
@@ -131,12 +134,11 @@ def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, bytes]:
     if width <= 0 or height <= 0:
         raise FrameFormatError(f"{path}: non-positive dimensions {width}x{height}")
     pos += 1  # exactly one whitespace byte separates header from raster data
-    raster = data[pos:]
-    if len(raster) != width * height * channels:
+    if len(data) - pos != width * height * channels:
         raise FrameFormatError(
-            f"{path}: raster holds {len(raster)} bytes, expected {width * height * channels}"
+            f"{path}: raster holds {len(data) - pos} bytes, expected {width * height * channels}"
         )
-    return width, height, channels, raster
+    return width, height, channels, pos
 
 
 def load_frame(
@@ -155,7 +157,7 @@ def load_frame(
     """
     path = Path(path)
     data = path.read_bytes()
-    width, height, channels, raster = _parse_netpbm(data, path)
+    width, height, channels, offset = _parse_netpbm(data, path)
     if expected_dims is not None:
         actual = (width, height, channels)[: len(expected_dims)]
         if tuple(expected_dims) != actual:
@@ -163,7 +165,8 @@ def load_frame(
                 f"{path}: dimensions {actual} do not match expected {tuple(expected_dims)}"
             )
     shape = (height, width) if channels == 1 else (height, width, 3)
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
+    # The one copy: frombuffer views the file's bytes, which are read-only.
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(shape).copy()
     return ThermalFrame(width, height, channels, pixels, frame_index, path.stem)
 
 
@@ -172,7 +175,8 @@ def save_frame(frame: ThermalFrame, path: str | Path) -> None:
     path = Path(path)
     magic = b"P5" if frame.channels == 1 else b"P6"
     header = magic + f"\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    _atomic_write_bytes(path, header + frame.pixels.tobytes())
+    # Header, then the pixel buffer itself: no joined copy of the raster.
+    _atomic_write(path, header, np.ascontiguousarray(frame.pixels))
 
 
 def bgr_to_grayscale(frame: ThermalFrame) -> ThermalFrame:
@@ -194,7 +198,8 @@ def gray_to_bgr(frame: ThermalFrame) -> ThermalFrame:
     """Replicate a gray plane into the three BGR channels."""
     if frame.channels != 1:
         raise ValueError("frame is not single-channel")
-    return replace(frame, channels=3, pixels=np.repeat(frame.pixels[:, :, None], 3, axis=2))
+    gray = frame.pixels
+    return replace(frame, channels=3, pixels=np.stack((gray, gray, gray), axis=-1))
 
 
 def resize(frame: ThermalFrame, target_w: int, target_h: int) -> ThermalFrame:

@@ -55,6 +55,12 @@ GLYPHS: dict[str, tuple[str, ...]] = {
 }
 GLYPH_W, GLYPH_H = 5, 7
 GLYPH_PITCH = GLYPH_W + 1
+# Each glyph as a boolean mask followed by its blank spacing column, with a
+# trailing axis that broadcasts over the BGR channels.
+GLYPH_CELLS = {
+    char: np.array([[[bit == "X"] for bit in row + "."] for row in rows])
+    for char, rows in GLYPHS.items()
+}
 
 
 class PipelineFrameError(RuntimeError):
@@ -152,25 +158,24 @@ def format_temperature(temperature_c: float, decimals: int = 1) -> str:
     return f"{temperature_c:.{decimals}f}°C"
 
 
-def _draw_box(pixels: np.ndarray, box: PixelBBox, color: tuple[int, int, int]) -> None:
+def _draw_box(pixels: np.ndarray, box: PixelBBox, color: np.ndarray) -> None:
     pixels[box.y1, box.x1 : box.x2] = color
     pixels[box.y2 - 1, box.x1 : box.x2] = color
     pixels[box.y1 : box.y2, box.x1] = color
     pixels[box.y1 : box.y2, box.x2 - 1] = color
 
 
-def _draw_text(pixels: np.ndarray, x: int, y: int, text: str, color: tuple[int, int, int]) -> None:
+def _draw_text(pixels: np.ndarray, x: int, y: int, text: str, color: np.ndarray) -> None:
+    try:
+        cells = [GLYPH_CELLS[char] for char in text]
+    except KeyError as err:
+        raise ValueError(f"no glyph for character {err.args[0]!r}") from None
+    mask = np.concatenate(cells, axis=1)[:, :-1]
     height, width = pixels.shape[:2]
-    for pos, char in enumerate(text):
-        try:
-            glyph = GLYPHS[char]
-        except KeyError:
-            raise ValueError(f"no glyph for character {char!r}") from None
-        gx = x + pos * GLYPH_PITCH
-        for row, bits in enumerate(glyph):
-            for col, bit in enumerate(bits):
-                if bit == "X" and 0 <= y + row < height and 0 <= gx + col < width:
-                    pixels[y + row, gx + col] = color
+    x0, y0 = max(x, 0), max(y, 0)
+    x1, y1 = min(x + mask.shape[1], width), min(y + GLYPH_H, height)
+    if x0 < x1 and y0 < y1:
+        np.copyto(pixels[y0:y1, x0:x1], color, where=mask[y0 - y : y1 - y, x0 - x : x1 - x])
 
 
 def render_overlay(
@@ -186,10 +191,13 @@ def render_overlay(
     if frame.channels != 3:
         raise ValueError("overlay rendering needs a 3-channel frame")
     pixels = frame.pixels.copy()
+    # uint8 colours once per frame, not a tuple conversion per write.
+    box_color = np.array(BOX_COLOR, dtype=np.uint8)
+    text_color = np.array(TEXT_COLOR, dtype=np.uint8)
     for reading in readings:
         if reading.bbox.x2 > frame.width or reading.bbox.y2 > frame.height:
             raise ValueError("reading bbox outside frame")
-        _draw_box(pixels, reading.bbox, BOX_COLOR)
+        _draw_box(pixels, reading.bbox, box_color)
         text = format_temperature(reading.temperature_c, decimals)
         text_w = len(text) * GLYPH_PITCH - 1
         tx = max(0, min(reading.bbox.x1, frame.width - text_w))
@@ -197,7 +205,7 @@ def render_overlay(
         if ty < 0:
             ty = reading.bbox.y2 + 1
         ty = max(0, min(ty, frame.height - GLYPH_H))
-        _draw_text(pixels, tx, ty, text, TEXT_COLOR)
+        _draw_text(pixels, tx, ty, text, text_color)
     return replace(frame, pixels=pixels)
 
 

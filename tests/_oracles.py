@@ -7,6 +7,8 @@ checks.
 
 from collections import deque
 
+from thermotrack.pipeline import BOX_COLOR, GLYPH_H, GLYPH_PITCH, GLYPHS, TEXT_COLOR
+
 
 def max_pixel_scan(pixels, x1, y1, x2, y2):
     """Exhaustive max over a rectangle of a 2-D array."""
@@ -155,3 +157,32 @@ def knn_sorted_mean(pixels, temps, k, query):
     sample; the k temperatures summed left to right."""
     order = sorted(range(len(pixels)), key=lambda i: (abs(pixels[i] - query), pixels[i], i))
     return sum(temps[i] for i in order[:k]) / k
+
+
+def expected_overlay(base_pixels, readings, decimals):
+    """Independent rasterization of render_overlay: the library's font table
+    and colours, drawn one glyph cell at a time with per-pixel clipping."""
+    height, width = base_pixels.shape[:2]
+    out = base_pixels.copy()
+    for reading in readings:
+        b = reading.bbox
+        for x in range(b.x1, b.x2):
+            out[b.y1, x] = BOX_COLOR
+            out[b.y2 - 1, x] = BOX_COLOR
+        for y in range(b.y1, b.y2):
+            out[y, b.x1] = BOX_COLOR
+            out[y, b.x2 - 1] = BOX_COLOR
+        text = f"{reading.temperature_c:.{decimals}f}°C"
+        text_w = len(text) * GLYPH_PITCH - 1
+        tx = max(0, min(b.x1, width - text_w))
+        ty = b.y1 - GLYPH_H - 1
+        if ty < 0:
+            ty = b.y2 + 1
+        ty = max(0, min(ty, height - GLYPH_H))
+        for pos, char in enumerate(text):
+            for row, bits in enumerate(GLYPHS[char]):
+                for col, bit in enumerate(bits):
+                    yy, xx = ty + row, tx + pos * GLYPH_PITCH + col
+                    if bit == "X" and 0 <= yy < height and 0 <= xx < width:
+                        out[yy, xx] = TEXT_COLOR
+    return out

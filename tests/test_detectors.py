@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -232,6 +233,29 @@ class TestReplayDetector:
         assert len(detector.detect(gray_frame(100, 100, source_id="f"))) == 2
 
 
+@pytest.fixture
+def launched(monkeypatch, tmp_path):
+    """Every process an ExternalAdapter starts, with tempfile pointed at
+    tmp_path so its scratch directory can be looked for."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    processes = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return processes
+
+
+def _assert_cleaned_up(launched, tmp_path, processes):
+    """A failed start left no scratch directory and no live process."""
+    assert not list(tmp_path.glob("thermotrack-adapter-*"))
+    assert len(launched) == processes
+    assert all(proc.poll() is not None for proc in launched)
+
+
 class TestExternalAdapter:
     def test_empty_response(self):
         with ExternalAdapter(stub_command("empty")) as adapter:
@@ -266,13 +290,15 @@ class TestExternalAdapter:
             with pytest.raises(AdapterExitedError):
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
 
-    def test_bad_handshake_rejected(self):
+    def test_bad_handshake_rejected(self, launched, tmp_path):
         with pytest.raises(AdapterProtocolError):
             ExternalAdapter(stub_command("bad-handshake"), response_timeout_s=1.0)
+        _assert_cleaned_up(launched, tmp_path, processes=1)
 
-    def test_handshake_timeout(self):
+    def test_handshake_timeout(self, launched, tmp_path):
         with pytest.raises(AdapterTimeoutError):
             ExternalAdapter(stub_command("silent"), response_timeout_s=0.3)
+        _assert_cleaned_up(launched, tmp_path, processes=1)
 
     @pytest.mark.parametrize("timeout", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
     def test_bad_timeout_rejected_before_launch(self, tmp_path, monkeypatch, timeout):
@@ -281,9 +307,37 @@ class TestExternalAdapter:
             ExternalAdapter(stub_command(), response_timeout_s=timeout)
         assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
-    def test_missing_command_fails_cleanly(self):
+    def test_missing_command_fails_cleanly(self, launched, tmp_path):
         with pytest.raises(AdapterExitedError):
             ExternalAdapter(["/nonexistent/detector-binary"])
+        _assert_cleaned_up(launched, tmp_path, processes=0)
+
+    def test_answered_requests_leave_no_scratch_files(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ExternalAdapter(stub_command("empty")) as adapter:
+            detector = ExternalDetector(adapter)
+            for _ in range(50):
+                assert detector.detect(gray_frame(32, 24)) == []
+            (scratch,) = tmp_path.glob("thermotrack-adapter-*")
+            assert not list(scratch.iterdir())
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
+
+    @pytest.mark.parametrize(
+        "mode, error",
+        [
+            (("err",), AdapterError),
+            (("garbage",), AdapterProtocolError),
+            (("slow", "5"), AdapterTimeoutError),
+        ],
+        ids=["err", "protocol", "timeout"],
+    )
+    def test_failed_request_leaves_no_scratch_file(self, monkeypatch, tmp_path, mode, error):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ExternalAdapter(stub_command(*mode), response_timeout_s=0.3) as adapter:
+            with pytest.raises(error):
+                adapter.request(gray_frame(32, 24))
+            (scratch,) = tmp_path.glob("thermotrack-adapter-*")
+            assert not list(scratch.iterdir())
 
     def test_external_detections_thresholded_and_sorted(self, tmp_path):
         canned = tmp_path / "dets.txt"

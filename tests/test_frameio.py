@@ -79,6 +79,26 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="dimensions"):
             load_frame(tmp_path / "big.pgm", expected_dims=(160, 120))
 
+    def test_file_is_header_then_raster(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, (5, 4, 3), dtype=np.uint8)
+        save_frame(ThermalFrame.from_array(pixels), tmp_path / "f.ppm")
+        assert (tmp_path / "f.ppm").read_bytes() == b"P6\n4 5\n255\n" + pixels.tobytes()
+
+    def test_non_contiguous_frame_written_in_row_order(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, (6, 9), dtype=np.uint8)
+        mirrored = ThermalFrame.from_array(pixels[:, ::-1])
+        assert not mirrored.pixels.flags.c_contiguous
+        save_frame(mirrored, tmp_path / "m.pgm")
+        back = load_frame(tmp_path / "m.pgm")
+        assert np.array_equal(back.pixels, pixels[:, ::-1])
+
+    def test_loaded_pixels_are_writable_and_owned(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, (6, 9, 3), dtype=np.uint8)
+        save_frame(ThermalFrame.from_array(pixels), tmp_path / "w.ppm")
+        back = load_frame(tmp_path / "w.ppm")
+        assert back.pixels.flags.writeable and back.pixels.flags.c_contiguous
+        back.pixels[0, 0] = 0
+
     def test_expected_dims_with_channels(self, tmp_path):
         pixels = np.zeros((120, 160, 3), dtype=np.uint8)
         save_frame(ThermalFrame.from_array(pixels), tmp_path / "c3.ppm")
@@ -103,6 +123,14 @@ class TestGrayscale:
     def test_double_convert_is_an_error(self):
         with pytest.raises(ValueError):
             bgr_to_grayscale(gray_frame(2, 2))
+
+    def test_replication_matches_repeat_and_copies(self, rng):
+        gray = ThermalFrame.from_array(rng.integers(0, 256, (13, 17), dtype=np.uint8))
+        bgr = gray_to_bgr(gray)
+        expected = np.repeat(gray.pixels[..., None], 3, 2)
+        assert bgr.pixels.dtype == expected.dtype and bgr.pixels.flags.c_contiguous
+        assert np.array_equal(bgr.pixels, expected)
+        assert not np.shares_memory(bgr.pixels, gray.pixels)
 
     def test_replication_round_trip_is_identity(self, rng):
         gray = ThermalFrame.from_array(rng.integers(0, 256, (13, 17), dtype=np.uint8))

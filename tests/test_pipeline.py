@@ -1,18 +1,17 @@
 import csv
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import max_pixel_scan
+from _oracles import expected_overlay, max_pixel_scan
 from conftest import gray_frame
 from thermotrack.annotations import PixelBBox
 from thermotrack.detectors import BlobDetector, Detection, DetectorConfig
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
-    BOX_COLOR,
-    GLYPH_H,
-    GLYPH_PITCH,
-    GLYPHS,
     TEXT_COLOR,
     PipelineConfig,
     StreamSummary,
@@ -131,6 +130,15 @@ class TestProcessFrame:
         _, readings = process_frame(bgr, PipelineConfig(), BlobDetector(BLOB_CFG), LAW)
         assert readings[0].max_pixel == 150
 
+    def test_bgr_input_left_unchanged(self):
+        frame, _, _ = _scene_frame(temp=35.0)
+        bgr = gray_to_bgr(frame)
+        before = bgr.pixels.copy()
+        annotated, readings = process_frame(bgr, PipelineConfig(), BlobDetector(BLOB_CFG), LAW)
+        assert readings
+        assert np.array_equal(bgr.pixels, before)
+        assert not np.shares_memory(annotated.pixels, bgr.pixels)
+
     def test_detector_failure_carries_frame_index(self):
         class Exploding(BlobDetector):
             def _detect_raw(self, frame):
@@ -141,34 +149,6 @@ class TestProcessFrame:
 
         with pytest.raises(PipelineFrameError, match="frame 7"):
             process_frame(frame, PipelineConfig(), Exploding(BLOB_CFG), LAW)
-
-
-def _expected_overlay(base_pixels, readings, decimals):
-    """Independent rasterization: same font table, separate drawing logic."""
-    height, width = base_pixels.shape[:2]
-    out = base_pixels.copy()
-    for reading in readings:
-        b = reading.bbox
-        for x in range(b.x1, b.x2):
-            out[b.y1, x] = BOX_COLOR
-            out[b.y2 - 1, x] = BOX_COLOR
-        for y in range(b.y1, b.y2):
-            out[y, b.x1] = BOX_COLOR
-            out[y, b.x2 - 1] = BOX_COLOR
-        text = f"{reading.temperature_c:.{decimals}f}°C"
-        text_w = len(text) * GLYPH_PITCH - 1
-        tx = max(0, min(b.x1, width - text_w))
-        ty = b.y1 - GLYPH_H - 1
-        if ty < 0:
-            ty = b.y2 + 1
-        ty = max(0, min(ty, height - GLYPH_H))
-        for pos, char in enumerate(text):
-            for row, bits in enumerate(GLYPHS[char]):
-                for col, bit in enumerate(bits):
-                    yy, xx = ty + row, tx + pos * GLYPH_PITCH + col
-                    if bit == "X" and 0 <= yy < height and 0 <= xx < width:
-                        out[yy, xx] = TEXT_COLOR
-    return out
 
 
 class TestRenderOverlay:
@@ -191,7 +171,7 @@ class TestRenderOverlay:
             TempReading(0, PixelBBox(50, 2, 80, 20), 190, 39.05, True),  # text forced below
         ]
         out = render_overlay(frame, readings, decimals=1)
-        expected = _expected_overlay(frame.pixels, readings, 1)
+        expected = expected_overlay(frame.pixels, readings, 1)
         assert np.array_equal(out.pixels, expected)
         assert np.any(out.pixels != frame.pixels)
 
@@ -212,6 +192,32 @@ class TestRenderOverlay:
         assert format_temperature(36.58, 1) == "36.6°C"
         assert format_temperature(36.55, 2) == "36.55°C"
         assert format_temperature(-0.25, 1) == "-0.2°C"
+
+
+class TestOutputPins:
+    """sha256 of the annotated frames and of the reading log for two seeded
+    synthscene streams, recorded from the per-pixel glyph renderer and the
+    np.repeat gray-to-BGR path; the array paths must reproduce them byte for
+    byte."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "render_pins.json").read_text())
+
+    @pytest.mark.parametrize("layout, decimals, seed", [("dense", 1, 41), ("sparse", 3, 42)])
+    def test_annotated_frames_and_log_unchanged(self, tmp_path, layout, decimals, seed):
+        cfg = PipelineConfig(
+            overlay_decimals=decimals, log_path=tmp_path / "log.csv", output_dir=tmp_path / "out"
+        )
+        seq = SequenceSpec(frames=40, layout=layout, seed=seed)
+        frames = [frame for frame, _, _ in generate_sequence(seq)]
+        summary = run_stream(frames, BlobDetector(BLOB_CFG), LAW, cfg)
+        annotated = hashlib.sha256()
+        for path in sorted((tmp_path / "out").glob("out_*.ppm")):
+            annotated.update(path.read_bytes())
+        assert {
+            "readings": summary.readings,
+            "annotated_frames": annotated.hexdigest(),
+            "reading_log_csv": hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest(),
+        } == self.PINS[layout]
 
 
 class TestRunStream:

@@ -18,6 +18,7 @@ from thermotrack.annotations import (
 )
 from thermotrack.deteval import iou
 from thermotrack.frameio import DatasetItem, ThermalFrame, horizontal_flip
+from thermotrack.pipeline import TempReading, render_overlay
 from thermotrack.annotations import GroundTruthLabel
 from thermotrack.thermoreg import (
     CalibrationSample,
@@ -30,7 +31,7 @@ from thermotrack.thermoreg import (
     kfold_partition,
 )
 
-from _oracles import knn_sorted_mean
+from _oracles import expected_overlay, knn_sorted_mean
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -233,3 +234,31 @@ def test_predict_agrees_with_predict_batch(seed):
         batch = model.predict_batch(queries).tolist()
         assert [model.predict(q) for q in queries] == batch
         assert all(model.predict(q) == model.predict_batch([q])[0] for q in queries)
+
+
+@st.composite
+def _overlay_case(draw):
+    """A BGR frame from 1x1 up to wider than the longest label, with boxes
+    that may touch any edge, temperatures from -1e6 to 1e6 and 0-3 decimals."""
+    width = draw(st.integers(1, 100))
+    height = draw(st.integers(1, 40))
+    readings = []
+    for _ in range(draw(st.integers(0, 4))):
+        x1 = draw(st.integers(0, width - 1))
+        y1 = draw(st.integers(0, height - 1))
+        box = PixelBBox(x1, y1, draw(st.integers(x1 + 1, width)), draw(st.integers(y1 + 1, height)))
+        temperature = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        readings.append(TempReading(0, box, 0, temperature, False))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pixels = np.random.default_rng(seed).integers(0, 256, (height, width, 3), dtype=np.uint8)
+    return ThermalFrame.from_array(pixels), readings, draw(st.integers(0, 3))
+
+
+@BULK
+@given(_overlay_case())
+def test_render_overlay_matches_oracle(case):
+    frame, readings, decimals = case
+    before = frame.pixels.copy()
+    out = render_overlay(frame, readings, decimals)
+    assert np.array_equal(out.pixels, expected_overlay(before, readings, decimals))
+    assert np.array_equal(frame.pixels, before)
