@@ -20,7 +20,7 @@ OUT = Path("demo_output/eval_dataset")
 
 seq = SequenceSpec(frames=12, layout="mix", seed=19)
 write_dataset(seq, OUT)
-items = pair_frames_with_labels(OUT, OUT)
+items = pair_frames_with_labels(OUT)
 print(f"dataset: {len(items)} frames, {sum(len(i.labels) for i in items)} labeled faces")
 
 gts_per_image = [

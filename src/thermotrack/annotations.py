@@ -18,6 +18,9 @@ EDGE_TOLERANCE = 1e-6
 # grid so a double flip restores the original label bit-for-bit.
 COORD_DECIMALS = 6
 
+# Largest side-edge overflow, left by that snap, that mirroring nudges back.
+MIRROR_SLACK = 1e-5
+
 
 class LabelFormatError(ValueError):
     """A label line could not be parsed or failed range validation."""
@@ -147,36 +150,17 @@ def mirrored_horizontal(box: NormBBox) -> NormBBox:
 
     The mirrored center is snapped to the label-file precision grid
     (1e-6) so that mirroring twice is exactly the identity; raw 1 - cx
-    float arithmetic is not involutive.
+    float arithmetic is not involutive. A snapped box that overflows a side
+    edge by at most ``MIRROR_SLACK`` is nudged back inside.
     """
-    return clamped_norm_bbox(
-        box.class_id, round(1.0 - box.cx, COORD_DECIMALS), box.cy, box.w, box.h
-    )
-
-
-def clamped_norm_bbox(
-    class_id: int,
-    cx: float,
-    cy: float,
-    w: float,
-    h: float,
-    slack: float = 1e-5,
-) -> NormBBox:
-    """Build a NormBBox, nudging a center that overflows the unit frame by at
-    most ``slack`` back inside. Larger overflows are real errors and raise."""
-    left_overflow = -(cx - w / 2)
-    right_overflow = cx + w / 2 - 1.0
-    if EDGE_TOLERANCE < left_overflow <= slack:
+    cx = round(1.0 - box.cx, COORD_DECIMALS)
+    left_overflow = -(cx - box.w / 2)
+    right_overflow = cx + box.w / 2 - 1.0
+    if EDGE_TOLERANCE < left_overflow <= MIRROR_SLACK:
         cx += left_overflow
-    elif EDGE_TOLERANCE < right_overflow <= slack:
+    elif EDGE_TOLERANCE < right_overflow <= MIRROR_SLACK:
         cx -= right_overflow
-    top_overflow = -(cy - h / 2)
-    bottom_overflow = cy + h / 2 - 1.0
-    if EDGE_TOLERANCE < top_overflow <= slack:
-        cy += top_overflow
-    elif EDGE_TOLERANCE < bottom_overflow <= slack:
-        cy -= bottom_overflow
-    return NormBBox(class_id, cx, cy, w, h)
+    return NormBBox(box.class_id, cx, box.cy, box.w, box.h)
 
 
 def denormalize(box: NormBBox, frame_w: int, frame_h: int) -> PixelBBox:

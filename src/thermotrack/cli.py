@@ -11,7 +11,8 @@ Subcommands mirror the library workflows:
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime abort.
 A ``--config`` file (key=value with one [section] per subcommand) supplies
-defaults; explicit flags win.
+values for unset flags; explicit flags win, and a key set by neither keeps
+the library default.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import logging
 import re
 import shlex
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .annotations import denormalize, serialize_yolo
 from .detectors import (
@@ -49,7 +52,6 @@ from .frameio import (
 from .pipeline import PipelineConfig, extract_max_pixel, run_stream
 from .synthscene import load_sequence_spec, write_dataset
 from .thermoreg import (
-    DEFAULT_FEVER_CEILING_C,
     MODEL_KINDS,
     NoViableModelError,
     grid_search,
@@ -88,8 +90,9 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
     return parser
 
 
-def _resolve(value, config, section: str, key: str, cast, default):
-    """Flag value if given, else config value, else the hard default."""
+def _resolve(args, config, section: str, key: str, cast):
+    """Flag value if given, else config value, else None."""
+    value = getattr(args, key)
     if value is not None:
         return value
     if config is not None and config.has_option(section, key):
@@ -98,7 +101,12 @@ def _resolve(value, config, section: str, key: str, cast, default):
             return cast(raw)
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"config [{section}] {key}: bad value {raw!r}") from None
-    return default
+    return None
+
+
+def _set_only(**values) -> dict:
+    """The keyword arguments that were given, so the callee's defaults fill the rest."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _add_detector_args(sub: argparse.ArgumentParser) -> None:
@@ -114,34 +122,36 @@ def _add_detector_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--adapter-timeout", type=float, help="seconds to wait per frame")
 
 
-def _build_detector(args, config, section: str, items: list[DatasetItem] | None):
-    """Returns (detector, adapter); adapter is None unless external."""
-    spec = _resolve(args.detector, config, section, "detector", str, "blob")
-    conf_thr = _resolve(args.conf_threshold, config, section, "conf_threshold", float, 0.25)
+def _build_detector(args, config, section: str, load_items: Callable[[], list[DatasetItem]] | None):
+    """Returns (detector, adapter); adapter is None unless external. Only
+    replay calls ``load_items``, which is None for an unlabeled source."""
+    spec = _resolve(args, config, section, "detector", str)
+    if spec is None:
+        spec = "blob"
+    settings = _set_only(
+        confidence_threshold=_resolve(args, config, section, "conf_threshold", float),
+        nms_iou_threshold=_resolve(args, config, section, "nms_threshold", float),
+    )
     if spec == "replay":
-        if items is None:
+        if load_items is None:
             raise ValueError("the replay detector needs a labeled dataset directory")
-        nms_thr = _resolve(args.nms_threshold, config, section, "nms_threshold", float, REPLAY_NMS_IOU)
-        cfg = DetectorConfig(confidence_threshold=conf_thr, nms_iou_threshold=nms_thr)
-        return ReplayDetector.from_items(items, cfg), None
-    nms_thr = _resolve(args.nms_threshold, config, section, "nms_threshold", float, 0.45)
+        settings.setdefault("nms_iou_threshold", REPLAY_NMS_IOU)
+        return ReplayDetector.from_items(load_items(), DetectorConfig(**settings)), None
     if spec == "blob":
-        cfg = DetectorConfig(
-            confidence_threshold=conf_thr,
-            nms_iou_threshold=nms_thr,
-            intensity_threshold=_resolve(args.blob_threshold, config, section, "blob_threshold", int, 200),
-            min_blob_area=_resolve(args.blob_min_area, config, section, "blob_min_area", int, 64),
-            max_aspect_ratio=_resolve(args.blob_max_aspect, config, section, "blob_max_aspect", float, 2.5),
-        )
-        return BlobDetector(cfg), None
+        settings.update(_set_only(
+            intensity_threshold=_resolve(args, config, section, "blob_threshold", int),
+            min_blob_area=_resolve(args, config, section, "blob_min_area", int),
+            max_aspect_ratio=_resolve(args, config, section, "blob_max_aspect", float),
+        ))
+        return BlobDetector(DetectorConfig(**settings)), None
     if spec.startswith("external:"):
         command = shlex.split(spec[len("external:") :])
         if not command:
             raise ValueError("external detector needs a command line after 'external:'")
         # Built before the launch, so a bad threshold leaves no process behind.
-        cfg = DetectorConfig(confidence_threshold=conf_thr, nms_iou_threshold=nms_thr)
-        timeout = _resolve(args.adapter_timeout, config, section, "adapter_timeout", float, 2.0)
-        adapter = ExternalAdapter(command, response_timeout_s=timeout)
+        cfg = DetectorConfig(**settings)
+        timeout = _resolve(args, config, section, "adapter_timeout", float)
+        adapter = ExternalAdapter(command, **_set_only(response_timeout_s=timeout))
         return ExternalDetector(adapter, cfg), adapter
     raise ValueError(f"unknown detector {spec!r}; use replay, blob, or external:<cmd>")
 
@@ -156,9 +166,9 @@ def _write_items(items: list[DatasetItem], out_dir: Path) -> None:
 
 
 def cmd_prepare(args, config) -> int:
-    items = pair_frames_with_labels(args.src, args.src)
+    items = pair_frames_with_labels(args.src)
     for extra in args.combine or []:
-        extra_items = pair_frames_with_labels(extra, extra)
+        extra_items = pair_frames_with_labels(extra)
         stems = {item.frame.source_id for item in items}
         for item in extra_items:
             if item.frame.source_id in stems:
@@ -184,7 +194,7 @@ def cmd_prepare(args, config) -> int:
 
 
 def _guard_pixels(guard_dir: str) -> list[int]:
-    items = pair_frames_with_labels(guard_dir, guard_dir)
+    items = pair_frames_with_labels(guard_dir)
     pixels = []
     for item in items:
         frame = item.frame if item.frame.channels == 1 else bgr_to_grayscale(item.frame)
@@ -209,15 +219,13 @@ def _load_grids(path: str) -> dict[str, list[dict]]:
 
 
 def cmd_calibrate(args, config) -> int:
-    section = "calibrate"
-    folds = _resolve(args.folds, config, section, "folds", _folds, 5)
-    ceiling = _resolve(args.ceiling, config, section, "ceiling", float, DEFAULT_FEVER_CEILING_C)
-    seed = args.seed if args.seed is not None else 0
+    folds = _resolve(args, config, "calibrate", "folds", _folds)
+    ceiling = _resolve(args, config, "calibrate", "ceiling", float)
     samples = load_calibration_csv(args.samples)
     grids = _load_grids(args.grids) if args.grids else None
     screening = _guard_pixels(args.guard_set) if args.guard_set else None
-    report = grid_search(samples, grids, k_folds=folds, seed=seed)
-    model = select_model(samples, report, screening, ceiling)
+    report = grid_search(samples, grids, **_set_only(k_folds=folds, seed=args.seed))
+    model = select_model(samples, report, screening, **_set_only(ceiling_c=ceiling))
     save_model(model, args.out)
     report_path = args.report or f"{args.out}.report.txt"
     atomic_write_text(report_path, report.to_text())
@@ -234,8 +242,8 @@ def cmd_calibrate(args, config) -> int:
 
 def cmd_eval_detector(args, config) -> int:
     dataset_dir = Path(args.dataset)
-    items = pair_frames_with_labels(dataset_dir, dataset_dir)
-    detector, adapter = _build_detector(args, config, "eval-detector", items)
+    items = pair_frames_with_labels(dataset_dir)
+    detector, adapter = _build_detector(args, config, "eval-detector", lambda: items)
     try:
         dets_per_image = []
         gts_per_image = []
@@ -263,20 +271,21 @@ def cmd_run(args, config) -> int:
         raise FileNotFoundError(f"model file not found: {model_path}")
     model = load_model(model_path)
     if args.frames == "-":
-        paths = [Path(line.strip()) for line in sys.stdin if line.strip()]
-        items = None
+        # Lazy, so each path is processed as it arrives on a live pipe.
+        paths = (Path(line.strip()) for line in sys.stdin if line.strip())
+        load_items = None
     else:
         paths = list_frame_paths(args.frames)
-        items = pair_frames_with_labels(args.frames, args.frames)
-    cfg = PipelineConfig(
-        min_bbox_area=_resolve(args.min_bbox_area, config, section, "min_bbox_area", float, 100.0),
-        overlay_enabled=not args.no_overlay,
-        overlay_decimals=_resolve(args.decimals, config, section, "decimals", int, 1),
-        fever_threshold_c=_resolve(args.fever_threshold, config, section, "fever_threshold", float, 38.0),
-        log_path=args.log,
-        output_dir=args.out,
+        load_items = partial(pair_frames_with_labels, args.frames)
+    settings = _set_only(
+        min_bbox_area=_resolve(args, config, section, "min_bbox_area", float),
+        overlay_decimals=_resolve(args, config, section, "decimals", int),
+        fever_threshold_c=_resolve(args, config, section, "fever_threshold", float),
     )
-    detector, adapter = _build_detector(args, config, section, items)
+    cfg = PipelineConfig(
+        overlay_enabled=not args.no_overlay, log_path=args.log, output_dir=args.out, **settings
+    )
+    detector, adapter = _build_detector(args, config, section, load_items)
     try:
         summary = run_stream(paths, detector, model, cfg)
     finally:

@@ -247,9 +247,11 @@ class ExternalAdapter:
             raise
 
     def _pump_stdout(self) -> None:
+        # The reader closes stdout: a close from another thread would block on its read.
         assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
+        with self._proc.stdout:
+            for line in self._proc.stdout:
+                self._lines.put(line)
         self._lines.put(None)  # EOF sentinel
 
     def _read_line(self) -> str:
@@ -320,15 +322,19 @@ class ExternalAdapter:
         return results
 
     def close(self) -> None:
+        # A dead adapter fails the flush with BrokenPipeError; the pipe still closes.
+        with contextlib.suppress(OSError):
+            self._proc.stdin.close()
         if self._proc.poll() is None:
             try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
                 self._proc.terminate()
                 self._proc.wait(timeout=2)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
                 self._proc.wait()
+        # Bounded: a child the adapter spawned may hold stdout open past its exit.
+        if self._reader.is_alive():
+            self._reader.join(timeout=2)
         shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
     def __enter__(self) -> "ExternalAdapter":

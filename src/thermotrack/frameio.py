@@ -277,25 +277,24 @@ def list_frame_paths(frames_dir: str | Path) -> list[Path]:
     return paths
 
 
-def pair_frames_with_labels(frames_dir: str | Path, labels_dir: str | Path) -> list[DatasetItem]:
-    """Pair every frame file with its same-stem label file.
+def pair_frames_with_labels(dataset_dir: str | Path) -> list[DatasetItem]:
+    """Pair every frame file in a dataset directory with its same-stem label
+    file in that directory.
 
     A frame whose label file is missing or empty yields an item with an
     empty label list (the null-label state). A label file with no matching
     frame is an orphan and raises.
     """
-    labels_dir = Path(labels_dir)
-    if not labels_dir.is_dir():
-        raise ValueError(f"{labels_dir} is not a directory")
-    frame_paths = list_frame_paths(frames_dir)
+    dataset_dir = Path(dataset_dir)
+    frame_paths = list_frame_paths(dataset_dir)
     frame_stems = {p.stem for p in frame_paths}
-    for label_path in labels_dir.glob(f"*{LABEL_SUFFIX}"):
+    for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
         if label_path.stem not in frame_stems:
             raise ValueError(f"orphan label file {label_path} has no matching frame")
     items = []
     for index, frame_path in enumerate(frame_paths):
         frame = load_frame(frame_path, frame_index=index)
-        label_path = labels_dir / f"{frame_path.stem}{LABEL_SUFFIX}"
+        label_path = dataset_dir / f"{frame_path.stem}{LABEL_SUFFIX}"
         labels = []
         if label_path.exists():
             labels = [GroundTruthLabel(b) for b in parse_yolo_text(label_path.read_text())]

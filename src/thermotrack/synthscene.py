@@ -124,40 +124,40 @@ def generate(spec: SceneSpec) -> tuple[ThermalFrame, list[GroundTruthLabel], lis
     return frame, labels, temperatures
 
 
+CAPTURE_MEAN_C = 36.6
+CAPTURE_SD_C = 2.26
+CAPTURE_LOW_C = 25.8
+CAPTURE_HIGH_C = 38.8
+COLD_TAIL_FRACTION = 0.1
+COLD_TAIL_HIGH_C = 30.0
+
+
 def generate_calibration_set(
     n: int,
     beta0: float,
     beta1: float,
     seed: int,
-    mean_c: float = 36.6,
-    sd_c: float = 2.26,
-    low_c: float = 25.8,
-    high_c: float = 38.8,
-    tail_fraction: float = 0.1,
-    tail_high_c: float = 30.0,
     pixel_noise_sd: float = 1.0,
 ) -> list[CalibrationSample]:
     """Draw calibration pairs matching the ground-truth capture statistics.
 
     Temperatures come from a normal distribution truncated to
-    [low_c, high_c], with a ``tail_fraction`` share drawn uniformly from the
-    cold end (the water-bottle-style low readings). Pixels are the inverse
-    calibration line plus Gaussian noise, clipped to [0, 255]. Deterministic
-    given the seed.
+    [CAPTURE_LOW_C, CAPTURE_HIGH_C], with a COLD_TAIL_FRACTION share drawn
+    uniformly up to COLD_TAIL_HIGH_C (the water-bottle-style low readings).
+    Pixels are the inverse calibration line plus Gaussian noise, clipped to
+    [0, 255]. Deterministic given the seed.
     """
     if n < 10:
         raise ValueError(f"need at least 10 samples, got {n}")
-    if not low_c < high_c:
-        raise ValueError("temperature range is empty")
     rng = np.random.default_rng(seed)
-    is_tail = rng.random(n) < tail_fraction
+    is_tail = rng.random(n) < COLD_TAIL_FRACTION
     temps = np.empty(n)
-    temps[is_tail] = rng.uniform(low_c, tail_high_c, int(is_tail.sum()))
+    temps[is_tail] = rng.uniform(CAPTURE_LOW_C, COLD_TAIL_HIGH_C, int(is_tail.sum()))
     n_body = int((~is_tail).sum())
     body = np.empty(0)
     while body.size < n_body:
-        draws = rng.normal(mean_c, sd_c, n_body)
-        body = np.concatenate([body, draws[(draws >= low_c) & (draws <= high_c)]])
+        draws = rng.normal(CAPTURE_MEAN_C, CAPTURE_SD_C, n_body)
+        body = np.concatenate([body, draws[(draws >= CAPTURE_LOW_C) & (draws <= CAPTURE_HIGH_C)]])
     temps[~is_tail] = body[:n_body]
     pixels = np.clip((temps - beta0) / beta1 + rng.normal(0.0, pixel_noise_sd, n), 0.0, 255.0)
     return [CalibrationSample(float(px), float(tc)) for px, tc in zip(pixels, temps)]

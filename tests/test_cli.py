@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import shlex
@@ -7,11 +8,15 @@ import tempfile
 import numpy as np
 import pytest
 
+from thermotrack import cli, frameio, pipeline
 from thermotrack.cli import main
+from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter
 from thermotrack.frameio import load_frame, pair_frames_with_labels, save_frame
+from thermotrack.pipeline import PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
 from thermotrack.thermoreg import (
     fit_ridge,
+    grid_search,
     load_model,
     save_calibration_csv,
     save_model,
@@ -49,6 +54,39 @@ def run_cli(*argv: str) -> int:
         return int(exc.code)
 
 
+def _count_loads(monkeypatch):
+    """Record every frame decode, through either module that calls load_frame."""
+    loads = []
+    for module in (frameio, pipeline):
+        real = module.load_frame
+
+        def counting(path, *args, _real=real, **kwargs):
+            loads.append(path)
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, "load_frame", counting)
+    return loads
+
+
+def _capture_run(monkeypatch):
+    """Stand in for run_stream and keep the detector and config it was given."""
+    seen = {}
+
+    def fake_run_stream(source, detector, model, cfg):
+        seen.update(detector=detector, cfg=cfg)
+        return StreamSummary()
+
+    monkeypatch.setattr(cli, "run_stream", fake_run_stream)
+    return seen
+
+
+def _capture_blob_configs(monkeypatch):
+    built = []
+    real = cli.BlobDetector
+    monkeypatch.setattr(cli, "BlobDetector", lambda cfg: built.append(cfg) or real(cfg))
+    return built
+
+
 def _write_scene_spec(tmp_path, frames=4, layout="sparse", seed=29):
     path = tmp_path / "scene.cfg"
     path.write_text(SCENE_SPEC.format(frames=frames, layout=layout, seed=seed))
@@ -69,14 +107,14 @@ class TestSynth:
         out = tmp_path / "ds"
         assert run_cli("synth", str(spec), "--out", str(out)) == 0
         assert "frames=3" in capsys.readouterr().out
-        items = pair_frames_with_labels(out, out)
+        items = pair_frames_with_labels(out)
         assert [len(item.labels) for item in items] == [3, 3, 3]
 
     def test_dense_dataset_face_counts(self, tmp_path):
         spec = _write_scene_spec(tmp_path, frames=4, layout="dense")
         out = tmp_path / "dense"
         assert run_cli("synth", str(spec), "--out", str(out)) == 0
-        items = pair_frames_with_labels(out, out)
+        items = pair_frames_with_labels(out)
         assert all(12 <= len(item.labels) <= 15 for item in items)
 
     def test_same_spec_and_seed_identical(self, tmp_path):
@@ -112,7 +150,7 @@ class TestPrepare:
         src = self._dataset(tmp_path)
         out = tmp_path / "resized"
         assert run_cli("prepare", str(src), str(out), "--resize", "640x640") == 0
-        items = pair_frames_with_labels(out, out)
+        items = pair_frames_with_labels(out)
         assert len(items) == 3
         assert items[0].frame.width == 640 and items[0].frame.height == 640
         assert len(items[0].labels) == 2  # labels ride along unchanged
@@ -121,7 +159,7 @@ class TestPrepare:
         src = self._dataset(tmp_path)
         out = tmp_path / "aug"
         assert run_cli("prepare", str(src), str(out), "--resize", "640x640", "--augment-hflip") == 0
-        items = pair_frames_with_labels(out, out)
+        items = pair_frames_with_labels(out)
         assert len(items) == 6
         stems = {item.frame.source_id for item in items}
         assert "frame_000000" in stems and "frame_000000_hf" in stems
@@ -134,7 +172,7 @@ class TestPrepare:
             path.rename(b / f"lab_{path.name[6:]}")
         out = tmp_path / "combined"
         assert run_cli("prepare", str(a), str(out), "--combine", str(b)) == 0
-        assert len(pair_frames_with_labels(out, out)) == 5
+        assert len(pair_frames_with_labels(out)) == 5
 
     def test_combine_collision_is_data_error(self, tmp_path):
         a = self._dataset(tmp_path, n=2, seed=1, name="a")
@@ -300,6 +338,14 @@ class TestEvalDetector:
         assert code == 0
         assert "map50=1.000000" in (tmp_path / "cfg_eval.txt").read_text()
 
+    @pytest.mark.parametrize("detector", [["--detector", "replay"], BLOB_FLAGS], ids=["replay", "blob"])
+    def test_decodes_each_frame_once(self, tmp_path, monkeypatch, detector):
+        ds = self._dataset(tmp_path)
+        loads = _count_loads(monkeypatch)
+        code = run_cli("eval-detector", str(ds), *detector, "--out-prefix", str(tmp_path / "e"))
+        assert code == 0
+        assert len(loads) == 6
+
     def test_unknown_detector_is_data_error(self, tmp_path):
         ds = self._dataset(tmp_path)
         assert run_cli("eval-detector", str(ds), "--detector", "magic") == 3
@@ -376,8 +422,172 @@ class TestRun:
         assert "response_timeout_s" in capsys.readouterr().err
         assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
+    def test_stdin_frames_processed_as_they_arrive(self, tmp_path, capsys, monkeypatch):
+        ds = self._dataset(tmp_path, frames=2)
+        model = _ridge_law_model(tmp_path)
+        out_dir = tmp_path / "annotated"
+        first, second = sorted(str(p) for p in ds.glob("*.pgm"))
+
+        def live_producer():
+            yield "\n"
+            yield first + "\n"
+            # The pipe stays open: the first frame must be out before the next line.
+            assert (out_dir / "out_000000.ppm").exists()
+            yield second + "\n"
+
+        monkeypatch.setattr("sys.stdin", live_producer())
+        code = run_cli("run", "-", "--model", str(model), *BLOB_FLAGS, "--out", str(out_dir))
+        assert code == 0
+        assert "frames=2" in capsys.readouterr().out
+
+    def test_blob_run_decodes_each_frame_once(self, tmp_path, monkeypatch):
+        ds = self._dataset(tmp_path, frames=12)
+        model = _ridge_law_model(tmp_path)
+        loads = _count_loads(monkeypatch)
+        assert run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS) == 0
+        assert len(loads) == 12
+
     def test_replay_detector_needs_directory(self, tmp_path, capsys, monkeypatch):
         model = _ridge_law_model(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code = run_cli("run", "-", "--model", str(model), "--detector", "replay")
         assert code == 3
+
+
+class TestConfigLayering:
+    """A --config value fills in an unset flag, a flag beats it, and a key
+    that neither sets leaves the library default in place."""
+
+    RUN_CONFIG = """[run]
+conf_threshold = 0.3
+nms_threshold = 0.5
+blob_threshold = 31
+blob_min_area = 41
+blob_max_aspect = 3.0
+min_bbox_area = 50
+decimals = 2
+fever_threshold = 37.5
+"""
+
+    def _dataset(self, tmp_path, frames=2):
+        seq = SequenceSpec(frames=frames, layout="sparse", sparse_count=2, seed=73)
+        out = tmp_path / "ds"
+        write_dataset(seq, out)
+        (out / "truth.csv").unlink()
+        return out
+
+    def _config(self, tmp_path, text):
+        path = tmp_path / "tt.cfg"
+        path.write_text(text)
+        return path
+
+    def test_run_section_reaches_built_configs(self, tmp_path, monkeypatch):
+        seen = _capture_run(monkeypatch)
+        cfg = self._config(tmp_path, self.RUN_CONFIG)
+        model = _ridge_law_model(tmp_path)
+        assert run_cli("--config", str(cfg), "run", str(self._dataset(tmp_path)), "--model", str(model)) == 0
+        assert seen["detector"].config == DetectorConfig(0.3, 0.5, 31, 41, 3.0)
+        assert seen["cfg"] == PipelineConfig(min_bbox_area=50.0, overlay_decimals=2, fever_threshold_c=37.5)
+
+    def test_eval_detector_section_reaches_detector(self, tmp_path, monkeypatch):
+        built = _capture_blob_configs(monkeypatch)
+        cfg = self._config(tmp_path, "[eval-detector]\nconf_threshold = 0.3\nblob_min_area = 41\n")
+        ds = self._dataset(tmp_path)
+        code = run_cli("--config", str(cfg), "eval-detector", str(ds), "--out-prefix", str(tmp_path / "e"))
+        assert code == 0
+        assert built == [DetectorConfig(confidence_threshold=0.3, min_blob_area=41)]
+
+    def test_run_flags_beat_config(self, tmp_path, monkeypatch):
+        seen = _capture_run(monkeypatch)
+        cfg = self._config(tmp_path, self.RUN_CONFIG)
+        model = _ridge_law_model(tmp_path)
+        code = run_cli(
+            "--config", str(cfg), "run", str(self._dataset(tmp_path)), "--model", str(model),
+            "--conf-threshold", "0.4", "--blob-min-area", "9", "--decimals", "3",
+        )
+        assert code == 0
+        assert seen["detector"].config == DetectorConfig(0.4, 0.5, 31, 9, 3.0)
+        assert seen["cfg"] == PipelineConfig(min_bbox_area=50.0, overlay_decimals=3, fever_threshold_c=37.5)
+
+    def test_eval_detector_flag_beats_config(self, tmp_path, monkeypatch):
+        built = _capture_blob_configs(monkeypatch)
+        cfg = self._config(tmp_path, "[eval-detector]\nconf_threshold = 0.3\n")
+        code = run_cli(
+            "--config", str(cfg), "eval-detector", str(self._dataset(tmp_path)),
+            "--conf-threshold", "0.4", "--out-prefix", str(tmp_path / "e"),
+        )
+        assert code == 0
+        assert built == [DetectorConfig(confidence_threshold=0.4)]
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [None, "[run]\n", "[eval-detector]\nconf_threshold = 0.3\n[calibrate]\nfolds = 4\n"],
+        ids=["no-config", "empty-section", "other-sections"],
+    )
+    def test_nothing_set_takes_library_defaults(self, tmp_path, monkeypatch, config_text):
+        seen = _capture_run(monkeypatch)
+        model = _ridge_law_model(tmp_path)
+        argv = ["run", str(self._dataset(tmp_path)), "--model", str(model)]
+        if config_text is not None:
+            argv = ["--config", str(self._config(tmp_path, config_text)), *argv]
+        assert run_cli(*argv) == 0
+        assert seen["detector"].config == DetectorConfig()
+        assert seen["cfg"] == PipelineConfig()
+
+    def test_replay_keeps_its_own_nms_default(self, tmp_path, monkeypatch):
+        seen = _capture_run(monkeypatch)
+        model = _ridge_law_model(tmp_path)
+        code = run_cli("run", str(self._dataset(tmp_path)), "--model", str(model), "--detector", "replay")
+        assert code == 0
+        assert seen["detector"].config == DetectorConfig(nms_iou_threshold=REPLAY_NMS_IOU)
+
+    @pytest.mark.parametrize("config_text", ["", "adapter_timeout = 1.5\n"], ids=["unset", "set"])
+    def test_adapter_timeout_from_config(self, tmp_path, monkeypatch, config_text):
+        seen = _capture_run(monkeypatch)
+        command = shlex.join([sys.executable, str(STUB)])
+        cfg = self._config(tmp_path, f"[run]\ndetector = external:{command}\n{config_text}")
+        model = _ridge_law_model(tmp_path)
+        assert run_cli("--config", str(cfg), "run", str(self._dataset(tmp_path)), "--model", str(model)) == 0
+        expected = 1.5 if config_text else inspect.signature(ExternalAdapter).parameters["response_timeout_s"].default
+        assert seen["detector"].adapter.response_timeout_s == expected
+
+    @pytest.mark.parametrize(
+        "config_text, global_flags, flags, header",
+        [
+            (None, [], [], "folds={k_folds} seed={seed}"),
+            ("[calibrate]\nfolds = 4\n", ["--seed", "3"], [], "folds=4 seed=3"),
+            ("[calibrate]\nfolds = 4\n", [], ["--folds", "3"], "folds=3 seed={seed}"),
+        ],
+        ids=["unset", "config-and-seed", "flag-beats-config"],
+    )
+    def test_calibrate_folds_and_seed(self, tmp_path, config_text, global_flags, flags, header):
+        defaults = {name: p.default for name, p in inspect.signature(grid_search).parameters.items()}
+        csv_path = tmp_path / "cal.csv"
+        save_calibration_csv(generate_calibration_set(60, beta0=20.0, beta1=0.1, seed=5), csv_path)
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"linear": [{}]}))
+        if config_text is not None:
+            global_flags = ["--config", str(self._config(tmp_path, config_text)), *global_flags]
+        code = run_cli(
+            *global_flags, "calibrate", str(csv_path), "--out", str(tmp_path / "m.json"),
+            "--grids", str(grids), *flags,
+        )
+        assert code == 0
+        first_line = (tmp_path / "m.json.report.txt").read_text().splitlines()[0]
+        assert first_line.endswith(header.format(**defaults))
+
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, "[run]\ndecimals = x\n")
+        model = _ridge_law_model(tmp_path)
+        code = run_cli("--config", str(cfg), "run", str(self._dataset(tmp_path)), "--model", str(model))
+        assert code == 3
+        assert "config [run] decimals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "eval-detector"])
+    def test_empty_detector_is_data_error(self, tmp_path, capsys, command):
+        cfg = self._config(tmp_path, f"[{command}]\ndetector =\n")
+        argv = ["--config", str(cfg), command, str(self._dataset(tmp_path))]
+        if command == "run":
+            argv += ["--model", str(_ridge_law_model(tmp_path))]
+        assert run_cli(*argv) == 3
+        assert "unknown detector ''" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import gc
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,18 @@ class TestExternalAdapter:
         with ExternalAdapter(stub_command("die")) as adapter:
             with pytest.raises(AdapterExitedError):
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
+
+    def test_close_after_exit_closes_both_pipes(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            adapter = ExternalAdapter(stub_command("die"))
+            with pytest.raises(AdapterExitedError):
+                ExternalDetector(adapter).detect(gray_frame(32, 32))
+            adapter.close()
+            assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
+            del adapter
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_bad_handshake_rejected(self, launched, tmp_path):
         with pytest.raises(AdapterProtocolError):

@@ -208,35 +208,39 @@ def _write_dataset(tmp_path, stems_with_labels):
 class TestPairing:
     def test_frame_with_two_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_001": "0 0.5 0.5 0.2 0.2\n0 0.2 0.2 0.1 0.1\n"})
-        items = pair_frames_with_labels(tmp_path, tmp_path)
+        items = pair_frames_with_labels(tmp_path)
         assert len(items) == 1
         assert len(items[0].labels) == 2
 
     def test_missing_label_file_is_null_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_002": None})
-        items = pair_frames_with_labels(tmp_path, tmp_path)
+        items = pair_frames_with_labels(tmp_path)
         assert len(items) == 1
         assert items[0].labels == []
 
     def test_empty_label_file_is_null_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_005": ""})
-        items = pair_frames_with_labels(tmp_path, tmp_path)
+        items = pair_frames_with_labels(tmp_path)
         assert items[0].labels == []
 
     def test_orphan_label_errors(self, tmp_path):
         (tmp_path / "img_003.txt").write_text("0 0.5 0.5 0.2 0.2\n")
         with pytest.raises(ValueError, match="orphan"):
-            pair_frames_with_labels(tmp_path, tmp_path)
+            pair_frames_with_labels(tmp_path)
+
+    def test_missing_directory_errors(self, tmp_path):
+        with pytest.raises(ValueError, match="not a directory"):
+            pair_frames_with_labels(tmp_path / "absent")
 
     def test_duplicate_stems_error(self, tmp_path, rng):
         save_frame(gray_frame(4, 4), tmp_path / "dup.pgm")
         save_frame(bgr_frame(4, 4), tmp_path / "dup.ppm")
         with pytest.raises(ValueError, match="duplicate"):
-            pair_frames_with_labels(tmp_path, tmp_path)
+            pair_frames_with_labels(tmp_path)
 
     def test_items_ordered_by_stem_and_count_matches_frames(self, tmp_path):
         _write_dataset(tmp_path, {"b": None, "a": "0 0.5 0.5 0.2 0.2\n", "c": None})
-        items = pair_frames_with_labels(tmp_path, tmp_path)
+        items = pair_frames_with_labels(tmp_path)
         assert [item.frame.source_id for item in items] == ["a", "b", "c"]
         assert [item.frame.frame_index for item in items] == [0, 1, 2]
         assert len(items) == 3

@@ -7,12 +7,14 @@ the same invariants live in the per-module test files.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from thermotrack.annotations import (
+    EDGE_TOLERANCE,
     NormBBox,
     PixelBBox,
+    mirrored_horizontal,
     parse_yolo_text,
     serialize_yolo,
 )
@@ -76,6 +78,28 @@ def test_flip_involution(seed, width, height, n_labels):
     twice = horizontal_flip(horizontal_flip(item))
     assert np.array_equal(twice.frame.pixels, item.frame.pixels)
     assert twice.labels == item.labels
+
+
+@st.composite
+def _side_edge_boxes(draw):
+    """Valid boxes whose left or right edge lies within EDGE_TOLERANCE of the frame edge."""
+    w = draw(st.floats(1e-3, 1.0))
+    h = draw(st.floats(1e-3, 1.0))
+    overflow = draw(st.floats(-EDGE_TOLERANCE, EDGE_TOLERANCE))
+    cx = w / 2 - overflow if draw(st.booleans()) else 1.0 - w / 2 + overflow
+    cy = draw(st.floats(h / 2, 1.0 - h / 2))
+    try:
+        return NormBBox(draw(st.integers(0, 9)), cx, cy, w, h)
+    except ValueError:
+        assume(False)
+
+
+@BULK
+@given(_side_edge_boxes())
+def test_mirror_of_edge_box_stays_valid(box):
+    mirrored = mirrored_horizontal(box)
+    assert (mirrored.class_id, mirrored.cy, mirrored.w, mirrored.h) == (box.class_id, box.cy, box.w, box.h)
+    assert abs(mirrored.cx - (1.0 - box.cx)) <= 1e-5
 
 
 @BULK
