@@ -24,7 +24,6 @@ import logging
 import re
 import shlex
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -270,13 +269,17 @@ def cmd_run(args, config) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"model file not found: {model_path}")
     model = load_model(model_path)
+    loaded: list[DatasetItem] = []
     if args.frames == "-":
         # Lazy, so each path is processed as it arrives on a live pipe.
-        paths = (Path(line.strip()) for line in sys.stdin if line.strip())
+        source = (Path(line.strip()) for line in sys.stdin if line.strip())
         load_items = None
     else:
-        paths = list_frame_paths(args.frames)
-        load_items = partial(pair_frames_with_labels, args.frames)
+        source = list_frame_paths(args.frames)
+
+        def load_items() -> list[DatasetItem]:
+            loaded.extend(pair_frames_with_labels(args.frames))
+            return loaded
     settings = _set_only(
         min_bbox_area=_resolve(args, config, section, "min_bbox_area", float),
         overlay_decimals=_resolve(args, config, section, "decimals", int),
@@ -286,8 +289,11 @@ def cmd_run(args, config) -> int:
         overlay_enabled=not args.no_overlay, log_path=args.log, output_dir=args.out, **settings
     )
     detector, adapter = _build_detector(args, config, section, load_items)
+    if loaded:
+        # Replay decoded every frame to read its labels: stream those frames.
+        source = [item.frame for item in loaded]
     try:
-        summary = run_stream(paths, detector, model, cfg)
+        summary = run_stream(source, detector, model, cfg)
     finally:
         if adapter is not None:
             adapter.close()

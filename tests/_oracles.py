@@ -7,6 +7,9 @@ checks.
 
 from collections import deque
 
+import numpy as np
+import pytest
+
 from thermotrack.pipeline import BOX_COLOR, GLYPH_H, GLYPH_PITCH, GLYPHS, TEXT_COLOR
 
 
@@ -24,7 +27,8 @@ def bfs_components(mask):
     """8-connected components of a boolean 2-D array via breadth-first search.
 
     Returns a list of dicts with keys area, x1, y1, x2, y2 (exclusive
-    corners), and member (list of (y, x))."""
+    corners), and member (list of (y, x)), in the raster order of each
+    component's first pixel."""
     height = len(mask)
     width = len(mask[0]) if height else 0
     seen = [[False] * width for _ in range(height)]
@@ -58,6 +62,29 @@ def bfs_components(mask):
                     "member": member,
                 }
             )
+    return components
+
+
+def scipy_components(mask):
+    """``bfs_components`` from ``scipy.ndimage.label``, in its numbering.
+
+    scipy is a test-only dependency: the calling test is skipped where it
+    is not installed."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    components = []
+    for comp_id, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        member = [(int(y), int(x)) for y, x in np.argwhere(labels == comp_id)]
+        components.append(
+            {
+                "area": len(member),
+                "x1": cols.start,
+                "y1": rows.start,
+                "x2": cols.stop,
+                "y2": rows.stop,
+                "member": member,
+            }
+        )
     return components
 
 

@@ -9,6 +9,7 @@ selects a behavior:
                          fixed confidence (the k-th FRAME request gets the
                          k-th .txt file sorted by stem)
   garbage                handshake, then answer with a nonsense token
+  non-utf8               handshake, then answer with a header that is not UTF-8
   err                    handshake, then answer ERR to every frame
   slow <seconds>         handshake, then sleep before each answer
   die                    handshake, then exit on the first request
@@ -49,6 +50,9 @@ def main() -> int:
             return 0
         if mode == "garbage":
             print("BANANAS 42", flush=True)
+        elif mode == "non-utf8":
+            sys.stdout.buffer.write(b"OK \xff\n")
+            sys.stdout.buffer.flush()
         elif mode == "err":
             print("ERR detector exploded", flush=True)
         elif mode == "slow":

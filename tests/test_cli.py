@@ -10,7 +10,7 @@ import pytest
 
 from thermotrack import cli, frameio, pipeline
 from thermotrack.cli import main
-from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter
+from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter, ReplayDetector
 from thermotrack.frameio import load_frame, pair_frames_with_labels, save_frame
 from thermotrack.pipeline import PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
@@ -446,6 +446,28 @@ class TestRun:
         loads = _count_loads(monkeypatch)
         assert run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS) == 0
         assert len(loads) == 12
+
+    def test_replay_run_decodes_each_frame_once(self, tmp_path, monkeypatch):
+        ds = self._dataset(tmp_path, frames=12)
+        model = _ridge_law_model(tmp_path)
+        # Reference: the replay run re-reading every frame from its path.
+        reference = PipelineConfig(log_path=tmp_path / "ref.csv", output_dir=tmp_path / "ref")
+        replay = ReplayDetector.from_items(pair_frames_with_labels(ds))
+        pipeline.run_stream(frameio.list_frame_paths(ds), replay, load_model(model), reference)
+        loads = _count_loads(monkeypatch)
+        out_dir, log = tmp_path / "out", tmp_path / "readings.csv"
+        code = run_cli(
+            "run", str(ds), "--model", str(model), "--detector", "replay",
+            "--out", str(out_dir), "--log", str(log),
+        )
+        assert code == 0
+        assert len(loads) == 12
+        assert log.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        frames = sorted(p.name for p in out_dir.iterdir())
+        assert frames == sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert len(frames) == 12
+        for name in frames:
+            assert (out_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_replay_detector_needs_directory(self, tmp_path, capsys, monkeypatch):
         model = _ridge_law_model(tmp_path)

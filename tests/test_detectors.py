@@ -2,13 +2,14 @@ import gc
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import bfs_components, nms_keep
+from _oracles import bfs_components, nms_keep, scipy_components
 from conftest import gray_frame
 from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
 from thermotrack.detectors import (
@@ -153,6 +154,121 @@ class TestBlobDetect:
             )
 
 
+# Every component is a detection: no area or aspect filter.
+ALL_BLOBS = DetectorConfig(intensity_threshold=128, min_blob_area=0, max_aspect_ratio=1e9)
+
+
+def assert_blobs_match(pixels, components):
+    """blob_detect under ALL_BLOBS gives the oracle's components in its order,
+    with its boxes, areas and exact mean-intensity confidences."""
+    frame = ThermalFrame.from_array(pixels)
+    expected = [
+        (
+            PixelBBox(c["x1"], c["y1"], c["x2"], c["y2"]),
+            sum(int(pixels[y, x]) for y, x in c["member"]) / c["area"] / 255.0,
+        )
+        for c in components
+    ]
+    assert [(d.bbox, d.confidence) for d in blob_detect(frame, ALL_BLOBS)] == expected
+    # Areas are not on a Detection: min_blob_area = a keeps those of area >= a.
+    for area in sorted({c["area"] for c in components}):
+        cfg = DetectorConfig(intensity_threshold=128, min_blob_area=area, max_aspect_ratio=1e9)
+        kept = [box for (box, _), c in zip(expected, components) if c["area"] >= area]
+        assert [d.bbox for d in blob_detect(frame, cfg)] == kept
+
+
+def _hot(mask):
+    """A frame whose foreground under ALL_BLOBS is ``mask``, with varied
+    intensities on both sides of the threshold."""
+    ys, xs = np.indices(mask.shape)
+    return np.where(mask, 128 + (ys * 7 + xs * 13) % 128, (ys * 5 + xs * 3) % 128).astype(np.uint8)
+
+
+def _serpentine(height, width):
+    """Full rows every 4th row, joined by a 3-pixel post at alternating ends."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[0::4] = True
+    for i, row in enumerate(range(1, height - 3, 4)):
+        mask[row : row + 3, width - 1 if i % 2 == 0 else 0] = True
+    return mask
+
+
+def _comb(height, width):
+    """Teeth in every other column, joined only by the bottom row."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[:, 0::2] = True
+    mask[-1] = True
+    return mask
+
+
+def _nested_us(size):
+    """Concentric U shapes 2 pixels apart: each pair of arms meets only at
+    its own bottom row, after every inner U's runs have been seen."""
+    mask = np.zeros((size, size), dtype=bool)
+    for k in range(0, size // 2, 2):
+        mask[: size - k, k] = True
+        mask[: size - k, size - 1 - k] = True
+        mask[size - 1 - k, k : size - k] = True
+    return mask
+
+
+def _diagonal_chains(size):
+    """A diagonal, an anti-diagonal zigzag, and two single pixels touching
+    only at a corner: components joined through corners alone."""
+    mask = np.zeros((size, size), dtype=bool)
+    idx = np.arange(size // 2)
+    mask[idx, idx] = True
+    zig = np.arange(size)
+    mask[size - 1 - np.abs((zig % 8) - 4), zig] = True
+    mask[size // 2, size // 2 + 3] = mask[size // 2 + 1, size // 2 + 4] = True
+    return mask
+
+
+class TestBlobLabelling:
+    """The run-based labeller against the breadth-first oracle, on shapes
+    whose runs join only late, only diagonally, or across the frame."""
+
+    @pytest.mark.parametrize(
+        "mask, n_components",
+        [
+            (_serpentine(120, 160), 1),
+            (_serpentine(160, 120).T, 1),
+            (_comb(120, 160), 1),
+            (_comb(160, 120).T, 1),
+            (_nested_us(40), 10),
+            (_nested_us(40)[::-1], 10),
+            (np.eye(30, dtype=bool), 1),
+            (np.eye(30, dtype=bool)[::-1], 1),
+            (np.indices((31, 40)).sum(axis=0) % 2 == 0, 1),
+            (_diagonal_chains(24), None),
+        ],
+        ids=[
+            "serpentine", "serpentine-columns", "comb", "comb-sideways", "nested-u",
+            "nested-n", "diagonal", "anti-diagonal", "checkerboard", "diagonal-chains",
+        ],
+    )
+    def test_shape_matches_bfs_oracle(self, mask, n_components):
+        mask = np.ascontiguousarray(mask)
+        components = bfs_components(mask)
+        if n_components is not None:
+            assert len(components) == n_components
+        assert_blobs_match(_hot(mask), components)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1), (23, 31)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_uniform_frame(self, shape, fill):
+        mask = np.full(shape, fill)
+        assert_blobs_match(_hot(mask), bfs_components(mask))
+
+    def test_matches_scipy_label(self, rng):
+        masks = [rng.random((int(h), int(w))) < p for h, w, p in zip(
+            rng.integers(1, 48, 60), rng.integers(1, 48, 60), rng.random(60)
+        )]
+        masks += [_serpentine(120, 160), _comb(120, 160), _nested_us(40), _diagonal_chains(24)]
+        for mask in masks:
+            assert_blobs_match(_hot(mask), scipy_components(mask))
+
+
 class TestDetectorContract:
     def test_blob_detector_empty_frame(self):
         assert BlobDetector().detect(gray_frame(32, 24)) == []
@@ -276,6 +392,16 @@ class TestExternalAdapter:
         with ExternalAdapter(stub_command("garbage")) as adapter:
             with pytest.raises(AdapterProtocolError):
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
+
+    def test_non_utf8_response_fails_at_once(self):
+        # The bad byte must fail the header check, not kill the reader
+        # thread, which would leave every request to wait out the timeout.
+        with ExternalAdapter(stub_command("non-utf8"), response_timeout_s=10.0) as adapter:
+            for _ in range(2):
+                start = time.perf_counter()
+                with pytest.raises(AdapterProtocolError, match="bad response header"):
+                    ExternalDetector(adapter).detect(gray_frame(32, 32))
+                assert time.perf_counter() - start < 2.0
 
     def test_err_response_is_reported(self):
         with ExternalAdapter(stub_command("err")) as adapter:

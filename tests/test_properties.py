@@ -33,7 +33,8 @@ from thermotrack.thermoreg import (
     kfold_partition,
 )
 
-from _oracles import expected_overlay, knn_sorted_mean
+from _oracles import bfs_components, expected_overlay, knn_sorted_mean
+from test_detectors import ALL_BLOBS, assert_blobs_match
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -286,3 +287,25 @@ def test_render_overlay_matches_oracle(case):
     out = render_overlay(frame, readings, decimals)
     assert np.array_equal(out.pixels, expected_overlay(before, readings, decimals))
     assert np.array_equal(frame.pixels, before)
+
+
+@st.composite
+def _threshold_frame(draw):
+    """A gray frame of 1xN, Nx1 or up to 40x40 whose foreground under
+    ALL_BLOBS is empty, full, or random at any density, with varied
+    intensities on both sides of the threshold."""
+    shape = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    ))
+    density = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hot = rng.random(shape) < density
+    return np.where(hot, rng.integers(128, 256, shape), rng.integers(0, 128, shape)).astype(np.uint8)
+
+
+@BULK
+@given(_threshold_frame())
+def test_blob_labels_match_bfs_oracle(pixels):
+    assert_blobs_match(pixels, bfs_components(pixels >= ALL_BLOBS.intensity_threshold))
