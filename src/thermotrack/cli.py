@@ -118,7 +118,7 @@ def _add_detector_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--blob-threshold", type=int, help="blob binarization intensity")
     sub.add_argument("--blob-min-area", type=int, help="smallest blob kept, px^2")
     sub.add_argument("--blob-max-aspect", type=float, help="largest blob side ratio kept")
-    sub.add_argument("--adapter-timeout", type=float, help="seconds to wait per frame")
+    sub.add_argument("--adapter-timeout", type=float, help="seconds to wait for each response line")
 
 
 def _build_detector(args, config, section: str, load_items: Callable[[], list[DatasetItem]] | None):

@@ -10,8 +10,8 @@ confidence, thresholded, and non-maximum-suppressed. Three implementations:
 * ``ExternalDetector`` hands frames to a neural detector living in another
   process over a line protocol, keeping ML runtimes out of this package.
 
-External adapter line protocol (UTF-8, LF-terminated, over the adapter's
-stdin/stdout):
+External adapter line protocol (UTF-8 over the adapter's stdin/stdout;
+lines end with LF, and a CR before the LF is ignored):
 
 * handshake: adapter emits ``READY 1``
 * request: ``FRAME <request-id> <width> <height> <absolute-file-path>``
@@ -20,17 +20,23 @@ stdin/stdout):
 * response: ``OK <n>`` followed by n lines
   ``DET <class> <conf> <cx> <cy> <w> <h>`` in normalized coordinates,
   or ``ERR <message>``
+
+The timeout applies to each line. A v1 response carries no request id, so
+an adapter that times out is stopped and a stream skips its later frames.
+Pipe reads use POSIX ``select``, which is fine: Linux is the deployment target.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import queue
+import os
+import select
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -69,7 +75,7 @@ class AdapterProtocolError(AdapterError):
 
 
 class AdapterTimeoutError(AdapterError):
-    """The adapter did not answer within the per-frame timeout."""
+    """The adapter did not send a response line within the timeout."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +276,7 @@ class ExternalAdapter:
     """
 
     def __init__(self, command: Sequence[str], response_timeout_s: float = 2.0):
-        # A queue wait longer than threading.TIMEOUT_MAX raises OverflowError.
+        # select raises OverflowError for a timeout above threading.TIMEOUT_MAX.
         if not 0 < response_timeout_s <= threading.TIMEOUT_MAX:
             raise ValueError(
                 f"response_timeout_s must be in (0, {threading.TIMEOUT_MAX:g}], got {response_timeout_s}"
@@ -279,49 +285,44 @@ class ExternalAdapter:
         self.response_timeout_s = response_timeout_s
         self._request_ids = count(1)
         self._lock = threading.Lock()
+        self._unread = bytearray()
         self._scratch_dir = tempfile.mkdtemp(prefix="thermotrack-adapter-")
         try:
             self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                # Undecodable bytes become U+FFFD, so a bad line fails the
-                # protocol check instead of killing the reader thread.
-                encoding="utf-8",
-                errors="replace",
-                bufsize=1,
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
             )
         except OSError as exc:
             shutil.rmtree(self._scratch_dir, ignore_errors=True)
             raise AdapterExitedError(f"could not launch {self.command}: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump_stdout, daemon=True)
         try:
-            self._reader.start()
             self._handshake()
         except BaseException:
             self.close()
             raise
 
-    def _pump_stdout(self) -> None:
-        # The reader closes stdout: a close from another thread would block on its read.
-        assert self._proc.stdout is not None
-        with self._proc.stdout:
-            for line in self._proc.stdout:
-                self._lines.put(line)
-        self._lines.put(None)  # EOF sentinel
-
     def _read_line(self) -> str:
-        try:
-            item = self._lines.get(timeout=self.response_timeout_s)
-        except queue.Empty:
-            raise AdapterTimeoutError(
-                f"no response within {self.response_timeout_s} s from {self.command}"
-            ) from None
-        if item is None:
-            raise AdapterExitedError(f"adapter {self.command} closed its output")
-        return item.rstrip("\n")
+        # Reads go to the raw descriptor, never stdout's buffer, so select sees every unread byte.
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + self.response_timeout_s
+        while (end := self._unread.find(b"\n")) < 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                # A v1 reply carries no request id, so a late reply would be
+                # read as the next frame's answer: stop the adapter instead.
+                self._proc.kill()
+                self._proc.wait()
+                raise AdapterTimeoutError(f"no response within {self.response_timeout_s} s from {self.command}")
+            chunk = os.read(fd, 65536)
+            if not chunk:  # EOF: a last line without LF is still handed out
+                if not self._unread:
+                    raise AdapterExitedError(f"adapter {self.command} closed its output")
+                end = len(self._unread)
+                break
+            self._unread += chunk
+        line = self._unread[:end].removesuffix(b"\r")
+        del self._unread[: end + 1]
+        # Undecodable bytes become U+FFFD and fail the protocol check.
+        return line.decode("utf-8", errors="replace")
 
     def _handshake(self) -> None:
         line = self._read_line()
@@ -343,7 +344,7 @@ class ExternalAdapter:
                 try:
                     assert self._proc.stdin is not None
                     self._proc.stdin.write(
-                        f"FRAME {request_id} {frame.width} {frame.height} {frame_path}\n"
+                        f"FRAME {request_id} {frame.width} {frame.height} {frame_path}\n".encode()
                     )
                     self._proc.stdin.flush()
                 except (OSError, ValueError) as exc:
@@ -390,9 +391,7 @@ class ExternalAdapter:
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
                 self._proc.wait()
-        # Bounded: a child the adapter spawned may hold stdout open past its exit.
-        if self._reader.is_alive():
-            self._reader.join(timeout=2)
+        self._proc.stdout.close()
         shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
     def __enter__(self) -> "ExternalAdapter":

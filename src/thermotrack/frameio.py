@@ -141,29 +141,17 @@ def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, int]:
     return width, height, channels, pos
 
 
-def load_frame(
-    path: str | Path,
-    expected_dims: tuple[int, ...] | None = None,
-    frame_index: int = 0,
-) -> ThermalFrame:
+def load_frame(path: str | Path, frame_index: int = 0) -> ThermalFrame:
     """Load a binary PGM (gray) or PPM (BGR) frame.
 
     Parameters
     ----------
     path : file path
-    expected_dims : optional (width, height) or (width, height, channels);
-        a mismatch raises ValueError.
     frame_index : sequence number to stamp on the frame.
     """
     path = Path(path)
     data = path.read_bytes()
     width, height, channels, offset = _parse_netpbm(data, path)
-    if expected_dims is not None:
-        actual = (width, height, channels)[: len(expected_dims)]
-        if tuple(expected_dims) != actual:
-            raise ValueError(
-                f"{path}: dimensions {actual} do not match expected {tuple(expected_dims)}"
-            )
     shape = (height, width) if channels == 1 else (height, width, 3)
     # The one copy: frombuffer views the file's bytes, which are read-only.
     pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(shape).copy()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -112,15 +112,19 @@ class StreamSummary:
     readings: int = 0
     flagged: int = 0
     errors: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
+    # Running totals, so an endless stream keeps a fixed-size summary.
+    latency_count: int = 0
+    latency_total_ms: float = 0.0
+    max_latency_ms: float = 0.0
+
+    def record_latency(self, ms: float) -> None:
+        self.latency_count += 1
+        self.latency_total_ms += ms
+        self.max_latency_ms = max(self.max_latency_ms, ms)
 
     @property
     def mean_latency_ms(self) -> float:
-        return float(np.mean(self.latencies_ms)) if self.latencies_ms else 0.0
-
-    @property
-    def max_latency_ms(self) -> float:
-        return float(np.max(self.latencies_ms)) if self.latencies_ms else 0.0
+        return self.latency_total_ms / self.latency_count if self.latency_count else 0.0
 
     def to_text(self) -> str:
         return (
@@ -293,7 +297,7 @@ def run_stream(
             except (PipelineFrameError, ValueError, OSError) as exc:
                 summary.errors += 1
                 logger.warning("skipping frame %d: %s", position, exc)
-                summary.latencies_ms.append((time.perf_counter() - start) * 1000.0)
+                summary.record_latency((time.perf_counter() - start) * 1000.0)
                 continue
             if log_handle is not None:
                 for reading in readings:
@@ -304,7 +308,7 @@ def run_stream(
             summary.frames += 1
             summary.readings += len(readings)
             summary.flagged += sum(r.flagged for r in readings)
-            summary.latencies_ms.append((time.perf_counter() - start) * 1000.0)
+            summary.record_latency((time.perf_counter() - start) * 1000.0)
     finally:
         if log_handle is not None:
             log_handle.close()

@@ -12,6 +12,12 @@ selects a behavior:
   non-utf8               handshake, then answer with a header that is not UTF-8
   err                    handshake, then answer ERR to every frame
   slow <seconds>         handshake, then sleep before each answer
+  slow-once <seconds>    handshake, then sleep before the first answer only;
+                         every frame is answered with one DET line
+  partial                answer OK 1 and a DET line without its LF, then sleep
+  die-mid                answer OK 2 and one DET line, then exit
+  crlf                   handshake and answer with CRLF line ends; every
+                         frame is answered with one DET line
   die                    handshake, then exit on the first request
   silent                 never handshake (sleep forever)
   bad-handshake          emit a wrong handshake line
@@ -20,6 +26,8 @@ selects a behavior:
 import sys
 import time
 from pathlib import Path
+
+DET_LINE = "DET 0 0.90 0.5 0.5 0.25 0.25"
 
 
 def main() -> int:
@@ -34,6 +42,8 @@ def main() -> int:
         time.sleep(60)
         return 0
 
+    if mode == "crlf":
+        sys.stdout.reconfigure(newline="\r\n")
     print("READY 1", flush=True)
 
     label_files = sorted(Path(args[0]).glob("*.txt")) if mode == "labels" else []
@@ -58,6 +68,16 @@ def main() -> int:
         elif mode == "slow":
             time.sleep(float(args[0]))
             print("OK 0", flush=True)
+        elif mode in ("slow-once", "crlf"):
+            if mode == "slow-once" and request_count == 1:
+                time.sleep(float(args[0]))
+            print(f"OK 1\n{DET_LINE}", flush=True)
+        elif mode == "partial":
+            print(f"OK 1\n{DET_LINE}", end="", flush=True)
+            time.sleep(60)
+        elif mode == "die-mid":
+            print(f"OK 2\n{DET_LINE}", flush=True)
+            return 0
         elif mode == "canned":
             records = [r for r in Path(args[0]).read_text().splitlines() if r.strip()]
             print(f"OK {len(records)}", flush=True)

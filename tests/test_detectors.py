@@ -2,6 +2,7 @@ import gc
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -30,6 +31,8 @@ from thermotrack.deteval import iou
 from thermotrack.frameio import ThermalFrame
 
 STUB = Path(__file__).parent / "stub_adapter.py"
+# The reply of the stub's slow-once, partial, die-mid and crlf modes.
+STUB_DET = (0, 0.9, NormBBox(0, 0.5, 0.5, 0.25, 0.25))
 
 
 def stub_command(*args: str) -> list[str]:
@@ -394,8 +397,8 @@ class TestExternalAdapter:
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
 
     def test_non_utf8_response_fails_at_once(self):
-        # The bad byte must fail the header check, not kill the reader
-        # thread, which would leave every request to wait out the timeout.
+        # The bad byte must fail the header check at once, not leave every
+        # request to wait out the timeout.
         with ExternalAdapter(stub_command("non-utf8"), response_timeout_s=10.0) as adapter:
             for _ in range(2):
                 start = time.perf_counter()
@@ -412,6 +415,52 @@ class TestExternalAdapter:
         with ExternalAdapter(stub_command("slow", "5"), response_timeout_s=0.3) as adapter:
             with pytest.raises(AdapterTimeoutError):
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
+
+    def test_timed_out_adapter_answers_no_later_request(self):
+        # The first reply comes 0.5 s late; it must not answer request 2.
+        with ExternalAdapter(stub_command("slow-once", "1.0"), response_timeout_s=0.5) as adapter:
+            with pytest.raises(AdapterTimeoutError):
+                adapter.request(gray_frame(32, 32))
+            for _ in range(2):
+                with pytest.raises(AdapterExitedError):
+                    adapter.request(gray_frame(32, 32))
+
+    @pytest.mark.parametrize(
+        "mode, error",
+        [("partial", AdapterTimeoutError), ("die-mid", AdapterExitedError), ("crlf", None)],
+    )
+    def test_reply_framing(self, mode, error):
+        timeout = 0.5
+        with ExternalAdapter(stub_command(mode), response_timeout_s=timeout) as adapter:
+            start = time.perf_counter()
+            if error is None:
+                assert adapter.request(gray_frame(32, 32)) == [STUB_DET]
+            else:
+                with pytest.raises(error):
+                    adapter.request(gray_frame(32, 32))
+            assert time.perf_counter() - start < timeout + 1.0
+
+    def test_lifecycles_leak_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        fd_dir = Path("/proc/self/fd")
+
+        def descriptors():
+            return len(list(fd_dir.iterdir())) if fd_dir.is_dir() else None
+
+        threads, fds = threading.active_count(), descriptors()
+        modes = [(("empty",), None), (("die",), AdapterExitedError), (("slow", "5"), AdapterTimeoutError)]
+        for mode, error in modes * 10:
+            # The timeout bounds the handshake too; interpreter start-up can take 0.15 s.
+            with ExternalAdapter(stub_command(*mode), response_timeout_s=0.5) as adapter:
+                if error is None:
+                    assert adapter.request(gray_frame(32, 24)) == []
+                else:
+                    with pytest.raises(error):
+                        adapter.request(gray_frame(32, 24))
+                assert threading.active_count() == threads
+        assert threading.active_count() == threads
+        assert descriptors() == fds
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
     def test_adapter_exit_detected(self):
         with ExternalAdapter(stub_command("die")) as adapter:

@@ -73,12 +73,6 @@ class TestNetpbm:
         with pytest.raises(FrameFormatError):
             load_frame(path)
 
-    def test_expected_dims_mismatch(self, tmp_path):
-        pixels = np.zeros((640, 640), dtype=np.uint8)
-        save_frame(ThermalFrame.from_array(pixels), tmp_path / "big.pgm")
-        with pytest.raises(ValueError, match="dimensions"):
-            load_frame(tmp_path / "big.pgm", expected_dims=(160, 120))
-
     def test_file_is_header_then_raster(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (5, 4, 3), dtype=np.uint8)
         save_frame(ThermalFrame.from_array(pixels), tmp_path / "f.ppm")
@@ -98,12 +92,6 @@ class TestNetpbm:
         back = load_frame(tmp_path / "w.ppm")
         assert back.pixels.flags.writeable and back.pixels.flags.c_contiguous
         back.pixels[0, 0] = 0
-
-    def test_expected_dims_with_channels(self, tmp_path):
-        pixels = np.zeros((120, 160, 3), dtype=np.uint8)
-        save_frame(ThermalFrame.from_array(pixels), tmp_path / "c3.ppm")
-        frame = load_frame(tmp_path / "c3.ppm", expected_dims=(160, 120, 3))
-        assert frame.channels == 3
 
 
 class TestGrayscale:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from _oracles import expected_overlay, max_pixel_scan
 from conftest import gray_frame
 from thermotrack.annotations import PixelBBox
-from thermotrack.detectors import BlobDetector, Detection, DetectorConfig
+from thermotrack.detectors import BlobDetector, Detection, DetectorConfig, ExternalAdapter, ExternalDetector
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
     TEXT_COLOR,
@@ -29,6 +30,7 @@ from thermotrack.thermoreg import FittedRegressor
 
 BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
 LAW = FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
+STUB = Path(__file__).parent / "stub_adapter.py"
 
 
 def _scene_frame(temp=35.0, seed=2):
@@ -260,7 +262,15 @@ class TestRunStream:
         summary = run_stream(frames, BlobDetector(BLOB_CFG), LAW, PipelineConfig())
         assert summary.frames == 5
         assert summary.readings == 5
-        assert len(summary.latencies_ms) == 5
+        assert summary.latency_count == 5
+
+    def test_frames_after_adapter_timeout_skipped(self):
+        # The first reply comes 0.5 s late; no later frame may take it as its own.
+        frames = [gray_frame(160, 120, value=100) for _ in range(3)]
+        command = [sys.executable, str(STUB), "slow-once", "1.0"]
+        with ExternalAdapter(command, response_timeout_s=0.5) as adapter:
+            summary = run_stream(frames, ExternalDetector(adapter), LAW, PipelineConfig())
+        assert (summary.frames, summary.readings, summary.errors) == (0, 0, 3)
 
     def test_flagged_counted(self, tmp_path):
         spec = SceneSpec(
@@ -274,7 +284,9 @@ class TestRunStream:
         assert summary.flagged == 1
 
     def test_summary_text_keys(self):
-        summary = StreamSummary(frames=3, readings=4, flagged=1, latencies_ms=[2.0, 4.0, 6.0])
+        summary = StreamSummary(frames=3, readings=4, flagged=1)
+        for ms in (2.0, 6.0, 4.0):
+            summary.record_latency(ms)
         text = summary.to_text()
         assert text.splitlines() == [
             "frames=3",
