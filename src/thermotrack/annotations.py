@@ -140,9 +140,8 @@ def serialize_yolo(labels: list[NormBBox] | tuple[NormBBox, ...]) -> str:
     An empty list serializes to empty text: that is the explicit null-label
     state for frames with nobody in view.
     """
-    return "".join(
-        f"{b.class_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}\n" for b in labels
-    )
+    fmt = f".{COORD_DECIMALS}f"
+    return "".join(f"{b.class_id} {b.cx:{fmt}} {b.cy:{fmt}} {b.w:{fmt}} {b.h:{fmt}}\n" for b in labels)
 
 
 def mirrored_horizontal(box: NormBBox) -> NormBBox:

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .annotations import denormalize, serialize_yolo
+from .annotations import denormalize
 from .detectors import (
     REPLAY_NMS_IOU,
     AdapterError,
@@ -46,7 +46,7 @@ from .frameio import (
     list_frame_paths,
     pair_frames_with_labels,
     resize,
-    save_frame,
+    save_item,
 )
 from .pipeline import PipelineConfig, extract_max_pixel, run_stream
 from .synthscene import load_sequence_spec, write_dataset
@@ -155,15 +155,6 @@ def _build_detector(args, config, section: str, load_items: Callable[[], list[Da
     raise ValueError(f"unknown detector {spec!r}; use replay, blob, or external:<cmd>")
 
 
-def _write_items(items: list[DatasetItem], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for item in items:
-        stem = item.frame.source_id
-        suffix = ".pgm" if item.frame.channels == 1 else ".ppm"
-        save_frame(item.frame, out_dir / f"{stem}{suffix}")
-        atomic_write_text(out_dir / f"{stem}.txt", serialize_yolo([l.bbox for l in item.labels]))
-
-
 def cmd_prepare(args, config) -> int:
     items = pair_frames_with_labels(args.src)
     for extra in args.combine or []:
@@ -186,7 +177,10 @@ def cmd_prepare(args, config) -> int:
                 raise ValueError(f"augmented stem collides: {flipped.frame.source_id!r}")
             augmented.append(flipped)
         items.extend(augmented)
-    _write_items(items, Path(args.out))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for item in items:
+        save_item(item, out_dir)
     print(f"items={len(items)}")
     print(f"out={args.out}")
     return EXIT_OK

@@ -21,8 +21,10 @@ lines end with LF, and a CR before the LF is ignored):
   ``DET <class> <conf> <cx> <cy> <w> <h>`` in normalized coordinates,
   or ``ERR <message>``
 
-The timeout applies to each line. A v1 response carries no request id, so
-an adapter that times out is stopped and a stream skips its later frames.
+The timeout applies to each line. A response is read in full before its
+lines are checked, so a bad ``DET`` line fails only its own frame. A v1
+response carries no request id, so an adapter that times out is stopped and
+a stream skips its later frames.
 Pipe reads use POSIX ``select``, which is fine: Linux is the deployment target.
 """
 
@@ -364,9 +366,10 @@ class ExternalAdapter:
             raise AdapterError("adapter reported: " + " ".join(header[1:]))
         if len(header) != 2 or header[0] != "OK" or not header[1].isdigit():
             raise AdapterProtocolError(f"bad response header {' '.join(header)!r}")
+        # Read the whole reply first: a bad line must not leave the rest for the next frame.
+        replies = [self._read_line().split() for _ in range(int(header[1]))]
         results = []
-        for _ in range(int(header[1])):
-            tokens = self._read_line().split()
+        for tokens in replies:
             if len(tokens) != 7 or tokens[0] != "DET":
                 raise AdapterProtocolError(f"bad detection line {' '.join(tokens)!r}")
             try:

@@ -1,6 +1,6 @@
 """Thermal frame I/O and geometry: binary PGM/PPM codecs, grayscale
-conversion, bilinear resize, horizontal-flip augmentation, and pairing of
-frame directories with their label files.
+conversion, bilinear resize, horizontal-flip augmentation, and the dataset
+layout (a frame and its same-stem label file), written and read here.
 
 Frames are 8-bit, single-channel (gray) or three-channel (BGR byte order).
 All operations are pure: they return new frames and never mutate inputs.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import GroundTruthLabel, mirrored_horizontal, parse_yolo_text
+from .annotations import GroundTruthLabel, mirrored_horizontal, parse_yolo_text, serialize_yolo
 
 # FLIR Lepton-class native resolution.
 NATIVE_WIDTH = 160
@@ -34,44 +34,37 @@ class FrameFormatError(ValueError):
 
 @dataclass(eq=False)
 class ThermalFrame:
-    """One thermal image: dimensions, an 8-bit pixel buffer, and stream metadata.
+    """One thermal image: an 8-bit pixel buffer and stream metadata.
 
     ``pixels`` has shape (height, width) for gray frames and
-    (height, width, 3) for BGR frames, dtype uint8, row-major.
+    (height, width, 3) for BGR frames, dtype uint8, row-major; the
+    dimensions and channel count are read off that shape.
     """
 
-    width: int
-    height: int
-    channels: int
     pixels: np.ndarray
     frame_index: int = 0
     source_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"dims must be positive, got {self.width}x{self.height}")
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
-        expected = (self.height, self.width) if self.channels == 1 else (self.height, self.width, 3)
         if not isinstance(self.pixels, np.ndarray) or self.pixels.dtype != np.uint8:
             raise ValueError("pixels must be a uint8 ndarray")
-        if self.pixels.shape != expected:
-            raise ValueError(f"pixel buffer shape {self.pixels.shape} != {expected}")
+        shape = self.pixels.shape
+        if len(shape) < 2 or shape[2:] not in ((), (3,)) or 0 in shape:
+            raise ValueError(f"expected a nonempty (h, w) or (h, w, 3) array, got shape {shape}")
+        if self.frame_index < 0:
+            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
 
-    @classmethod
-    def from_array(cls, pixels: np.ndarray, frame_index: int = 0, source_id: str = "") -> "ThermalFrame":
-        """Wrap an existing (h, w) or (h, w, 3) uint8 array."""
-        arr = np.asarray(pixels)
-        if arr.ndim == 2:
-            channels = 1
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            channels = 3
-        else:
-            raise ValueError(f"expected (h, w) or (h, w, 3) array, got shape {arr.shape}")
-        return cls(arr.shape[1], arr.shape[0], channels, arr.astype(np.uint8, copy=False),
-                   frame_index, source_id)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return 1 if self.pixels.ndim == 2 else 3
 
     def copy(self) -> "ThermalFrame":
         return replace(self, pixels=self.pixels.copy())
@@ -155,7 +148,7 @@ def load_frame(path: str | Path, frame_index: int = 0) -> ThermalFrame:
     shape = (height, width) if channels == 1 else (height, width, 3)
     # The one copy: frombuffer views the file's bytes, which are read-only.
     pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(shape).copy()
-    return ThermalFrame(width, height, channels, pixels, frame_index, path.stem)
+    return ThermalFrame(pixels, frame_index, path.stem)
 
 
 def save_frame(frame: ThermalFrame, path: str | Path) -> None:
@@ -179,7 +172,7 @@ def bgr_to_grayscale(frame: ThermalFrame) -> ThermalFrame:
     wr, wg, wb = GRAY_WEIGHTS
     gray = wr * px[:, :, 2] + wg * px[:, :, 1] + wb * px[:, :, 0]
     gray = np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)
-    return replace(frame, channels=1, pixels=gray)
+    return replace(frame, pixels=gray)
 
 
 def gray_to_bgr(frame: ThermalFrame) -> ThermalFrame:
@@ -187,7 +180,7 @@ def gray_to_bgr(frame: ThermalFrame) -> ThermalFrame:
     if frame.channels != 1:
         raise ValueError("frame is not single-channel")
     gray = frame.pixels
-    return replace(frame, channels=3, pixels=np.stack((gray, gray, gray), axis=-1))
+    return replace(frame, pixels=np.stack((gray, gray, gray), axis=-1))
 
 
 def resize(frame: ThermalFrame, target_w: int, target_h: int) -> ThermalFrame:
@@ -230,7 +223,7 @@ def resize(frame: ThermalFrame, target_w: int, target_h: int) -> ThermalFrame:
     bottom = c10 + fxb * (c11 - c10)
     out = top + fyb * (bottom - top)
     pixels = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return replace(frame, width=target_w, height=target_h, pixels=pixels)
+    return replace(frame, pixels=pixels)
 
 
 def horizontal_flip(item: DatasetItem) -> DatasetItem:
@@ -288,3 +281,13 @@ def pair_frames_with_labels(dataset_dir: str | Path) -> list[DatasetItem]:
             labels = [GroundTruthLabel(b) for b in parse_yolo_text(label_path.read_text())]
         items.append(DatasetItem(frame, labels))
     return items
+
+
+def save_item(item: DatasetItem, out_dir: str | Path) -> None:
+    """Write an item in the layout pair_frames_with_labels reads, keyed on
+    the frame's source_id: ``<stem>.pgm`` (gray) or ``<stem>.ppm`` (BGR) and
+    ``<stem>.txt``, written even when empty (an explicit null label)."""
+    out_dir = Path(out_dir)
+    stem = item.frame.source_id
+    save_frame(item.frame, out_dir / f"{stem}{'.pgm' if item.frame.channels == 1 else '.ppm'}")
+    atomic_write_text(out_dir / f"{stem}{LABEL_SUFFIX}", serialize_yolo([lab.bbox for lab in item.labels]))

@@ -22,8 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .annotations import GroundTruthLabel, PixelBBox, denormalize, normalize, serialize_yolo
-from .frameio import ThermalFrame, atomic_write_text, save_frame
+from .annotations import GroundTruthLabel, PixelBBox, denormalize, normalize
+from .frameio import DatasetItem, ThermalFrame, atomic_write_text, save_item
 from .thermoreg import CalibrationSample
 
 
@@ -117,10 +117,7 @@ def generate(spec: SceneSpec) -> tuple[ThermalFrame, list[GroundTruthLabel], lis
         labels.append(GroundTruthLabel(normalize(box, spec.width, spec.height)))
         temperatures.append(face.temperature_c)
 
-    frame = ThermalFrame(
-        spec.width, spec.height, 1, canvas, spec.frame_index,
-        spec.source_id or f"scene_{spec.frame_index:06d}",
-    )
+    frame = ThermalFrame(canvas, spec.frame_index, spec.source_id or f"scene_{spec.frame_index:06d}")
     return frame, labels, temperatures
 
 
@@ -299,9 +296,10 @@ TRUTH_CSV_HEADER = ["frame_index", "face_id", "x1", "y1", "x2", "y2", "temperatu
 def write_dataset(seq: SequenceSpec, out_dir: str | Path) -> int:
     """Materialize a sequence as frame/label files plus a truth CSV.
 
-    Writes ``frame_%06d.pgm`` and ``frame_%06d.txt`` per frame (label files
-    are written even when empty: an explicit null label) and ``truth.csv``
-    with one row per face. Returns the number of frames written.
+    Writes ``frame_%06d.pgm`` and ``frame_%06d.txt`` per frame with
+    ``frameio.save_item`` (label files are written even when empty: an
+    explicit null label) and ``truth.csv`` with one row per face. Returns
+    the number of frames written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,11 +308,7 @@ def write_dataset(seq: SequenceSpec, out_dir: str | Path) -> int:
     writer.writerow(TRUTH_CSV_HEADER)
     n_frames = 0
     for frame, labels, temps in generate_sequence(seq):
-        save_frame(frame, out_dir / f"frame_{frame.frame_index:06d}.pgm")
-        atomic_write_text(
-            out_dir / f"frame_{frame.frame_index:06d}.txt",
-            serialize_yolo([lab.bbox for lab in labels]),
-        )
+        save_item(DatasetItem(frame, labels), out_dir)
         for face_id, (label, temp) in enumerate(zip(labels, temps)):
             box = denormalize(label.bbox, frame.width, frame.height)
             writer.writerow([frame.frame_index, face_id, box.x1, box.y1, box.x2, box.y2, repr(temp)])

@@ -7,13 +7,13 @@ from thermotrack.frameio import ThermalFrame
 
 def gray_frame(width, height, value=0, frame_index=0, source_id="frame"):
     pixels = np.full((height, width), value, dtype=np.uint8)
-    return ThermalFrame(width, height, 1, pixels, frame_index, source_id)
+    return ThermalFrame(pixels, frame_index, source_id)
 
 
 def bgr_frame(width, height, value=(0, 0, 0), frame_index=0, source_id="frame"):
     pixels = np.empty((height, width, 3), dtype=np.uint8)
     pixels[:, :] = value
-    return ThermalFrame(width, height, 3, pixels, frame_index, source_id)
+    return ThermalFrame(pixels, frame_index, source_id)
 
 
 def grid_box(class_id, cx_u, cy_u, w_u, h_u):

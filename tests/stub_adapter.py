@@ -16,6 +16,7 @@ selects a behavior:
                          every frame is answered with one DET line
   partial                answer OK 1 and a DET line without its LF, then sleep
   die-mid                answer OK 2 and one DET line, then exit
+  oversized              answer OK 1000000000 and no DET line, then sleep
   crlf                   handshake and answer with CRLF line ends; every
                          frame is answered with one DET line
   die                    handshake, then exit on the first request
@@ -74,6 +75,9 @@ def main() -> int:
             print(f"OK 1\n{DET_LINE}", flush=True)
         elif mode == "partial":
             print(f"OK 1\n{DET_LINE}", end="", flush=True)
+            time.sleep(60)
+        elif mode == "oversized":
+            print("OK 1000000000", flush=True)
             time.sleep(60)
         elif mode == "die-mid":
             print(f"OK 2\n{DET_LINE}", flush=True)

@@ -42,7 +42,7 @@ def stub_command(*args: str) -> list[str]:
 def _frame_with_square(w, h, x, y, side, value, background=0):
     pixels = np.full((h, w), background, dtype=np.uint8)
     pixels[y : y + side, x : x + side] = value
-    return ThermalFrame.from_array(pixels)
+    return ThermalFrame(pixels)
 
 
 class TestDetectionTypes:
@@ -119,7 +119,7 @@ class TestBlobDetect:
         cfg = DetectorConfig(intensity_threshold=128, min_blob_area=1, max_aspect_ratio=100.0)
         for _ in range(25):
             pixels = (rng.random((20, 26)) < 0.35).astype(np.uint8) * 200
-            frame = ThermalFrame.from_array(pixels)
+            frame = ThermalFrame(pixels)
             dets = blob_detect(frame, cfg)
             components = bfs_components(pixels >= 128)
             got = sorted((d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in dets)
@@ -140,12 +140,12 @@ class TestBlobDetect:
         cfg = DetectorConfig(intensity_threshold=128, min_blob_area=10, max_aspect_ratio=2.5)
         pixels = np.zeros((40, 80), dtype=np.uint8)
         pixels[10:14, 10:50] = 255  # 4x40: aspect 10
-        assert blob_detect(ThermalFrame.from_array(pixels), cfg) == []
+        assert blob_detect(ThermalFrame(pixels), cfg) == []
 
     def test_three_channel_input_rejected(self):
         pixels = np.zeros((10, 10, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
-            blob_detect(ThermalFrame.from_array(pixels), self.CFG)
+            blob_detect(ThermalFrame(pixels), self.CFG)
 
     def test_translation_equivariance(self):
         cfg = DetectorConfig(intensity_threshold=100, min_blob_area=20)
@@ -164,7 +164,7 @@ ALL_BLOBS = DetectorConfig(intensity_threshold=128, min_blob_area=0, max_aspect_
 def assert_blobs_match(pixels, components):
     """blob_detect under ALL_BLOBS gives the oracle's components in its order,
     with its boxes, areas and exact mean-intensity confidences."""
-    frame = ThermalFrame.from_array(pixels)
+    frame = ThermalFrame(pixels)
     expected = [
         (
             PixelBBox(c["x1"], c["y1"], c["x2"], c["y2"]),
@@ -283,7 +283,7 @@ class TestDetectorContract:
         pixels[5:15, 5:15] = 250
         pixels[5:15, 30:40] = 180
         pixels[30:42, 10:22] = 140
-        dets = detector.detect(ThermalFrame.from_array(pixels))
+        dets = detector.detect(ThermalFrame(pixels))
         confs = [d.confidence for d in dets]
         assert confs == sorted(confs, reverse=True)
         for i, a in enumerate(dets):
@@ -294,9 +294,9 @@ class TestDetectorContract:
         pixels = np.zeros((40, 40), dtype=np.uint8)
         pixels[5:15, 5:15] = 120  # mean 120/255 = 0.47
         cfg = DetectorConfig(intensity_threshold=100, min_blob_area=4, confidence_threshold=0.5)
-        assert BlobDetector(cfg).detect(ThermalFrame.from_array(pixels)) == []
+        assert BlobDetector(cfg).detect(ThermalFrame(pixels)) == []
         cfg_low = DetectorConfig(intensity_threshold=100, min_blob_area=4, confidence_threshold=0.25)
-        assert len(BlobDetector(cfg_low).detect(ThermalFrame.from_array(pixels))) == 1
+        assert len(BlobDetector(cfg_low).detect(ThermalFrame(pixels))) == 1
 
 
 def test_blob_finds_synthetic_face_centroid():
@@ -439,6 +439,27 @@ class TestExternalAdapter:
                 with pytest.raises(error):
                     adapter.request(gray_frame(32, 32))
             assert time.perf_counter() - start < timeout + 1.0
+
+    def test_oversized_count_times_out_and_stops_adapter(self):
+        timeout = 0.5
+        with ExternalAdapter(stub_command("oversized"), response_timeout_s=timeout) as adapter:
+            start = time.perf_counter()
+            with pytest.raises(AdapterTimeoutError):
+                adapter.request(gray_frame(32, 32))
+            assert time.perf_counter() - start < timeout + 1.0
+            with pytest.raises(AdapterExitedError):
+                adapter.request(gray_frame(32, 32))
+
+    def test_bad_line_does_not_leak_into_next_reply(self, tmp_path):
+        # Reply 1 holds a bad confidence, then a good line; reply 2 must
+        # still be read as its own, not from reply 1's unread rest.
+        canned = tmp_path / "dets.txt"
+        canned.write_text("0 1.5 0.5 0.5 0.25 0.25\n0 0.90 0.5 0.5 0.25 0.25\n")
+        with ExternalAdapter(stub_command("canned", str(canned))) as adapter:
+            with pytest.raises(AdapterProtocolError, match="confidence"):
+                adapter.request(gray_frame(32, 32))
+            canned.write_text("0 0.40 0.25 0.25 0.125 0.125\n")
+            assert adapter.request(gray_frame(32, 32)) == [(0, 0.4, NormBBox(0, 0.25, 0.25, 0.125, 0.125))]
 
     def test_lifecycles_leak_nothing(self, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))

@@ -16,27 +16,37 @@ from thermotrack.frameio import (
     pair_frames_with_labels,
     resize,
     save_frame,
+    save_item,
 )
 
 
 class TestFrameType:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalFrame(10, 10, 1, np.zeros((5, 10), dtype=np.uint8))
+    @pytest.mark.parametrize(
+        "shape", [(5,), (4, 6, 1), (4, 6, 4), (0, 6), (4, 0), (2, 3, 3, 1)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ThermalFrame(np.zeros(shape, dtype=np.uint8))
 
     def test_wrong_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalFrame(10, 10, 1, np.zeros((10, 10), dtype=np.float32))
+        with pytest.raises(ValueError, match="uint8"):
+            ThermalFrame(np.zeros((10, 10), dtype=np.float32))
 
-    def test_from_array_infers_channels(self):
-        assert ThermalFrame.from_array(np.zeros((4, 6), dtype=np.uint8)).channels == 1
-        assert ThermalFrame.from_array(np.zeros((4, 6, 3), dtype=np.uint8)).channels == 3
+    def test_dims_and_channels_follow_shape(self):
+        gray = ThermalFrame(np.zeros((4, 6), dtype=np.uint8))
+        bgr = ThermalFrame(np.zeros((4, 6, 3), dtype=np.uint8))
+        assert (gray.width, gray.height, gray.channels) == (6, 4, 1)
+        assert (bgr.width, bgr.height, bgr.channels) == (6, 4, 3)
+
+    def test_negative_frame_index_rejected(self):
+        with pytest.raises(ValueError, match="frame_index"):
+            ThermalFrame(np.zeros((4, 6), dtype=np.uint8), frame_index=-1)
 
 
 class TestNetpbm:
     def test_ppm_round_trip_native_resolution(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (120, 160, 3), dtype=np.uint8)
-        frame = ThermalFrame.from_array(pixels, source_id="native")
+        frame = ThermalFrame(pixels, source_id="native")
         save_frame(frame, tmp_path / "native.ppm")
         back = load_frame(tmp_path / "native.ppm")
         assert (back.width, back.height, back.channels) == (160, 120, 3)
@@ -44,7 +54,7 @@ class TestNetpbm:
 
     def test_pgm_round_trip(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (7, 9), dtype=np.uint8)
-        save_frame(ThermalFrame.from_array(pixels), tmp_path / "img.pgm")
+        save_frame(ThermalFrame(pixels), tmp_path / "img.pgm")
         back = load_frame(tmp_path / "img.pgm")
         assert np.array_equal(back.pixels, pixels)
         assert back.source_id == "img"
@@ -75,12 +85,12 @@ class TestNetpbm:
 
     def test_file_is_header_then_raster(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (5, 4, 3), dtype=np.uint8)
-        save_frame(ThermalFrame.from_array(pixels), tmp_path / "f.ppm")
+        save_frame(ThermalFrame(pixels), tmp_path / "f.ppm")
         assert (tmp_path / "f.ppm").read_bytes() == b"P6\n4 5\n255\n" + pixels.tobytes()
 
     def test_non_contiguous_frame_written_in_row_order(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (6, 9), dtype=np.uint8)
-        mirrored = ThermalFrame.from_array(pixels[:, ::-1])
+        mirrored = ThermalFrame(pixels[:, ::-1])
         assert not mirrored.pixels.flags.c_contiguous
         save_frame(mirrored, tmp_path / "m.pgm")
         back = load_frame(tmp_path / "m.pgm")
@@ -88,7 +98,7 @@ class TestNetpbm:
 
     def test_loaded_pixels_are_writable_and_owned(self, tmp_path, rng):
         pixels = rng.integers(0, 256, (6, 9, 3), dtype=np.uint8)
-        save_frame(ThermalFrame.from_array(pixels), tmp_path / "w.ppm")
+        save_frame(ThermalFrame(pixels), tmp_path / "w.ppm")
         back = load_frame(tmp_path / "w.ppm")
         assert back.pixels.flags.writeable and back.pixels.flags.c_contiguous
         back.pixels[0, 0] = 0
@@ -113,7 +123,7 @@ class TestGrayscale:
             bgr_to_grayscale(gray_frame(2, 2))
 
     def test_replication_matches_repeat_and_copies(self, rng):
-        gray = ThermalFrame.from_array(rng.integers(0, 256, (13, 17), dtype=np.uint8))
+        gray = ThermalFrame(rng.integers(0, 256, (13, 17), dtype=np.uint8))
         bgr = gray_to_bgr(gray)
         expected = np.repeat(gray.pixels[..., None], 3, 2)
         assert bgr.pixels.dtype == expected.dtype and bgr.pixels.flags.c_contiguous
@@ -121,20 +131,20 @@ class TestGrayscale:
         assert not np.shares_memory(bgr.pixels, gray.pixels)
 
     def test_replication_round_trip_is_identity(self, rng):
-        gray = ThermalFrame.from_array(rng.integers(0, 256, (13, 17), dtype=np.uint8))
+        gray = ThermalFrame(rng.integers(0, 256, (13, 17), dtype=np.uint8))
         back = bgr_to_grayscale(gray_to_bgr(gray))
         assert np.array_equal(back.pixels, gray.pixels)
 
 
 class TestResize:
     def test_native_to_training_size(self, rng):
-        frame = ThermalFrame.from_array(rng.integers(0, 256, (120, 160, 3), dtype=np.uint8))
+        frame = ThermalFrame(rng.integers(0, 256, (120, 160, 3), dtype=np.uint8))
         out = resize(frame, 640, 640)
         assert (out.width, out.height, out.channels) == (640, 640, 3)
 
     def test_identity_resize_is_bit_identical(self, rng):
         pixels = rng.integers(0, 256, (9, 11), dtype=np.uint8)
-        frame = ThermalFrame.from_array(pixels)
+        frame = ThermalFrame(pixels)
         out = resize(frame, 11, 9)
         assert np.array_equal(out.pixels, pixels)
 
@@ -146,7 +156,7 @@ class TestResize:
 
     def test_values_stay_within_input_range(self, rng):
         pixels = rng.integers(40, 201, (12, 12), dtype=np.uint8)
-        out = resize(ThermalFrame.from_array(pixels), 50, 30)
+        out = resize(ThermalFrame(pixels), 50, 30)
         assert out.pixels.min() >= pixels.min()
         assert out.pixels.max() <= pixels.max()
 
@@ -164,7 +174,7 @@ class TestHorizontalFlip:
     def test_flip_twice_is_identity(self, rng):
         pixels = rng.integers(0, 256, (6, 8), dtype=np.uint8)
         item = DatasetItem(
-            ThermalFrame.from_array(pixels),
+            ThermalFrame(pixels),
             [GroundTruthLabel(NormBBox(0, 0.31, 0.42, 0.25, 0.3))],
         )
         twice = horizontal_flip(horizontal_flip(item))
@@ -177,7 +187,7 @@ class TestHorizontalFlip:
 
     def test_pixels_mirror(self):
         pixels = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8)
-        flipped = horizontal_flip(DatasetItem(ThermalFrame.from_array(pixels)))
+        flipped = horizontal_flip(DatasetItem(ThermalFrame(pixels)))
         assert flipped.frame.pixels.tolist() == [[3, 2, 1], [6, 5, 4]]
 
     def test_bgr_channels_not_swapped(self):
@@ -233,6 +243,25 @@ class TestPairing:
         assert [item.frame.frame_index for item in items] == [0, 1, 2]
         assert len(items) == 3
 
+    def test_save_item_round_trip(self, tmp_path, rng):
+        gray = DatasetItem(
+            ThermalFrame(rng.integers(0, 256, (6, 8), dtype=np.uint8), source_id="a_gray"),
+            [
+                GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.25, 0.5)),
+                GroundTruthLabel(NormBBox(1, 0.25, 0.75, 0.125, 0.25)),
+            ],
+        )
+        bgr = DatasetItem(ThermalFrame(rng.integers(0, 256, (6, 8, 3), dtype=np.uint8), source_id="b_bgr"))
+        for item in (gray, bgr):
+            save_item(item, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_gray.pgm", "a_gray.txt", "b_bgr.ppm", "b_bgr.txt"]
+        assert (tmp_path / "b_bgr.txt").read_text() == ""
+        back = pair_frames_with_labels(tmp_path)
+        for original, loaded in zip((gray, bgr), back, strict=True):
+            assert loaded.frame.source_id == original.frame.source_id
+            assert np.array_equal(loaded.frame.pixels, original.frame.pixels)
+            assert loaded.labels == original.labels
+
 
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -247,7 +276,7 @@ def test_flip_involution_on_random_frames(seed, width, height):
     cx_u = int(rng.integers(w_u // 2 + 1, 1_000_000 - w_u // 2))
     cy_u = int(rng.integers(h_u // 2 + 1, 1_000_000 - h_u // 2))
     box = NormBBox(0, cx_u / 1e6, cy_u / 1e6, w_u / 1e6, h_u / 1e6)
-    item = DatasetItem(ThermalFrame.from_array(pixels), [GroundTruthLabel(box)])
+    item = DatasetItem(ThermalFrame(pixels), [GroundTruthLabel(box)])
     twice = horizontal_flip(horizontal_flip(item))
     assert np.array_equal(twice.frame.pixels, item.frame.pixels)
     assert twice.labels == item.labels

@@ -58,7 +58,7 @@ class TestExtractMaxPixel:
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(50):
             pixels = rng.integers(0, 256, (20, 20), dtype=np.uint8)
-            frame = ThermalFrame.from_array(pixels)
+            frame = ThermalFrame(pixels)
             x1 = int(rng.integers(0, 19)); x2 = int(rng.integers(x1 + 1, 21))
             y1 = int(rng.integers(0, 19)); y2 = int(rng.integers(y1 + 1, 21))
             assert extract_max_pixel(frame, PixelBBox(x1, y1, x2, y2)) == max_pixel_scan(
@@ -160,14 +160,14 @@ class TestRenderOverlay:
         assert np.array_equal(out.pixels, frame.pixels)
 
     def test_deterministic(self, rng):
-        frame = gray_to_bgr(ThermalFrame.from_array(rng.integers(0, 256, (50, 70), dtype=np.uint8)))
+        frame = gray_to_bgr(ThermalFrame(rng.integers(0, 256, (50, 70), dtype=np.uint8)))
         readings = [TempReading(0, PixelBBox(10, 15, 30, 35), 150, 35.0, False)]
         a = render_overlay(frame, readings)
         b = render_overlay(frame, readings)
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_matches_independent_rasterization(self, rng):
-        frame = gray_to_bgr(ThermalFrame.from_array(rng.integers(0, 200, (64, 90), dtype=np.uint8)))
+        frame = gray_to_bgr(ThermalFrame(rng.integers(0, 200, (64, 90), dtype=np.uint8)))
         readings = [
             TempReading(0, PixelBBox(12, 10, 40, 34), 150, 35.0, False),
             TempReading(0, PixelBBox(50, 2, 80, 20), 190, 39.05, True),  # text forced below

@@ -75,7 +75,7 @@ def test_flip_involution(seed, width, height, n_labels):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
     labels = [GroundTruthLabel(_grid_box(rng)) for _ in range(n_labels)]
-    item = DatasetItem(ThermalFrame.from_array(pixels), labels)
+    item = DatasetItem(ThermalFrame(pixels), labels)
     twice = horizontal_flip(horizontal_flip(item))
     assert np.array_equal(twice.frame.pixels, item.frame.pixels)
     assert twice.labels == item.labels
@@ -276,7 +276,7 @@ def _overlay_case(draw):
         readings.append(TempReading(0, box, 0, temperature, False))
     seed = draw(st.integers(0, 2**32 - 1))
     pixels = np.random.default_rng(seed).integers(0, 256, (height, width, 3), dtype=np.uint8)
-    return ThermalFrame.from_array(pixels), readings, draw(st.integers(0, 3))
+    return ThermalFrame(pixels), readings, draw(st.integers(0, 3))
 
 
 @BULK
