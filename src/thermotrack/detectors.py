@@ -21,10 +21,11 @@ lines end with LF, and a CR before the LF is ignored):
   ``DET <class> <conf> <cx> <cy> <w> <h>`` in normalized coordinates,
   or ``ERR <message>``
 
-The timeout applies to each line. A response is read in full before its
-lines are checked, so a bad ``DET`` line fails only its own frame. A v1
-response carries no request id, so an adapter that times out is stopped and
-a stream skips its later frames.
+The timeout bounds the handshake and each whole response, however many
+lines it has. A response is read in full before its lines are checked, so
+a bad ``DET`` line fails only its own frame. A v1 response carries no
+request id, so an adapter that times out is stopped and a stream skips its
+later frames.
 Pipe reads use POSIX ``select``, which is fine: Linux is the deployment target.
 """
 
@@ -77,7 +78,7 @@ class AdapterProtocolError(AdapterError):
 
 
 class AdapterTimeoutError(AdapterError):
-    """The adapter did not send a response line within the timeout."""
+    """The adapter did not send its handshake or a whole response within the timeout."""
 
 
 @dataclass(frozen=True)
@@ -302,10 +303,10 @@ class ExternalAdapter:
             self.close()
             raise
 
-    def _read_line(self) -> str:
+    def _read_line(self, deadline: float) -> str:
+        """One line, read before ``deadline`` (a ``time.monotonic`` value)."""
         # Reads go to the raw descriptor, never stdout's buffer, so select sees every unread byte.
         fd = self._proc.stdout.fileno()
-        deadline = time.monotonic() + self.response_timeout_s
         while (end := self._unread.find(b"\n")) < 0:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
@@ -313,7 +314,7 @@ class ExternalAdapter:
                 # read as the next frame's answer: stop the adapter instead.
                 self._proc.kill()
                 self._proc.wait()
-                raise AdapterTimeoutError(f"no response within {self.response_timeout_s} s from {self.command}")
+                raise AdapterTimeoutError(f"no complete response within {self.response_timeout_s} s from {self.command}")
             chunk = os.read(fd, 65536)
             if not chunk:  # EOF: a last line without LF is still handed out
                 if not self._unread:
@@ -327,7 +328,7 @@ class ExternalAdapter:
         return line.decode("utf-8", errors="replace")
 
     def _handshake(self) -> None:
-        line = self._read_line()
+        line = self._read_line(time.monotonic() + self.response_timeout_s)
         tokens = line.split()
         if len(tokens) != 2 or tokens[0] != "READY":
             raise AdapterProtocolError(f"expected READY handshake, got {line!r}")
@@ -361,13 +362,16 @@ class ExternalAdapter:
                     frame_path.unlink()
 
     def _read_response(self) -> list[tuple[int, float, NormBBox]]:
-        header = self._read_line().split()
+        # One deadline for the whole reply: an adapter that trickles lines
+        # after a huge header cannot hold the caller past the timeout.
+        deadline = time.monotonic() + self.response_timeout_s
+        header = self._read_line(deadline).split()
         if header and header[0] == "ERR":
             raise AdapterError("adapter reported: " + " ".join(header[1:]))
         if len(header) != 2 or header[0] != "OK" or not header[1].isdigit():
             raise AdapterProtocolError(f"bad response header {' '.join(header)!r}")
         # Read the whole reply first: a bad line must not leave the rest for the next frame.
-        replies = [self._read_line().split() for _ in range(int(header[1]))]
+        replies = [self._read_line(deadline).split() for _ in range(int(header[1]))]
         results = []
         for tokens in replies:
             if len(tokens) != 7 or tokens[0] != "DET":

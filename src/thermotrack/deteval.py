@@ -4,6 +4,11 @@ precision, and mAP over an IoU threshold sweep.
 Detections are pooled across images with a single global confidence sort
 (single-class accumulation), which keeps every number deterministic and
 checkable against a brute-force precision/recall enumeration.
+
+An evaluation builds one (images x detections x truths) IoU tensor, with
+the scalar ``iou``'s integer steps so each value is bit-identical to it,
+and claims truths for all swept thresholds in one walk over the detection
+ranks. ``match_greedy`` is the one-image, one-threshold call of that walk.
 """
 
 from __future__ import annotations
@@ -81,34 +86,84 @@ def iou(a: PixelBBox, b: PixelBBox) -> float:
     return inter / (a.area() + b.area() - inter)
 
 
-def _check_sorted_desc(confidences: Sequence[float]) -> None:
-    for earlier, later in zip(confidences, confidences[1:]):
-        if later > earlier:
-            raise ValueError("detections must be sorted by descending confidence")
+def _check_sorted_desc(confidences: np.ndarray) -> None:
+    """Reject any row of ``confidences`` that rises; NaN pairs compare false."""
+    if np.any(confidences[..., 1:] > confidences[..., :-1]):
+        raise ValueError("detections must be sorted by descending confidence")
 
 
-def _iou_table(dets: Sequence["Detection"], gts: Sequence[PixelBBox]) -> list[list[float]]:
-    """IoU of every detection (rows, confidence order) with every ground truth."""
-    _check_sorted_desc([d.confidence for d in dets])
-    return [[iou(d.bbox, g) for g in gts] for d in dets]
+def _pad_boxes(boxes_per_image: Sequence[Sequence[PixelBBox]]) -> tuple[np.ndarray, np.ndarray]:
+    """Corners as an (images, n, 4) int64 array zero-padded to the longest
+    image (n >= 1, so an empty set still has a column), and the (images, n)
+    mask of real boxes."""
+    counts = np.fromiter((len(boxes) for boxes in boxes_per_image), dtype=np.int64, count=len(boxes_per_image))
+    valid = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+    corners = np.zeros((*valid.shape, 4), dtype=np.int64)
+    corners[valid] = np.array(
+        [(b.x1, b.y1, b.x2, b.y2) for boxes in boxes_per_image for b in boxes], dtype=np.int64
+    ).reshape(-1, 4)
+    return corners, valid
 
 
-def _greedy_claim(ious: list[list[float]], num_gt: int, iou_thr: float) -> list[bool]:
-    """The claim rule of ``match_greedy``, over a detection x truth IoU table."""
-    claimed = [False] * num_gt
-    flags: list[bool] = []
-    for row in ious:
-        best_iou = 0.0
-        best_j = -1
-        for j, value in enumerate(row):
-            if not claimed[j] and value > best_iou:
-                best_iou = value
-                best_j = j
-        hit = best_j >= 0 and best_iou >= iou_thr
-        if hit:
-            claimed[best_j] = True
-        flags.append(hit)
-    return flags
+def _iou_tensor(dets: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """IoU of every detection with every truth of its image, (images, D, G).
+
+    The integer steps and the one true division are those of ``iou``, so
+    each value equals the scalar one bit for bit; disjoint pairs read 0.0.
+    Corners are non-negative, so a zero-padded box overlaps nothing, and
+    only a pair of two padded boxes has a union of 0: a denominator of at
+    least 1 keeps it from forming 0/0, and every real union is already >= 1."""
+    d = dets[:, :, None, :]
+    g = gts[:, None, :, :]
+
+    def overlap(lo: int, hi: int) -> np.ndarray:
+        # In place, so at most three (images, D, G) integer arrays are alive at once.
+        side = np.minimum(d[..., hi], g[..., hi])
+        side -= np.maximum(d[..., lo], g[..., lo])
+        return np.maximum(side, 0, out=side)
+
+    inter = overlap(0, 2)
+    inter *= overlap(1, 3)
+    area_d = (d[..., 2] - d[..., 0]) * (d[..., 3] - d[..., 1])
+    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
+    union = area_d + area_g
+    union -= inter
+    return inter / np.maximum(union, 1, out=union)
+
+
+def _match_flags(
+    dets_per_image: Sequence[Sequence["Detection"]],
+    gts_per_image: Sequence[Sequence[PixelBBox]],
+    thresholds: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The claim rule of ``match_greedy`` for every threshold and image at once.
+
+    Returns the (thresholds, detections) true-positive flags and the
+    detections' confidences, both over each image's detections in turn.
+    One walk over the detection ranks claims for all thresholds and images
+    together; ``argmax`` over the unclaimed truths (claimed ones masked to
+    -1) keeps the first index of the highest IoU, the scalar rule's tie
+    break.
+    """
+    dets, det_valid = _pad_boxes([[d.bbox for d in image] for image in dets_per_image])
+    confs = np.full(det_valid.shape, -np.inf)
+    confs[det_valid] = [d.confidence for image in dets_per_image for d in image]
+    _check_sorted_desc(confs)  # -inf padding never rises
+    ious = _iou_tensor(dets, _pad_boxes(gts_per_image)[0])
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    images, ranks, truths = ious.shape
+    claimed = np.zeros((len(thr), images, truths), dtype=bool)
+    flags = np.zeros((len(thr), images, ranks), dtype=bool)
+    t_index, i_index = np.ix_(np.arange(len(thr)), np.arange(images))
+    for rank in range(ranks):
+        candidates = np.where(claimed, -1.0, ious[:, rank])
+        best_j = candidates.argmax(axis=2)
+        best = candidates.max(axis=2)
+        # Only a positive IoU is claimed, so padded rows and columns never hit.
+        hit = (best >= thr) & (best > 0.0)
+        claimed[t_index, i_index, best_j] |= hit
+        flags[:, :, rank] = hit
+    return flags[:, det_valid], confs[det_valid]
 
 
 def match_greedy(
@@ -122,8 +177,11 @@ def match_greedy(
     claim counts as a true positive only when that IoU reaches ``iou_thr``.
     IoU ties go to the lowest ground-truth index, so the outcome is
     deterministic. Input must already be sorted by descending confidence.
+    This is the one-image, one-threshold view of ``map_over_thresholds``'
+    batched claim pass.
     """
-    return MatchResult(_greedy_claim(_iou_table(dets, gts), len(gts), iou_thr), len(gts))
+    flags, _ = _match_flags([dets], [gts], [iou_thr])
+    return MatchResult(flags[0].tolist(), len(gts))
 
 
 def average_precision(match: MatchResult, confidences: Sequence[float]) -> float:
@@ -140,7 +198,7 @@ def average_precision(match: MatchResult, confidences: Sequence[float]) -> float
     """
     if len(confidences) != len(match.tp_flags):
         raise ValueError("confidences and tp_flags must be aligned")
-    _check_sorted_desc(list(confidences))
+    _check_sorted_desc(np.asarray(confidences, dtype=float))
     flags = np.asarray(match.tp_flags, dtype=bool)
     if match.num_gt == 0:
         return 0.0 if flags.size else 1.0
@@ -177,18 +235,13 @@ def map_over_thresholds(
         if not 0.0 < thr <= 1.0:
             raise ValueError(f"IoU threshold {thr} outside (0, 1]")
 
-    # Only the greedy claim depends on the threshold: IoUs and the pooled
-    # stable confidence order are computed once per evaluation.
-    tables = [(_iou_table(dets, gts), len(gts)) for dets, gts in zip(dets_per_image, gts_per_image)]
-    conf_arr = np.asarray([d.confidence for dets in dets_per_image for d in dets], dtype=float)
-    order = np.argsort(-conf_arr, kind="stable")
-    pooled_confs = list(conf_arr[order])
-    total_gt = sum(num_gt for _, num_gt in tables)
-    matches: dict[float, MatchResult] = {}
-    for thr in [*thresholds, 0.5]:  # precision and recall need the 0.5 match
-        if float(thr) not in matches:
-            flags = [flag for table, num_gt in tables for flag in _greedy_claim(table, num_gt, thr)]
-            matches[float(thr)] = MatchResult([flags[i] for i in order], total_gt)
+    # One claim pass scores every threshold; precision and recall need the 0.5 match.
+    swept = list(dict.fromkeys(float(thr) for thr in [*thresholds, 0.5]))
+    flags, confs = _match_flags(dets_per_image, gts_per_image, swept)
+    order = np.argsort(-confs, kind="stable")
+    pooled_confs = confs[order]
+    total_gt = sum(len(gts) for gts in gts_per_image)
+    matches = {thr: MatchResult(flags[t, order].tolist(), total_gt) for t, thr in enumerate(swept)}
     ap_by_threshold = {
         float(thr): average_precision(matches[float(thr)], pooled_confs) for thr in thresholds
     }

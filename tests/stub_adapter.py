@@ -17,6 +17,7 @@ selects a behavior:
   partial                answer OK 1 and a DET line without its LF, then sleep
   die-mid                answer OK 2 and one DET line, then exit
   oversized              answer OK 1000000000 and no DET line, then sleep
+  trickle                answer OK 1000000000, then one DET line every 10 ms
   crlf                   handshake and answer with CRLF line ends; every
                          frame is answered with one DET line
   die                    handshake, then exit on the first request
@@ -79,6 +80,11 @@ def main() -> int:
         elif mode == "oversized":
             print("OK 1000000000", flush=True)
             time.sleep(60)
+        elif mode == "trickle":
+            print("OK 1000000000", flush=True)
+            while True:
+                time.sleep(0.01)
+                print(DET_LINE, flush=True)
         elif mode == "die-mid":
             print(f"OK 2\n{DET_LINE}", flush=True)
             return 0

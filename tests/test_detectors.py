@@ -450,6 +450,17 @@ class TestExternalAdapter:
             with pytest.raises(AdapterExitedError):
                 adapter.request(gray_frame(32, 32))
 
+    def test_trickled_reply_times_out_and_stops_adapter(self):
+        # Every line comes well within the timeout; the whole reply never does.
+        timeout = 0.5
+        with ExternalAdapter(stub_command("trickle"), response_timeout_s=timeout) as adapter:
+            start = time.perf_counter()
+            with pytest.raises(AdapterTimeoutError):
+                adapter.request(gray_frame(32, 32))
+            assert time.perf_counter() - start < timeout + 1.0
+            with pytest.raises(AdapterExitedError):
+                adapter.request(gray_frame(32, 32))
+
     def test_bad_line_does_not_leak_into_next_reply(self, tmp_path):
         # Reply 1 holds a bad confidence, then a good line; reply 2 must
         # still be read as its own, not from reply 1's unread rest.

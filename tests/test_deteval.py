@@ -1,8 +1,6 @@
-from collections import Counter
-
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import ap_enumeration, greedy_match_flags, iou_corners
@@ -224,29 +222,42 @@ class TestMapOverThresholds:
         dets, gts = self._shifted_detections()
         assert map_over_thresholds(dets, gts, thresholds).to_text() == expected
 
-    def test_one_matching_pass_per_threshold(self, monkeypatch):
-        # One greedy claim per image and threshold, all over IoUs computed
-        # once per evaluation: sum(n_det * n_gt) scalar iou() calls in total.
+    def test_one_claim_pass_scores_every_threshold(self, monkeypatch):
+        # One batched claim pass per evaluation, with no scalar IoU or
+        # per-image matching under it; its flags are match_greedy's.
         dets, gts = self._shifted_detections()
-        passes = Counter()
-        iou_calls = []
-        claim, scalar_iou = deteval._greedy_claim, deteval.iou
-        monkeypatch.setattr(
-            deteval, "_greedy_claim", lambda *args: passes.update([args[2]]) or claim(*args)
-        )
-        monkeypatch.setattr(deteval, "iou", lambda a, b: iou_calls.append(1) or scalar_iou(a, b))
-        pairs = sum(len(d) * len(g) for d, g in zip(dets, gts))
-        assert pairs > 0
+        scalar_match, batched = deteval.match_greedy, deteval._match_flags
+        scalar_calls = []
+        passes = []
+        monkeypatch.setattr(deteval, "iou", lambda *args: scalar_calls.append("iou"))
+        monkeypatch.setattr(deteval, "match_greedy", lambda *args: scalar_calls.append("match_greedy"))
 
-        map_over_thresholds(dets, gts)
-        assert passes == {thr: len(gts) for thr in DEFAULT_IOU_THRESHOLDS}
-        assert len(iou_calls) == pairs
+        def spy(*args):
+            result = batched(*args)
+            passes.append((args[2], result))
+            return result
 
-        passes.clear()
-        iou_calls.clear()
-        map_over_thresholds(dets, gts, (0.3, 0.75))
-        assert passes == {0.3: len(gts), 0.5: len(gts), 0.75: len(gts)}
-        assert len(iou_calls) == pairs
+        monkeypatch.setattr(deteval, "_match_flags", spy)
+
+        for thresholds, swept in [
+            (DEFAULT_IOU_THRESHOLDS, list(DEFAULT_IOU_THRESHOLDS)),
+            ((0.3, 0.75), [0.3, 0.75, 0.5]),
+        ]:
+            passes.clear()
+            map_over_thresholds(dets, gts, thresholds)
+            assert scalar_calls == []
+            assert [thr for thr, _ in passes] == [swept]
+            flags, _ = passes[0][1]
+            for t, thr in enumerate(swept):
+                per_image = [scalar_match(d, g, thr).tp_flags for d, g in zip(dets, gts)]
+                assert flags[t].tolist() == [flag for image in per_image for flag in image]
+
+    @pytest.mark.parametrize("unsorted_image", [0, 3, 7])
+    def test_unsorted_image_rejected(self, unsorted_image):
+        dets, gts = self._shifted_detections()
+        dets[unsorted_image] = [Detection(PixelBBox(0, 0, 5, 5), 0.5), Detection(PixelBBox(0, 0, 5, 5), 0.9)]
+        with pytest.raises(ValueError, match="sorted"):
+            map_over_thresholds(dets, gts)
 
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -275,3 +286,90 @@ def test_iou_oracle_agreement(rng):
         assert iou(a, b) == pytest.approx(
             iou_corners((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2)), abs=1e-12
         )
+
+
+# A 6x6 grid with sides of 1-3 px: duplicate boxes, equal IoUs with two
+# truths and IoUs of exactly 0.5 all come up often.
+grid_boxes = st.builds(
+    lambda x1, y1, w, h: PixelBBox(x1, y1, x1 + w, y1 + h),
+    x1=st.integers(0, 5),
+    y1=st.integers(0, 5),
+    w=st.integers(1, 3),
+    h=st.integers(1, 3),
+)
+grid_images = st.lists(
+    st.tuples(
+        st.lists(st.tuples(grid_boxes, st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=6),
+        st.lists(grid_boxes, max_size=4),
+    ),
+    max_size=5,
+)
+
+
+def _corners(box):
+    return (box.x1, box.y1, box.x2, box.y2)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_images)
+# IoU exactly 0.5, an IoU tie across two truths, a duplicate detection, an
+# image with detections but no truths, and an empty image.
+@example(
+    [
+        (
+            [(PixelBBox(0, 0, 2, 1), 0.5), (PixelBBox(1, 0, 2, 1), 0.5), (PixelBBox(1, 0, 2, 1), 0.25)],
+            [PixelBBox(0, 0, 1, 1), PixelBBox(1, 0, 2, 1)],
+        ),
+        ([(PixelBBox(3, 3, 5, 5), 1.0)], []),
+        ([], []),
+    ]
+)
+def test_sweep_matches_oracle(images):
+    dets = [
+        [Detection(box, conf) for box, conf in sorted(image_dets, key=lambda d: -d[1])]
+        for image_dets, _ in images
+    ]
+    gts = [image_gts for _, image_gts in images]
+    report = map_over_thresholds(dets, gts)
+
+    confs = [d.confidence for image in dets for d in image]
+    order = sorted(range(len(confs)), key=lambda k: -confs[k])  # stable
+    num_gt = sum(len(image) for image in gts)
+    for thr in DEFAULT_IOU_THRESHOLDS:
+        flags = [
+            flag
+            for image_dets, image_gts in zip(dets, gts)
+            for flag in greedy_match_flags(
+                [_corners(d.bbox) for d in image_dets], [_corners(g) for g in image_gts], thr
+            )
+        ]
+        pooled = [flags[k] for k in order]
+        assert report.ap_by_threshold[thr] == pytest.approx(ap_enumeration(pooled, num_gt), abs=1e-9)
+        if thr == 0.5:
+            assert report.precision == (sum(flags) / len(flags) if flags else 0.0)
+            assert report.recall == (sum(flags) / num_gt if num_gt else 0.0)
+
+
+near_million_boxes = st.builds(
+    lambda x1, y1, w, h: PixelBBox(x1, y1, x1 + w, y1 + h),
+    x1=st.one_of(st.integers(0, 8), st.integers(999_990, 1_000_000)),
+    y1=st.one_of(st.integers(0, 8), st.integers(999_990, 1_000_000)),
+    w=st.one_of(st.integers(1, 8), st.integers(999_990, 1_000_000)),
+    h=st.one_of(st.integers(1, 8), st.integers(999_990, 1_000_000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(near_million_boxes, max_size=4), st.lists(near_million_boxes, max_size=4)), max_size=4)
+)
+def test_iou_tensor_is_scalar_iou_bit_for_bit(images):
+    dets = [image_dets for image_dets, _ in images]
+    gts = [image_gts for _, image_gts in images]
+    tensor = deteval._iou_tensor(deteval._pad_boxes(dets)[0], deteval._pad_boxes(gts)[0])
+    expected = np.zeros_like(tensor)  # padded pairs read 0.0
+    for i, (image_dets, image_gts) in enumerate(images):
+        for a, det in enumerate(image_dets):
+            for b, gt in enumerate(image_gts):
+                expected[i, a, b] = iou(det, gt)
+    assert np.array_equal(tensor.view(np.int64), expected.view(np.int64))
