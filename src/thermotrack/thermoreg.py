@@ -117,8 +117,9 @@ class FittedRegressor:
     for trees); ``hyperparams`` the knobs it was fitted with;
     ``train_mse``/``train_r2`` the in-sample diagnostics (R2 is NaN when the
     training temperatures are constant) and ``training_digest`` the sha256 of
-    the training pairs. The public fitters fill in the diagnostics; the
-    throw-away fits inside cross-validation folds leave them at NaN and "".
+    the training pairs. ``ModelSpec.fit`` fills in the diagnostics; a fit
+    without them (``ModelSpec._fit_arrays``, as kNN cross-validation folds
+    use) leaves them at NaN and "".
 
     ``predict_batch`` works on whole arrays for every kind and agrees bit for
     bit with ``predict``. knn ranks stored samples by distance, then lower
@@ -219,8 +220,22 @@ def _digest(samples: Sequence[CalibrationSample]) -> str:
     return "sha256:" + hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
-def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float) -> FittedRegressor:
-    """Exact minimiser of 0.5 * SSE + lam * (mix * |b| + (1 - mix) * b^2 / 2).
+def _linear_stats(p: np.ndarray, t: np.ndarray) -> tuple[float, float, float, float, int]:
+    """The sufficient statistics of a linear fit: p_bar, t_bar, Sxx and Sxy on
+    centred data, and the number of distinct pixel values."""
+    if p.size < 2:
+        raise ValueError("need at least 2 samples")
+    p_bar = float(p.mean())
+    t_bar = float(t.mean())
+    pc = p - p_bar
+    sxx = float(np.sum(pc * pc))
+    sxy = float(np.sum(pc * (t - t_bar)))
+    return p_bar, t_bar, sxx, sxy, int(np.unique(p).size)
+
+
+def _linear_coef(stats: tuple, lam: float, mix: float) -> tuple[float, float]:
+    """Exact minimiser of 0.5 * SSE + lam * (mix * |b| + (1 - mix) * b^2 / 2),
+    as (intercept, slope), from ``_linear_stats``.
 
     With one feature, the soft-threshold update on centred data is the
     closed-form solution: slope = soft(Sxy, lam * mix) / (Sxx + lam * (1 - mix)),
@@ -228,71 +243,42 @@ def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float)
     intercept is unpenalized. Least squares is lam = 0, ridge mix = 0 and
     lasso mix = 1, so each equals elastic net at those values bit for bit.
     """
-    if p.size < 2:
-        raise ValueError("need at least 2 samples")
-    if lam == 0.0 and np.unique(p).size < 2:
+    p_bar, t_bar, sxx, sxy, distinct = stats
+    if lam == 0.0 and distinct < 2:
         raise ValueError("need at least 2 distinct pixel values when lambda is 0")
-    p_bar = float(p.mean())
-    t_bar = float(t.mean())
-    pc = p - p_bar
-    sxx = float(np.sum(pc * pc))
-    sxy = float(np.sum(pc * (t - t_bar)))
     denom = sxx + lam * (1.0 - mix)
     slope = 0.0 if denom == 0.0 else math.copysign(max(abs(sxy) - lam * mix, 0.0), sxy) / denom
+    return t_bar - slope * p_bar, slope
+
+
+def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float) -> FittedRegressor:
+    intercept, slope = _linear_coef(_linear_stats(p, t), lam, mix)
     hyper = dict(zip(_HYPERPARAM_NAMES[kind], (lam, mix)))
-    return FittedRegressor(kind, {"intercept": t_bar - slope * p_bar, "slope": slope}, hyper)
-
-
-def fit_ols(samples: Sequence[CalibrationSample]) -> FittedRegressor:
-    """Least-squares line through the calibration pairs.
-
-    Needs at least two samples with at least two distinct pixel values.
-    """
-    return ModelSpec("linear", {}).fit(samples)
-
-
-def fit_ridge(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
-    """L2-penalized line: slope = Sxy / (Sxx + lambda), intercept unpenalized.
-
-    lambda = 0 equals fit_ols bit for bit.
-    """
-    return ModelSpec("ridge", {"lambda": lam}).fit(samples)
-
-
-def fit_lasso(samples: Sequence[CalibrationSample], lam: float) -> FittedRegressor:
-    """L1-penalized line by soft thresholding; lambda >= |Sxy| zeroes the slope."""
-    return ModelSpec("lasso", {"lambda": lam}).fit(samples)
-
-
-def fit_elastic_net(samples: Sequence[CalibrationSample], lam: float, mix: float) -> FittedRegressor:
-    """Blend of L1 and L2 penalties; mix=0 equals ridge, mix=1 equals lasso."""
-    return ModelSpec("elastic_net", {"lambda": lam, "mix": mix}).fit(samples)
+    return FittedRegressor(kind, {"intercept": intercept, "slope": slope}, hyper)
 
 
 def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
+    """Store the samples; predict the unweighted mean of the k nearest by |dpixel|."""
     if k > p.size:
         raise ValueError(f"k must be in [1, {p.size}], got {k!r}")
     return FittedRegressor("knn", {"pixels": p.tolist(), "temps": t.tolist(), "k": k}, {"k": k})
 
 
-def fit_knn(samples: Sequence[CalibrationSample], k: int) -> FittedRegressor:
-    """Store the samples; predict the unweighted mean of the k nearest by |dpixel|."""
-    return ModelSpec("knn", {"k": k}).fit(samples)
-
-
 def _build_tree(
     ps: np.ndarray, ts: np.ndarray, depth: int, max_depth: int, min_leaf: int
 ) -> dict:
-    # ps is sorted ascending; ts rides along.
+    # ps is sorted ascending; ts rides along. Every node, split or leaf,
+    # carries its mean temperature as "value".
+    value = float(ts.mean())
     if depth >= max_depth or ps.size < 2 * min_leaf or bool(np.all(ts == ts[0])):
-        return {"kind": "leaf", "value": float(ts.mean())}
+        return {"kind": "leaf", "value": value}
     boundaries = np.nonzero(ps[:-1] != ps[1:])[0]  # split between i and i+1
     left_sizes = boundaries + 1
     right_sizes = ps.size - left_sizes
     valid = (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
     boundaries = boundaries[valid]
     if boundaries.size == 0:
-        return {"kind": "leaf", "value": float(ts.mean())}
+        return {"kind": "leaf", "value": value}
     # Total squared error of each candidate split via prefix sums:
     # SSE = sum(t^2) - (sum t)^2 / n on each side.
     s1 = np.cumsum(ts)
@@ -307,39 +293,40 @@ def _build_tree(
     return {
         "kind": "split",
         "threshold": threshold,
+        "value": value,
         "left": _build_tree(ps[: cut + 1], ts[: cut + 1], depth + 1, max_depth, min_leaf),
         "right": _build_tree(ps[cut + 1 :], ts[cut + 1 :], depth + 1, max_depth, min_leaf),
     }
 
 
-def _fit_tree(
-    p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int
-) -> FittedRegressor:
+def _grow_tree(p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int) -> dict:
+    """Binary regression tree on pixel thresholds, every node holding its mean.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    pixel values; the split minimizing the summed squared error is taken.
+    Growth stops at max_depth, at min_samples_leaf, or on a zero-variance
+    node; leaves predict their mean temperature. A split depends only on its
+    node's samples and min_samples_leaf, so the tree grown to depth d is this
+    tree cut at depth d (CART's nested subtrees; Breiman et al., 1984).
+    """
     if p.size < 2 * min_samples_leaf:
         raise ValueError(
             f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
         )
     order = np.argsort(p, kind="stable")
-    tree = _build_tree(p[order], t[order], 0, max_depth, min_samples_leaf)
-    return FittedRegressor(
-        "decision_tree",
-        {"tree": tree},
-        {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf},
-    )
+    return _build_tree(p[order], t[order], 0, max_depth, min_samples_leaf)
 
 
-def fit_tree(
-    samples: Sequence[CalibrationSample], max_depth: int, min_samples_leaf: int
-) -> FittedRegressor:
-    """Binary regression tree on pixel thresholds.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    pixel values; the split minimizing the summed squared error is taken.
-    Growth stops at max_depth, at min_samples_leaf, or on a zero-variance
-    node; leaves predict their mean temperature.
-    """
-    hyperparams = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
-    return ModelSpec("decision_tree", hyperparams).fit(samples)
+def _cut_tree(node: dict, depth: int) -> dict:
+    """``node`` cut at ``depth``, in the saved shape: split nodes carry no value."""
+    if node["kind"] == "leaf" or depth == 0:
+        return {"kind": "leaf", "value": node["value"]}
+    return {
+        "kind": "split",
+        "threshold": node["threshold"],
+        "left": _cut_tree(node["left"], depth - 1),
+        "right": _cut_tree(node["right"], depth - 1),
+    }
 
 
 def mse(truth: Sequence[float], pred: Sequence[float]) -> float:
@@ -402,11 +389,19 @@ class ModelSpec:
         """Fit on pixel/temperature arrays, without training diagnostics."""
         h = self.hyperparams
         if self.kind in LINEAR_KINDS:
-            penalty = {**_LINEAR_FIXED[self.kind], **h}
-            return _fit_linear(p, t, self.kind, penalty["lambda"], penalty["mix"])
+            return _fit_linear(p, t, self.kind, *self._penalty())
         if self.kind == "knn":
             return _fit_knn(p, t, h["k"])
-        return _fit_tree(p, t, h["max_depth"], h["min_samples_leaf"])
+        depth, leaf = h["max_depth"], h["min_samples_leaf"]
+        tree = _cut_tree(_grow_tree(p, t, depth, leaf), depth)
+        return FittedRegressor(
+            "decision_tree", {"tree": tree}, {"max_depth": depth, "min_samples_leaf": leaf}
+        )
+
+    def _penalty(self) -> tuple[float, float]:
+        """(lambda, mix) of a linear kind, with the kind's fixed values filled in."""
+        penalty = {**_LINEAR_FIXED[self.kind], **self.hyperparams}
+        return penalty["lambda"], penalty["mix"]
 
 
 @dataclass
@@ -456,36 +451,86 @@ def kfold_partition(n_samples: int, n_folds: int, seed: int) -> list[np.ndarray]
     return np.array_split(rng.permutation(n_samples), n_folds)
 
 
+class _FoldWork:
+    """The fold work every grid point of one cross-validation shares.
+
+    One partition and one train/test split, each test fold's truth and its
+    SST, and, built on first use (so inside the first scoring call that needs
+    them): each fold's linear sufficient statistics and, per
+    ``min_samples_leaf``, one tree grown to the deepest ``max_depth`` the
+    specs ask for with that leaf size. A linear point then costs one scalar
+    soft-threshold step per fold, and a depth-d tree point routes with the
+    grown tree cut at depth d. kNN fits each fold from the shared arrays.
+    """
+
+    def __init__(
+        self, p: np.ndarray, t: np.ndarray, k_folds: int, seed: int, specs: Iterable[ModelSpec]
+    ) -> None:
+        self.folds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = []
+        for fold in kfold_partition(p.size, k_folds, seed):
+            train = np.ones(p.size, dtype=bool)
+            train[fold] = False
+            truth = t[fold]
+            sst = float(np.sum((truth - truth.mean()) ** 2))
+            self.folds.append((p[train], t[train], p[fold], truth, sst))
+        self._tree_depths: dict[int, int] = {}
+        for spec in specs:
+            if spec.kind == "decision_tree":
+                leaf, depth = spec.hyperparams["min_samples_leaf"], spec.hyperparams["max_depth"]
+                self._tree_depths[leaf] = max(depth, self._tree_depths.get(leaf, 0))
+        self._linear: dict[int, tuple] = {}  # fold -> _linear_stats
+        self._trees: dict[tuple[int, int], dict] = {}  # (fold, min_samples_leaf) -> grown tree
+
+    def sses(self, spec: ModelSpec) -> list[float]:
+        """Squared-error sum of ``spec`` on each test fold, in fold order."""
+        out = []
+        for fold, (_, _, _, truth, _) in enumerate(self.folds):
+            try:
+                preds = self._predict(spec, fold)
+            except ValueError as exc:
+                raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
+            out.append(float(np.sum((truth - preds) ** 2)))
+        return out
+
+    def _predict(self, spec: ModelSpec, fold: int) -> np.ndarray:
+        train_p, train_t, test_p, _, _ = self.folds[fold]
+        h = spec.hyperparams
+        if spec.kind in LINEAR_KINDS:
+            if fold not in self._linear:
+                self._linear[fold] = _linear_stats(train_p, train_t)
+            intercept, slope = _linear_coef(self._linear[fold], *spec._penalty())
+            return intercept + slope * test_p  # as FittedRegressor.predict_batch
+        if spec.kind == "decision_tree":
+            leaf = h["min_samples_leaf"]
+            key = (fold, leaf)
+            if key not in self._trees:
+                self._trees[key] = _grow_tree(train_p, train_t, self._tree_depths[leaf], leaf)
+            return _tree_batch(_cut_tree(self._trees[key], h["max_depth"]), test_p)
+        return spec._fit_arrays(train_p, train_t).predict_batch(test_p)
+
+
 def k_fold_cv(
     samples: Sequence[CalibrationSample],
     spec: ModelSpec,
     k_folds: int,
     seed: int,
+    *,
+    _work: _FoldWork | None = None,
 ) -> CrossValEntry:
     """Cross-validate one grid point. Deterministic given the seed.
 
     Per-fold R2 is NaN when a fold's truth is constant (always the case for
     leave-one-out); the mean skips NaN folds and is NaN if none remain.
-    Fold models are fitted without training diagnostics.
+    Each fold's one squared-error sum gives both its MSE and its R2.
+    ``_work`` is the fold work ``grid_search`` shares across its points;
+    without it the call builds its own from ``samples``.
     """
-    p, t = _as_xy(samples)
-    folds = kfold_partition(p.size, k_folds, seed)
+    work = _work if _work is not None else _FoldWork(*_as_xy(samples), k_folds, seed, [spec])
     fold_mses: list[float] = []
     fold_r2s: list[float] = []
-    for fold in folds:
-        train = np.ones(p.size, dtype=bool)
-        train[fold] = False
-        try:
-            model = spec._fit_arrays(p[train], t[train])
-        except ValueError as exc:
-            raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
-        truth = t[fold]
-        preds = model.predict_batch(p[fold])
-        fold_mses.append(mse(truth, preds))
-        try:
-            fold_r2s.append(r2(truth, preds))
-        except ValueError:
-            fold_r2s.append(float("nan"))
+    for sse, (_, _, _, truth, sst) in zip(work.sses(spec), work.folds):
+        fold_mses.append(sse / truth.size)
+        fold_r2s.append(float("nan") if sst == 0.0 else 1.0 - sse / sst)  # one sample: sst is 0
     defined = [v for v in fold_r2s if not math.isnan(v)]
     mean_r2 = sum(defined) / len(defined) if defined else float("nan")
     return CrossValEntry(
@@ -508,21 +553,26 @@ def grid_search(
 
     Entries are ranked by ascending mean CV MSE, ties by descending mean CV
     R2 (NaN last), then by grid order. All points share one fold partition
-    so scores are comparable.
+    so scores are comparable, and score from one shared fold work. Every
+    grid point is checked before any is scored.
     """
     samples = list(samples)
     if grids is None:
         grids = DEFAULT_GRIDS
-    entries: list[CrossValEntry] = []
-    grid_index = 0
+    if not grids:
+        raise ValueError("empty grids: no model kind to search")
+    specs: list[ModelSpec] = []
     for kind, points in grids.items():
         if not points:
             raise ValueError(f"empty grid for {kind!r}")
-        for point in points:
-            entry = k_fold_cv(samples, ModelSpec(kind, dict(point)), k_folds, seed)
-            entry.grid_index = grid_index
-            entries.append(entry)
-            grid_index += 1
+        specs += [ModelSpec(kind, dict(point)) for point in points]
+    p, t = _as_xy(samples)
+    work = _FoldWork(p, t, k_folds, seed, specs)
+    entries: list[CrossValEntry] = []
+    for grid_index, spec in enumerate(specs):
+        entry = k_fold_cv(samples, spec, k_folds, seed, _work=work)
+        entry.grid_index = grid_index
+        entries.append(entry)
     entries.sort(
         key=lambda e: (
             e.mean_mse,
@@ -530,7 +580,6 @@ def grid_search(
             e.grid_index,
         )
     )
-    _, t = _as_xy(samples)
     return CrossValReport(
         entries=entries,
         n_samples=len(samples),

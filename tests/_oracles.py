@@ -5,12 +5,14 @@ loops, exhaustive scans) and shares no code with the library paths it
 checks.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
 from thermotrack.pipeline import BOX_COLOR, GLYPH_H, GLYPH_PITCH, GLYPHS, TEXT_COLOR
+from thermotrack.thermoreg import ModelSpec, kfold_partition, mse, r2
 
 
 def max_pixel_scan(pixels, x1, y1, x2, y2):
@@ -213,3 +215,45 @@ def expected_overlay(base_pixels, readings, decimals):
                     if bit == "X" and 0 <= yy < height and 0 <= xx < width:
                         out[yy, xx] = TEXT_COLOR
     return out
+
+
+def cv_grid_per_point(samples, grids, k_folds, seed):
+    """``grid_search`` one grid point at a time: every fold of every point is
+    refitted from its own samples with the public ``ModelSpec.fit`` and
+    scored with the public ``mse`` and ``r2`` (NaN where R2 is undefined).
+    It shares the model fitters with ``grid_search``, so it checks what
+    ``grid_search`` shares across points: the split, the linear statistics,
+    the trees cut from deeper ones and the one error sum per fold.
+
+    Returns ``(rows, failure)``. ``rows`` holds one ``(kind, hyperparams,
+    grid_index, fold_mses, fold_r2s, mean_mse, mean_r2)`` per point scored,
+    ranked as ``grid_search`` ranks them; ``failure`` is ``None`` or the
+    ``(grid_index, message)`` of the first fold fit that failed, after which
+    no further point is scored."""
+    folds = kfold_partition(len(samples), k_folds, seed)
+    rows = []
+    points = [(kind, dict(point)) for kind, kind_points in grids.items() for point in kind_points]
+    for grid_index, (kind, hyperparams) in enumerate(points):
+        spec = ModelSpec(kind, hyperparams)
+        fold_mses, fold_r2s = [], []
+        for fold in folds:
+            held_out = {int(i) for i in fold}
+            train = [s for i, s in enumerate(samples) if i not in held_out]
+            test = [samples[int(i)] for i in fold]
+            try:
+                model = spec.fit(train)
+            except ValueError as exc:
+                return rows, (grid_index, f"fold underflow for {kind}: {exc}")
+            truth = [s.temperature_c for s in test]
+            preds = model.predict_batch([s.max_pixel for s in test])
+            fold_mses.append(mse(truth, preds))
+            try:
+                fold_r2s.append(r2(truth, preds))
+            except ValueError:
+                fold_r2s.append(float("nan"))
+        defined = [v for v in fold_r2s if not math.isnan(v)]
+        mean_mse = sum(fold_mses) / len(fold_mses)
+        mean_r2 = sum(defined) / len(defined) if defined else float("nan")
+        rows.append((kind, hyperparams, grid_index, fold_mses, fold_r2s, mean_mse, mean_r2))
+    rows.sort(key=lambda row: (row[5], -(row[6] if not math.isnan(row[6]) else -math.inf), row[2]))
+    return rows, None

@@ -35,10 +35,6 @@ from thermotrack.thermoreg import (
     CrossValReport,
     FittedRegressor,
     ModelSpec,
-    fit_elastic_net,
-    fit_lasso,
-    fit_ols,
-    fit_ridge,
     k_fold_cv,
     load_model,
     save_calibration_csv,
@@ -83,8 +79,9 @@ def test_criterion_2_linear_prediction_bit_exact(tmp_path):
     pixels = rng.uniform(20, 240, 50)
     temps = 21.0 + 0.07 * pixels + rng.normal(0, 0.2, 50)
     samples = [CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)]
-    fits = [fit_ols(samples), fit_ridge(samples, 3.0), fit_lasso(samples, 0.5),
-            fit_elastic_net(samples, 1.0, 0.5)]
+    specs = [ModelSpec("linear", {}), ModelSpec("ridge", {"lambda": 3.0}), ModelSpec("lasso", {"lambda": 0.5}),
+             ModelSpec("elastic_net", {"lambda": 1.0, "mix": 0.5})]
+    fits = [spec.fit(samples) for spec in specs]
     probe = rng.uniform(0.0, 255.0, 1000)
     for model in fits:
         path = tmp_path / f"{model.kind}.json"

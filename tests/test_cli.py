@@ -15,7 +15,7 @@ from thermotrack.frameio import load_frame, pair_frames_with_labels, save_frame
 from thermotrack.pipeline import PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
 from thermotrack.thermoreg import (
-    fit_ridge,
+    ModelSpec,
     grid_search,
     load_model,
     save_calibration_csv,
@@ -95,7 +95,7 @@ def _write_scene_spec(tmp_path, frames=4, layout="sparse", seed=29):
 
 def _ridge_law_model(tmp_path):
     samples = generate_calibration_set(60, beta0=20.0, beta1=0.1, seed=77)
-    model = fit_ridge(samples, 0.0)
+    model = ModelSpec("ridge", {"lambda": 0.0}).fit(samples)
     path = tmp_path / "law.json"
     save_model(model, path)
     return path

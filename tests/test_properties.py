@@ -5,9 +5,11 @@ the same invariants live in the per-module test files.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from thermotrack.annotations import (
@@ -22,18 +24,16 @@ from thermotrack.deteval import iou
 from thermotrack.frameio import DatasetItem, ThermalFrame, horizontal_flip
 from thermotrack.pipeline import TempReading, render_overlay
 from thermotrack.annotations import GroundTruthLabel
+from thermotrack import thermoreg
 from thermotrack.thermoreg import (
+    MODEL_KINDS,
     CalibrationSample,
-    fit_elastic_net,
-    fit_knn,
-    fit_lasso,
-    fit_ols,
-    fit_ridge,
-    fit_tree,
+    ModelSpec,
+    grid_search,
     kfold_partition,
 )
 
-from _oracles import bfs_components, expected_overlay, knn_sorted_mean
+from _oracles import bfs_components, cv_grid_per_point, expected_overlay, knn_sorted_mean
 from test_detectors import ALL_BLOBS, assert_blobs_match
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -143,8 +143,8 @@ samples_strategy = st.lists(
 def test_ridge_slope_magnitude_monotone_in_lambda(pairs, lam_a, lam_b):
     samples = [CalibrationSample(float(p), float(t)) for p, t in pairs]
     low, high = sorted((lam_a, lam_b))
-    slope_low = abs(fit_ridge(samples, low).params["slope"])
-    slope_high = abs(fit_ridge(samples, high).params["slope"])
+    slope_low = abs(ModelSpec("ridge", {"lambda": low}).fit(samples).params["slope"])
+    slope_high = abs(ModelSpec("ridge", {"lambda": high}).fit(samples).params["slope"])
     assert slope_high <= slope_low + 1e-12
 
 
@@ -177,10 +177,10 @@ def test_linear_fit_minimizes_elastic_net_objective(pairs, lam, mix):
     sxy = math.fsum(x * y for x, y in zip(pc, tc))
     stt = math.fsum(y * y for y in tc)
     for model, lam_k, mix_k in (
-        (fit_ols(samples), 0.0, 0.0),
-        (fit_ridge(samples, lam), lam, 0.0),
-        (fit_lasso(samples, lam), lam, 1.0),
-        (fit_elastic_net(samples, lam, mix), lam, mix),
+        (ModelSpec("linear", {}).fit(samples), 0.0, 0.0),
+        (ModelSpec("ridge", {"lambda": lam}).fit(samples), lam, 0.0),
+        (ModelSpec("lasso", {"lambda": lam}).fit(samples), lam, 1.0),
+        (ModelSpec("elastic_net", {"lambda": lam, "mix": mix}).fit(samples), lam, mix),
     ):
         b = model.params["slope"]
         assert math.isfinite(b)
@@ -210,6 +210,73 @@ def test_fold_partition_is_disjoint_cover(data):
     assert sorted(int(i) for fold in folds for i in fold) == list(range(n))
 
 
+@st.composite
+def _cv_case(draw):
+    """Calibration samples, grids and a fold count for ``grid_search``.
+
+    Pixels are integers from a range of 1 to 6 values (duplicates, and at
+    width 1 no pixel spread) or any floats; temperatures are constant, from
+    four values, or any floats. The fold count is sometimes n (leave one
+    out). Grids take one to four kinds in any order; tree depths run 0 to 6
+    in any order with repeats, and k, min_samples_leaf and lambda = 0 can
+    all be too much for a fold."""
+    n = draw(st.integers(2, 24))
+    k_folds = draw(st.one_of(st.just(n), st.integers(2, min(n, 6))))
+    if draw(st.booleans()):
+        low = draw(st.integers(0, 250))
+        width = draw(st.integers(0, 5))
+        pixel = st.integers(low, low + width).map(float)
+    else:
+        pixel = st.floats(0.0, 255.0)
+    temp = draw(st.sampled_from([
+        st.just(draw(st.floats(30.0, 40.0))),
+        st.sampled_from([35.0, 36.5, 37.0, 38.25]),
+        st.floats(30.0, 40.0),
+    ]))
+    samples = [CalibrationSample(draw(pixel), draw(temp)) for _ in range(n)]
+    lam = st.sampled_from([0.0, 0.01, 1.0, 100.0])
+    points = {
+        "linear": st.just({}),
+        "ridge": st.fixed_dictionaries({"lambda": lam}),
+        "lasso": st.fixed_dictionaries({"lambda": lam}),
+        "elastic_net": st.fixed_dictionaries(
+            {"lambda": lam, "mix": st.sampled_from([0.0, 0.25, 1.0])}
+        ),
+        "knn": st.fixed_dictionaries({"k": st.integers(1, n + 1)}),
+        "decision_tree": st.fixed_dictionaries(
+            {"max_depth": st.integers(0, 6), "min_samples_leaf": st.integers(1, n // 2 + 1)}
+        ),
+    }
+    kinds = draw(st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4, unique=True))
+    grids = {kind: draw(st.lists(points[kind], min_size=1, max_size=5)) for kind in kinds}
+    return samples, grids, k_folds, draw(st.integers(0, 2**32 - 1))
+
+
+@BULK
+@given(_cv_case())
+def test_grid_search_matches_per_point_oracle(case):
+    samples, grids, k_folds, seed = case
+    rows, failure = cv_grid_per_point(samples, grids, k_folds, seed)
+    event(failure[1].split(":")[0] if failure else "scored")
+    with mock.patch.object(thermoreg, "k_fold_cv", wraps=thermoreg.k_fold_cv) as spy:
+        if failure is not None:
+            grid_index, message = failure
+            with pytest.raises(ValueError) as raised:
+                grid_search(samples, grids, k_folds, seed)
+            assert str(raised.value) == message
+            assert spy.call_count == grid_index + 1  # it failed at the same point
+            return
+        report = grid_search(samples, grids, k_folds, seed)
+    got = [
+        (e.spec.kind, dict(e.spec.hyperparams), e.grid_index, e.fold_mses, e.fold_r2s,
+         e.mean_mse, e.mean_r2)
+        for e in report.entries
+    ]
+    assert repr(got) == repr(rows)  # bit for bit, NaN included
+    all_nan = all(math.isnan(v) for e in report.entries for v in e.fold_r2s)
+    event("every fold R2 NaN" if all_nan else "some fold R2 defined")
+
+
 def _nudged(pixel: int, ulps: int) -> float:
     """``pixel`` moved up by a few ulps: distinct stored pixels that can round
     to the same distance from a far query."""
@@ -234,7 +301,7 @@ def test_knn_predict_batch_matches_sorted_oracle(seed):
     k = int(rng.integers(1, n + 1))
     queries = [h / 2 for h in rng.integers(2 * low - 6, 2 * low + 17, 5).tolist()]
     queries += rng.uniform(0.0, 255.0, 5).tolist()
-    model = fit_knn([CalibrationSample(p, t) for p, t in zip(pixels, temps)], k)
+    model = ModelSpec("knn", {"k": k}).fit([CalibrationSample(p, t) for p, t in zip(pixels, temps)])
     expected = [knn_sorted_mean(pixels, temps, k, q) for q in queries]
     assert model.predict_batch(queries).tolist() == expected
 
@@ -248,12 +315,12 @@ def test_predict_agrees_with_predict_batch(seed):
     samples = [CalibrationSample(p, t) for p, t in zip(pixels.tolist(), rng.uniform(25, 45, n).tolist())]
     queries = rng.uniform(-50.0, 300.0, 3).tolist() + rng.integers(0, 256, 3).tolist()
     models = [
-        fit_ols(samples),
-        fit_ridge(samples, 1.0),
-        fit_lasso(samples, 1.0),
-        fit_elastic_net(samples, 1.0, 0.5),
-        fit_knn(samples, min(3, n)),
-        fit_tree(samples, 3, 1),
+        ModelSpec("linear", {}).fit(samples),
+        ModelSpec("ridge", {"lambda": 1.0}).fit(samples),
+        ModelSpec("lasso", {"lambda": 1.0}).fit(samples),
+        ModelSpec("elastic_net", {"lambda": 1.0, "mix": 0.5}).fit(samples),
+        ModelSpec("knn", {"k": min(3, n)}).fit(samples),
+        ModelSpec("decision_tree", {"max_depth": 3, "min_samples_leaf": 1}).fit(samples),
     ]
     for model in models:
         batch = model.predict_batch(queries).tolist()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermotrack import thermoreg
 from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
     DEFAULT_GRIDS,
@@ -12,12 +13,6 @@ from thermotrack.thermoreg import (
     CrossValReport,
     ModelSpec,
     NoViableModelError,
-    fit_elastic_net,
-    fit_knn,
-    fit_lasso,
-    fit_ols,
-    fit_ridge,
-    fit_tree,
     grid_search,
     k_fold_cv,
     kfold_partition,
@@ -49,13 +44,13 @@ def _noisy_line(n=60, b0=20.0, b1=0.1, noise=0.3, seed=9):
 
 class TestOls:
     def test_line_through_two_points(self):
-        model = fit_ols(TWO_POINTS)
+        model = ModelSpec("linear", {}).fit(TWO_POINTS)
         assert model.params["intercept"] == pytest.approx(25.0, abs=1e-12)
         assert model.params["slope"] == pytest.approx(0.1, abs=1e-12)
 
     def test_constant_temperatures(self):
         samples = [CalibrationSample(float(p), 37.0) for p in (10, 60, 110, 200)]
-        model = fit_ols(samples)
+        model = ModelSpec("linear", {}).fit(samples)
         assert model.params["slope"] == 0.0
         assert model.params["intercept"] == 37.0
 
@@ -63,27 +58,30 @@ class TestOls:
         rng = np.random.default_rng(1)
         pixels = rng.uniform(0, 255, 200)
         temps = 20.0 + 0.1 * pixels + rng.normal(0, 0.1, 200)
-        model = fit_ols([CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)])
+        samples = [CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)]
+        model = ModelSpec("linear", {}).fit(samples)
         assert model.params["intercept"] == pytest.approx(20.0, abs=0.01)
         assert model.params["slope"] == pytest.approx(0.1, abs=0.01)
 
     def test_identical_pixels_singular(self):
         with pytest.raises(ValueError):
-            fit_ols([CalibrationSample(100.0, 36.0), CalibrationSample(100.0, 37.0)])
+            ModelSpec("linear", {}).fit(
+                [CalibrationSample(100.0, 36.0), CalibrationSample(100.0, 37.0)]
+            )
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            fit_ols([CalibrationSample(100.0, 36.0)])
+            ModelSpec("linear", {}).fit([CalibrationSample(100.0, 36.0)])
 
     def test_train_r2_in_unit_interval(self):
-        model = fit_ols(_noisy_line())
+        model = ModelSpec("linear", {}).fit(_noisy_line())
         assert 0.0 <= model.train_r2 <= 1.0
         assert model.train_mse >= 0.0
 
     def test_prediction_is_exactly_the_line(self):
         # No residual term sneaks into inference: predict is bit-identical to
         # intercept + slope * pixel, so differences are affine to rounding.
-        model = fit_ols(_noisy_line())
+        model = ModelSpec("linear", {}).fit(_noisy_line())
         b0, b1 = model.params["intercept"], model.params["slope"]
         for p in (0.0, 30.0, 150.0, 255.0):
             assert model.predict(p) == b0 + b1 * p
@@ -93,43 +91,46 @@ class TestOls:
 
 class TestRidge:
     def test_lambda_zero_is_ols(self):
-        ridge = fit_ridge(TWO_POINTS, 0.0)
-        ols = fit_ols(TWO_POINTS)
+        ridge = ModelSpec("ridge", {"lambda": 0.0}).fit(TWO_POINTS)
+        ols = ModelSpec("linear", {}).fit(TWO_POINTS)
         assert ridge.params["intercept"] == ols.params["intercept"]
         assert ridge.params["slope"] == ols.params["slope"]
 
     def test_huge_lambda_shrinks_to_mean(self):
-        model = fit_ridge(TWO_POINTS, 1e12)
+        model = ModelSpec("ridge", {"lambda": 1e12}).fit(TWO_POINTS)
         assert model.params["slope"] == pytest.approx(0.0, abs=1e-8)
         assert model.params["intercept"] == pytest.approx(35.0, abs=1e-3)
 
     def test_lambda_ten_two_points(self):
-        model = fit_ridge(TWO_POINTS, 10.0)
+        model = ModelSpec("ridge", {"lambda": 10.0}).fit(TWO_POINTS)
         # Sxy = 500, Sxx = 5000, so slope = 500 / 5010
         assert model.params["slope"] == pytest.approx(500 / 5010, abs=1e-15)
         assert 0 < model.params["slope"] < 0.1
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            fit_ridge(TWO_POINTS, -1.0)
+            ModelSpec("ridge", {"lambda": -1.0}).fit(TWO_POINTS)
 
     def test_slope_magnitude_nonincreasing_in_lambda(self):
         samples = _noisy_line()
         lambdas = [0.0, 0.5, 2.0, 10.0, 100.0, 1e4]
-        slopes = [abs(fit_ridge(samples, lam).params["slope"]) for lam in lambdas]
+        fits = [ModelSpec("ridge", {"lambda": lam}).fit(samples) for lam in lambdas]
+        slopes = [abs(model.params["slope"]) for model in fits]
         assert all(a >= b - 1e-15 for a, b in zip(slopes, slopes[1:]))
 
 
 class TestLassoElasticNet:
     def test_lambda_zero_matches_ols(self):
-        ols = fit_ols(TWO_POINTS)
-        for model in (fit_lasso(TWO_POINTS, 0.0), fit_elastic_net(TWO_POINTS, 0.0, 0.5)):
+        ols = ModelSpec("linear", {}).fit(TWO_POINTS)
+        specs = [ModelSpec("lasso", {"lambda": 0.0}), ModelSpec("elastic_net", {"lambda": 0.0, "mix": 0.5})]
+        for spec in specs:
+            model = spec.fit(TWO_POINTS)
             assert model.params["slope"] == ols.params["slope"]
             assert model.params["intercept"] == ols.params["intercept"]
 
     def test_soft_threshold_kills_slope(self):
         # |Sxy| = 500 for the two-point set, so lambda >= 500 zeroes it.
-        model = fit_lasso(TWO_POINTS, 500.0)
+        model = ModelSpec("lasso", {"lambda": 500.0}).fit(TWO_POINTS)
         assert model.params["slope"] == 0.0
         assert model.params["intercept"] == 35.0
 
@@ -137,8 +138,8 @@ class TestLassoElasticNet:
         for _ in range(20):
             samples = _noisy_line(n=25, seed=int(rng.integers(1_000_000)))
             lam = float(rng.uniform(0, 50))
-            enet = fit_elastic_net(samples, lam, 0.0)
-            ridge = fit_ridge(samples, lam)
+            enet = ModelSpec("elastic_net", {"lambda": lam, "mix": 0.0}).fit(samples)
+            ridge = ModelSpec("ridge", {"lambda": lam}).fit(samples)
             assert enet.params["slope"] == ridge.params["slope"]
             assert enet.params["intercept"] == ridge.params["intercept"]
 
@@ -146,14 +147,14 @@ class TestLassoElasticNet:
         for _ in range(20):
             samples = _noisy_line(n=25, seed=int(rng.integers(1_000_000)))
             lam = float(rng.uniform(0, 50))
-            enet = fit_elastic_net(samples, lam, 1.0)
-            lasso = fit_lasso(samples, lam)
+            enet = ModelSpec("elastic_net", {"lambda": lam, "mix": 1.0}).fit(samples)
+            lasso = ModelSpec("lasso", {"lambda": lam}).fit(samples)
             assert enet.params["slope"] == lasso.params["slope"]
             assert enet.params["intercept"] == lasso.params["intercept"]
 
     def test_mix_out_of_range(self):
         with pytest.raises(ValueError):
-            fit_elastic_net(TWO_POINTS, 1.0, 1.5)
+            ModelSpec("elastic_net", {"lambda": 1.0, "mix": 1.5}).fit(TWO_POINTS)
 
 
 def _linear_pin_fits():
@@ -166,17 +167,19 @@ def _linear_pin_fits():
         "calib": generate_calibration_set(50, 20.0, 0.1, seed=21),
     }
     for name, samples in seeded.items():
-        fits[f"{name}/linear"] = fit_ols(samples)
+        fits[f"{name}/linear"] = ModelSpec("linear", {}).fit(samples)
         for lam in (0.0, 0.5, 10.0, 1e4):
-            fits[f"{name}/ridge/{lam!r}"] = fit_ridge(samples, lam)
-            fits[f"{name}/lasso/{lam!r}"] = fit_lasso(samples, lam)
+            fits[f"{name}/ridge/{lam!r}"] = ModelSpec("ridge", {"lambda": lam}).fit(samples)
+            fits[f"{name}/lasso/{lam!r}"] = ModelSpec("lasso", {"lambda": lam}).fit(samples)
             for mix in (0.0, 0.3, 1.0):
-                fits[f"{name}/elastic_net/{lam!r}/{mix!r}"] = fit_elastic_net(samples, lam, mix)
+                spec = ModelSpec("elastic_net", {"lambda": lam, "mix": mix})
+                fits[f"{name}/elastic_net/{lam!r}/{mix!r}"] = spec.fit(samples)
     # |Sxy| = 500 on TWO_POINTS, so lambda * mix >= 500 zeroes the slope.
-    fits["two/lasso/500.0"] = fit_lasso(TWO_POINTS, 500.0)
-    fits["two/elastic_net/1000.0/0.5"] = fit_elastic_net(TWO_POINTS, 1000.0, 0.5)
+    fits["two/lasso/500.0"] = ModelSpec("lasso", {"lambda": 500.0}).fit(TWO_POINTS)
+    spec = ModelSpec("elastic_net", {"lambda": 1000.0, "mix": 0.5})
+    fits["two/elastic_net/1000.0/0.5"] = spec.fit(TWO_POINTS)
     same = [CalibrationSample(100.0, 36.0), CalibrationSample(100.0, 37.0)]
-    fits["same/lasso/1.0"] = fit_lasso(same, 1.0)
+    fits["same/lasso/1.0"] = ModelSpec("lasso", {"lambda": 1.0}).fit(same)
     return {
         key: [
             json.dumps(m.hyperparams, sort_keys=True),
@@ -202,26 +205,26 @@ class TestKnn:
     SAMPLES = [CalibrationSample(1.0, 10.0), CalibrationSample(2.0, 20.0), CalibrationSample(3.0, 30.0)]
 
     def test_mean_of_two_nearest(self):
-        model = fit_knn(self.SAMPLES, 2)
+        model = ModelSpec("knn", {"k": 2}).fit(self.SAMPLES)
         assert model.predict(1.5) == 15.0
 
     def test_k_equals_n_predicts_global_mean(self):
-        model = fit_knn(self.SAMPLES, 3)
+        model = ModelSpec("knn", {"k": 3}).fit(self.SAMPLES)
         for query in (0.0, 1.7, 255.0):
             assert model.predict(query) == pytest.approx(20.0, abs=1e-12)
 
     def test_exact_hit_with_k_one(self):
-        model = fit_knn(self.SAMPLES, 1)
+        model = ModelSpec("knn", {"k": 1}).fit(self.SAMPLES)
         assert model.predict(2.0) == 20.0
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            fit_knn(self.SAMPLES, 0)
+            ModelSpec("knn", {"k": 0}).fit(self.SAMPLES)
         with pytest.raises(ValueError):
-            fit_knn(self.SAMPLES, 4)
+            ModelSpec("knn", {"k": 4}).fit(self.SAMPLES)
 
     def test_distance_tie_prefers_lower_pixel(self):
-        model = fit_knn(self.SAMPLES, 1)
+        model = ModelSpec("knn", {"k": 1}).fit(self.SAMPLES)
         # query 1.5 is equidistant from pixels 1 and 2
         assert model.predict(1.5) == 10.0
 
@@ -229,7 +232,7 @@ class TestKnn:
         # 5 - 1.0000000000000002 rounds to 4.0 = 5 - 1.0: the farther, lower
         # pixel wins the tie although it lies outside a k = 1 window.
         samples = [CalibrationSample(1.0, 10.0), CalibrationSample(1.0000000000000002, 20.0)]
-        model = fit_knn(samples, 1)
+        model = ModelSpec("knn", {"k": 1}).fit(samples)
         assert model.predict(5.0) == 10.0
         assert model.predict_batch([5.0, 0.5]).tolist() == [10.0, 10.0]
 
@@ -240,7 +243,7 @@ class TestKnn:
             CalibrationSample(5.0, 4.0),
             CalibrationSample(5.0, 8.0),
         ]
-        model = fit_knn(samples, 2)
+        model = ModelSpec("knn", {"k": 2}).fit(samples)
         assert model.predict(5.0) == 3.0
         assert model.predict(8.0) == 1.5  # pixel 9 at distance 1, then the first 5
 
@@ -248,7 +251,7 @@ class TestKnn:
         pixels = rng.choice(np.arange(256), size=20, replace=False).astype(float)
         temps = rng.uniform(30, 40, 20)
         samples = [CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)]
-        model = fit_knn(samples, 1)
+        model = ModelSpec("knn", {"k": 1}).fit(samples)
         for s in samples:
             assert model.predict(s.max_pixel) == s.temperature_c
 
@@ -256,7 +259,7 @@ class TestKnn:
 class TestTree:
     def test_two_cluster_split(self):
         samples = [CalibrationSample(10.0, 30.0)] * 5 + [CalibrationSample(200.0, 38.0)] * 5
-        model = fit_tree(samples, max_depth=1, min_samples_leaf=1)
+        model = ModelSpec("decision_tree", {"max_depth": 1, "min_samples_leaf": 1}).fit(samples)
         tree = model.params["tree"]
         assert tree["kind"] == "split"
         assert 10.0 < tree["threshold"] < 200.0
@@ -265,18 +268,18 @@ class TestTree:
 
     def test_depth_zero_single_leaf(self):
         samples = [CalibrationSample(10.0, 30.0), CalibrationSample(200.0, 38.0)]
-        model = fit_tree(samples, max_depth=0, min_samples_leaf=1)
+        model = ModelSpec("decision_tree", {"max_depth": 0, "min_samples_leaf": 1}).fit(samples)
         assert model.params["tree"]["kind"] == "leaf"
         assert model.predict(123.0) == pytest.approx(34.0, abs=1e-12)
 
     def test_zero_variance_is_single_leaf(self):
         samples = [CalibrationSample(float(p), 36.6) for p in (5, 50, 100, 150)]
-        model = fit_tree(samples, max_depth=4, min_samples_leaf=1)
+        model = ModelSpec("decision_tree", {"max_depth": 4, "min_samples_leaf": 1}).fit(samples)
         assert model.params["tree"]["kind"] == "leaf"
 
     def test_min_samples_leaf_respected(self):
         samples = [CalibrationSample(float(p), float(p)) for p in range(6)]
-        model = fit_tree(samples, max_depth=5, min_samples_leaf=3)
+        model = ModelSpec("decision_tree", {"max_depth": 5, "min_samples_leaf": 3}).fit(samples)
 
         def leaf_sizes(node, pixels):
             if node["kind"] == "leaf":
@@ -294,7 +297,7 @@ class TestTree:
             pixels = np.sort(rng.choice(np.arange(256), size=n, replace=False)).astype(float)
             temps = rng.uniform(25, 40, n)
             samples = [CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)]
-            model = fit_tree(samples, max_depth=1, min_samples_leaf=1)
+            model = ModelSpec("decision_tree", {"max_depth": 1, "min_samples_leaf": 1}).fit(samples)
 
             best_cost, best_thr = math.inf, None
             for i in range(n - 1):
@@ -306,10 +309,11 @@ class TestTree:
             assert model.params["tree"]["threshold"] == pytest.approx(best_thr, abs=1e-9)
 
     def test_preconditions(self):
+        spec = ModelSpec("decision_tree", {"max_depth": 1, "min_samples_leaf": 1})
         with pytest.raises(ValueError):
-            fit_tree([CalibrationSample(1.0, 30.0)], 1, 1)
+            spec.fit([CalibrationSample(1.0, 30.0)])
         with pytest.raises(ValueError):
-            fit_tree([CalibrationSample(1.0, 30.0)] * 4, -1, 1)
+            ModelSpec("decision_tree", {"max_depth": -1, "min_samples_leaf": 1})
 
 
 class TestScores:
@@ -414,6 +418,26 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(_noisy_line(), {"ridge": []}, 5, 0)
 
+    def test_empty_grids_mapping_rejected(self):
+        with pytest.raises(ValueError, match="empty grids"):
+            grid_search(_noisy_line(), {}, 5, 0)
+
+    def test_default_grids_share_one_partition_and_nested_trees(self, monkeypatch):
+        # One partition for all 47 points, and one tree per (fold,
+        # min_samples_leaf) cut to each max_depth: 5 x 3 trees, not 60.
+        calls = {}
+        for name in ("kfold_partition", "_grow_tree"):
+            original = getattr(thermoreg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(thermoreg, name, counted)
+        grid_search(_noisy_line(), DEFAULT_GRIDS, k_folds=5, seed=0)
+        leaf_sizes = {point["min_samples_leaf"] for point in DEFAULT_GRIDS["decision_tree"]}
+        assert calls == {"kfold_partition": 1, "_grow_tree": 5 * len(leaf_sizes)}
+
 
 def _integer_pixel_set():
     """Rounded pixels with many duplicates, 22 of them saturated at 255."""
@@ -453,7 +477,7 @@ class TestGridSearchPins:
 
 class TestGuardAndSelection:
     def test_hot_prediction_fails(self):
-        model = fit_ols(TWO_POINTS)  # predicts 25 + 0.1 p
+        model = ModelSpec("linear", {}).fit(TWO_POINTS)  # predicts 25 + 0.1 p
         result = plausibility_guard(model, [145.0], ceiling_c=38.0)
         assert not result.passed
         assert result.offending[0][0] == 145.0
@@ -461,16 +485,16 @@ class TestGuardAndSelection:
 
     def test_constant_normal_model_passes(self):
         samples = [CalibrationSample(float(p), 36.6) for p in (10, 100, 200)]
-        model = fit_ols(samples)
+        model = ModelSpec("linear", {}).fit(samples)
         assert plausibility_guard(model, [0.0, 128.0, 255.0]).passed
 
     def test_vacuous_ceiling_passes(self):
-        model = fit_ols(TWO_POINTS)
+        model = ModelSpec("linear", {}).fit(TWO_POINTS)
         assert plausibility_guard(model, [255.0], ceiling_c=100.0).passed
 
     def test_empty_screening_set_rejected(self):
         with pytest.raises(ValueError):
-            plausibility_guard(fit_ols(TWO_POINTS), [])
+            plausibility_guard(ModelSpec("linear", {}).fit(TWO_POINTS), [])
 
     def _overfit_vs_shrunk_report(self, samples):
         # Rank a flexible memorizer above a heavily shrunk line, as a CV
@@ -533,10 +557,10 @@ class TestGuardAndSelection:
 class TestPersistence:
     def test_linear_family_round_trip_is_bit_exact(self, tmp_path, rng):
         for fit in (
-            lambda s: fit_ols(s),
-            lambda s: fit_ridge(s, 2.5),
-            lambda s: fit_lasso(s, 0.7),
-            lambda s: fit_elastic_net(s, 1.3, 0.5),
+            lambda s: ModelSpec("linear", {}).fit(s),
+            lambda s: ModelSpec("ridge", {"lambda": 2.5}).fit(s),
+            lambda s: ModelSpec("lasso", {"lambda": 0.7}).fit(s),
+            lambda s: ModelSpec("elastic_net", {"lambda": 1.3, "mix": 0.5}).fit(s),
         ):
             samples = _noisy_line(n=30, seed=int(rng.integers(1_000_000)))
             model = fit(samples)
@@ -549,7 +573,9 @@ class TestPersistence:
 
     def test_knn_and_tree_round_trip(self, tmp_path, rng):
         samples = _noisy_line(n=25)
-        for model in (fit_knn(samples, 3), fit_tree(samples, 3, 2)):
+        specs = [ModelSpec("knn", {"k": 3}), ModelSpec("decision_tree", {"max_depth": 3, "min_samples_leaf": 2})]
+        for spec in specs:
+            model = spec.fit(samples)
             path = tmp_path / f"{model.kind}.json"
             save_model(model, path)
             loaded = load_model(path)
@@ -557,7 +583,7 @@ class TestPersistence:
                 assert loaded.predict(float(p)) == model.predict(float(p))
 
     def test_document_is_versioned_json(self, tmp_path):
-        model = fit_ols(TWO_POINTS)
+        model = ModelSpec("linear", {}).fit(TWO_POINTS)
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
