@@ -8,6 +8,7 @@ The package splits into small, independently usable modules:
 * ``detectors``   the detector contract: replay, thermal blob, external adapter
 * ``deteval``     IoU, greedy matching, AP, and mAP over threshold sweeps
 * ``thermoreg``   pixel-to-temperature models, CV grid search, guard, selection
+  (its regression trees grow in the private ``_forest``)
 * ``pipeline``    the per-frame monitoring loop with overlays and logging
 * ``synthscene``  synthetic scenes and calibration sets with exact ground truth
 * ``cli``         the ``thermotrack`` command-line front end

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _forest
 from .frameio import atomic_write_text
 
 LINEAR_KINDS = ("linear", "ridge", "lasso", "elastic_net")
@@ -264,69 +265,20 @@ def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
     return FittedRegressor("knn", {"pixels": p.tolist(), "temps": t.tolist(), "k": k}, {"k": k})
 
 
-def _build_tree(
-    ps: np.ndarray, ts: np.ndarray, depth: int, max_depth: int, min_leaf: int
-) -> dict:
-    # ps is sorted ascending; ts rides along. Every node, split or leaf,
-    # carries its mean temperature as "value".
-    value = float(ts.mean())
-    if depth >= max_depth or ps.size < 2 * min_leaf or bool(np.all(ts == ts[0])):
-        return {"kind": "leaf", "value": value}
-    boundaries = np.nonzero(ps[:-1] != ps[1:])[0]  # split between i and i+1
-    left_sizes = boundaries + 1
-    right_sizes = ps.size - left_sizes
-    valid = (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
-    boundaries = boundaries[valid]
-    if boundaries.size == 0:
-        return {"kind": "leaf", "value": value}
-    # Total squared error of each candidate split via prefix sums:
-    # SSE = sum(t^2) - (sum t)^2 / n on each side.
-    s1 = np.cumsum(ts)
-    s2 = np.cumsum(ts * ts)
-    n_left = (boundaries + 1).astype(np.float64)
-    n_right = ps.size - n_left
-    sse_left = s2[boundaries] - s1[boundaries] ** 2 / n_left
-    sse_right = (s2[-1] - s2[boundaries]) - (s1[-1] - s1[boundaries]) ** 2 / n_right
-    best = int(np.argmin(sse_left + sse_right))  # ties: lowest threshold
-    cut = int(boundaries[best])
-    threshold = (float(ps[cut]) + float(ps[cut + 1])) / 2.0
-    return {
-        "kind": "split",
-        "threshold": threshold,
-        "value": value,
-        "left": _build_tree(ps[: cut + 1], ts[: cut + 1], depth + 1, max_depth, min_leaf),
-        "right": _build_tree(ps[cut + 1 :], ts[cut + 1 :], depth + 1, max_depth, min_leaf),
-    }
-
-
-def _grow_tree(p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int) -> dict:
-    """Binary regression tree on pixel thresholds, every node holding its mean.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    pixel values; the split minimizing the summed squared error is taken.
-    Growth stops at max_depth, at min_samples_leaf, or on a zero-variance
-    node; leaves predict their mean temperature. A split depends only on its
-    node's samples and min_samples_leaf, so the tree grown to depth d is this
-    tree cut at depth d (CART's nested subtrees; Breiman et al., 1984).
-    """
-    if p.size < 2 * min_samples_leaf:
+def _check_leaf_room(n_samples: int, min_samples_leaf: int) -> None:
+    if n_samples < 2 * min_samples_leaf:
         raise ValueError(
             f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
         )
+
+
+def _grow_tree(p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int) -> dict:
+    """A forest of one tree on all samples, in the saved shape."""
+    _check_leaf_room(p.size, min_samples_leaf)
     order = np.argsort(p, kind="stable")
-    return _build_tree(p[order], t[order], 0, max_depth, min_samples_leaf)
-
-
-def _cut_tree(node: dict, depth: int) -> dict:
-    """``node`` cut at ``depth``, in the saved shape: split nodes carry no value."""
-    if node["kind"] == "leaf" or depth == 0:
-        return {"kind": "leaf", "value": node["value"]}
-    return {
-        "kind": "split",
-        "threshold": node["threshold"],
-        "left": _cut_tree(node["left"], depth - 1),
-        "right": _cut_tree(node["right"], depth - 1),
-    }
+    start, size, leaf, depth = (np.array([v]) for v in (0, p.size, min_samples_leaf, max_depth))
+    levels = _forest.grow_forest(p[order], t[order], start, size, leaf, depth)
+    return _forest.tree_dict(levels, 0, max_depth)
 
 
 def mse(truth: Sequence[float], pred: Sequence[float]) -> float:
@@ -393,7 +345,7 @@ class ModelSpec:
         if self.kind == "knn":
             return _fit_knn(p, t, h["k"])
         depth, leaf = h["max_depth"], h["min_samples_leaf"]
-        tree = _cut_tree(_grow_tree(p, t, depth, leaf), depth)
+        tree = _grow_tree(p, t, depth, leaf)
         return FittedRegressor(
             "decision_tree", {"tree": tree}, {"max_depth": depth, "min_samples_leaf": leaf}
         )
@@ -454,13 +406,17 @@ def kfold_partition(n_samples: int, n_folds: int, seed: int) -> list[np.ndarray]
 class _FoldWork:
     """The fold work every grid point of one cross-validation shares.
 
-    One partition and one train/test split, each test fold's truth and its
-    SST, and, built on first use (so inside the first scoring call that needs
-    them): each fold's linear sufficient statistics and, per
-    ``min_samples_leaf``, one tree grown to the deepest ``max_depth`` the
-    specs ask for with that leaf size. A linear point then costs one scalar
-    soft-threshold step per fold, and a depth-d tree point routes with the
-    grown tree cut at depth d. kNN fits each fold from the shared arrays.
+    One partition and one train/test split, and each test fold's truth and
+    its SST. Built on first use, so inside the first scoring call that needs
+    them: each fold's linear sufficient statistics, and the tree forest. A
+    linear point then costs one scalar soft-threshold step per fold. The
+    forest is every (fold, ``min_samples_leaf``) tree of the specs, each
+    grown to the deepest ``max_depth`` the specs ask for with its leaf size,
+    by one ``_forest.grow_forest`` call; each fold's test pixels are routed
+    through it once, which gives the predictions of every ``max_depth``. A tree
+    whose fold is too small for its leaf size is left out, and raises only
+    when a point that needs it is scored. kNN fits each fold from the shared
+    arrays.
     """
 
     def __init__(
@@ -479,7 +435,8 @@ class _FoldWork:
                 leaf, depth = spec.hyperparams["min_samples_leaf"], spec.hyperparams["max_depth"]
                 self._tree_depths[leaf] = max(depth, self._tree_depths.get(leaf, 0))
         self._linear: dict[int, tuple] = {}  # fold -> _linear_stats
-        self._trees: dict[tuple[int, int], dict] = {}  # (fold, min_samples_leaf) -> grown tree
+        # (fold, min_samples_leaf) -> routed test predictions, one row per depth
+        self._tree_preds: dict[tuple[int, int], np.ndarray] | None = None
 
     def sses(self, spec: ModelSpec) -> list[float]:
         """Squared-error sum of ``spec`` on each test fold, in fold order."""
@@ -501,12 +458,43 @@ class _FoldWork:
             intercept, slope = _linear_coef(self._linear[fold], *spec._penalty())
             return intercept + slope * test_p  # as FittedRegressor.predict_batch
         if spec.kind == "decision_tree":
-            leaf = h["min_samples_leaf"]
-            key = (fold, leaf)
-            if key not in self._trees:
-                self._trees[key] = _grow_tree(train_p, train_t, self._tree_depths[leaf], leaf)
-            return _tree_batch(_cut_tree(self._trees[key], h["max_depth"]), test_p)
+            _check_leaf_room(train_p.size, h["min_samples_leaf"])
+            if self._tree_preds is None:
+                self._tree_preds = self._grow_and_route()
+            preds = self._tree_preds[fold, h["min_samples_leaf"]]
+            return preds[min(h["max_depth"], len(preds) - 1)]
         return spec._fit_arrays(train_p, train_t).predict_batch(test_p)
+
+    def _grow_and_route(self) -> dict[tuple[int, int], np.ndarray]:
+        """(fold, min_samples_leaf) -> that tree's test-fold predictions, one
+        row per depth, from one forest growth and one route."""
+        trees = [
+            (fold, leaf)
+            for fold, (train_p, *_) in enumerate(self.folds)
+            for leaf in self._tree_depths
+            if train_p.size >= 2 * leaf
+        ]
+        ps, ts, fold_starts = [], [], [0]
+        for train_p, train_t, *_ in self.folds:
+            order = np.argsort(train_p, kind="stable")
+            ps.append(train_p[order])
+            ts.append(train_t[order])
+            fold_starts.append(fold_starts[-1] + train_p.size)
+        folds = np.array([fold for fold, _ in trees])
+        leaves = np.array([leaf for _, leaf in trees])
+        levels = _forest.grow_forest(
+            np.concatenate(ps),
+            np.concatenate(ts),
+            np.array(fold_starts)[folds],
+            np.diff(fold_starts)[folds],
+            leaves,
+            np.array([self._tree_depths[leaf] for leaf in leaves.tolist()]),
+        )
+        tests = [self.folds[fold][2] for fold in folds.tolist()]
+        roots = np.repeat(np.arange(len(trees)), [q.size for q in tests])
+        routed = _forest.route(levels, roots, np.concatenate(tests))
+        bounds = np.cumsum([0] + [q.size for q in tests]).tolist()
+        return {tree: routed[:, a:b] for tree, a, b in zip(trees, bounds, bounds[1:])}
 
 
 def k_fold_cv(

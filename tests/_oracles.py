@@ -188,6 +188,47 @@ def knn_sorted_mean(pixels, temps, k, query):
     return sum(temps[i] for i in order[:k]) / k
 
 
+def recursive_tree(pixels, temps, max_depth, min_samples_leaf):
+    """CART regression tree grown one node at a time by recursion, in the
+    saved shape (split nodes carry no value).
+
+    Each node sorts nothing: the samples are sorted once, stably by pixel,
+    and a node is a contiguous run of them. It becomes a leaf holding
+    ``float(ts.mean())`` at ``max_depth``, below ``2 * min_samples_leaf``
+    samples, on constant temperatures, or when no boundary between two
+    distinct pixels leaves ``min_samples_leaf`` samples on each side.
+    Otherwise it splits at the boundary of least summed squared error, from
+    1-D prefix sums, ties to the lowest threshold."""
+    p = np.asarray(pixels, dtype=np.float64)
+    t = np.asarray(temps, dtype=np.float64)
+    order = np.argsort(p, kind="stable")
+
+    def grow(ps, ts, depth):
+        if depth >= max_depth or ps.size < 2 * min_samples_leaf or bool(np.all(ts == ts[0])):
+            return {"kind": "leaf", "value": float(ts.mean())}
+        boundaries = np.nonzero(ps[:-1] != ps[1:])[0]  # split between i and i+1
+        left_sizes = boundaries + 1
+        valid = (left_sizes >= min_samples_leaf) & (ps.size - left_sizes >= min_samples_leaf)
+        boundaries = boundaries[valid]
+        if boundaries.size == 0:
+            return {"kind": "leaf", "value": float(ts.mean())}
+        s1 = np.cumsum(ts)
+        s2 = np.cumsum(ts * ts)
+        n_left = (boundaries + 1).astype(np.float64)
+        n_right = ps.size - n_left
+        sse_left = s2[boundaries] - s1[boundaries] ** 2 / n_left
+        sse_right = (s2[-1] - s2[boundaries]) - (s1[-1] - s1[boundaries]) ** 2 / n_right
+        cut = int(boundaries[int(np.argmin(sse_left + sse_right))])
+        return {
+            "kind": "split",
+            "threshold": (float(ps[cut]) + float(ps[cut + 1])) / 2.0,
+            "left": grow(ps[: cut + 1], ts[: cut + 1], depth + 1),
+            "right": grow(ps[cut + 1 :], ts[cut + 1 :], depth + 1),
+        }
+
+    return grow(p[order], t[order], 0)
+
+
 def expected_overlay(base_pixels, readings, decimals):
     """Independent rasterization of render_overlay: the library's font table
     and colours, drawn one glyph cell at a time with per-pixel clipping."""

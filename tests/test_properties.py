@@ -24,7 +24,7 @@ from thermotrack.deteval import iou
 from thermotrack.frameio import DatasetItem, ThermalFrame, horizontal_flip
 from thermotrack.pipeline import TempReading, render_overlay
 from thermotrack.annotations import GroundTruthLabel
-from thermotrack import thermoreg
+from thermotrack import _forest, thermoreg
 from thermotrack.thermoreg import (
     MODEL_KINDS,
     CalibrationSample,
@@ -33,7 +33,13 @@ from thermotrack.thermoreg import (
     kfold_partition,
 )
 
-from _oracles import bfs_components, cv_grid_per_point, expected_overlay, knn_sorted_mean
+from _oracles import (
+    bfs_components,
+    cv_grid_per_point,
+    expected_overlay,
+    knn_sorted_mean,
+    recursive_tree,
+)
 from test_detectors import ALL_BLOBS, assert_blobs_match
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -275,6 +281,84 @@ def test_grid_search_matches_per_point_oracle(case):
     assert repr(got) == repr(rows)  # bit for bit, NaN included
     all_nan = all(math.isnan(v) for e in report.entries for v in e.fold_r2s)
     event("every fold R2 NaN" if all_nan else "some fold R2 defined")
+
+
+@st.composite
+def _forest_case(draw):
+    """One to three sample sets (as cross-validation training folds are),
+    leaf sizes 1 to 6, and per leaf size the depths 0 to 6 to check, out of
+    order with repeats. Pixels are integers from a range of 1 to 6 values
+    or any floats. Temperatures are constant, from four values whose sums
+    are exact, from three whose sums round (so splits that tie in exact
+    arithmetic are told apart by rounding), or any floats. A set may hold
+    exactly 2 * min_samples_leaf samples, or fewer (that tree is then not
+    grown)."""
+    leaves = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    depths = {leaf: draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)) for leaf in leaves}
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(st.integers(2, 40), st.sampled_from(leaves).map(lambda leaf: 2 * leaf)))
+        if draw(st.booleans()):
+            low = draw(st.integers(0, 250))
+            pixel = st.integers(low, low + draw(st.integers(0, 5))).map(float)
+        else:
+            pixel = st.floats(0.0, 255.0)
+        temp = draw(st.sampled_from([
+            st.just(draw(st.floats(30.0, 40.0))),
+            st.sampled_from([35.0, 36.5, 37.0, 38.25]),
+            st.sampled_from([36.6, 36.7, 37.1]),
+            st.floats(30.0, 40.0),
+        ]))
+        pixels = np.array([draw(pixel) for _ in range(n)])
+        sets.append((pixels, np.array([draw(temp) for _ in range(n)])))
+    return sets, depths
+
+
+@BULK
+@given(_forest_case())
+def test_forest_matches_recursive_oracle(case):
+    """Every tree of one level-wise forest, cut at each depth, equals the
+    recursive oracle grown to that depth, and one route of its queries
+    gives that tree's predictions at every depth."""
+    sets, depths = case
+    trees = [(i, leaf) for i, (p, _) in enumerate(sets) for leaf in depths if p.size >= 2 * leaf]
+    event("no tree" if not trees else "one tree" if len(trees) == 1 else "several trees")
+    if not trees:
+        return
+    for i, leaf in trees:
+        p, t = sets[i]
+        event("n = 2 * min_samples_leaf" if p.size == 2 * leaf else "n > 2 * min_samples_leaf")
+        event("duplicate pixels" if np.unique(p).size < p.size else "distinct pixels")
+        event("constant temperatures" if np.all(t == t[0]) else "varied temperatures")
+    orders = [np.argsort(p, kind="stable") for p, _ in sets]
+    sizes = np.array([p.size for p, _ in sets])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.array([i for i, _ in trees])
+    levels = _forest.grow_forest(
+        np.concatenate([p[order] for (p, _), order in zip(sets, orders)]),
+        np.concatenate([t[order] for (_, t), order in zip(sets, orders)]),
+        starts[owner],
+        sizes[owner],
+        np.array([leaf for _, leaf in trees]),
+        np.array([max(depths[leaf]) for _, leaf in trees]),
+    )
+    # Each tree's queries: its own pixels, every midpoint between them, and
+    # pixels outside their range.
+    queries = []
+    for i, _ in trees:
+        p = np.unique(sets[i][0])
+        queries.append(np.concatenate([p, (p[:-1] + p[1:]) / 2.0, [p[0] - 1.0, p[-1] + 1.0]]))
+    roots = np.repeat(np.arange(len(trees)), [q.size for q in queries])
+    routed = _forest.route(levels, roots, np.concatenate(queries))
+    at = 0
+    for tree, ((i, leaf), q) in enumerate(zip(trees, queries)):
+        for depth in depths[leaf]:
+            oracle = recursive_tree(*sets[i], depth, leaf)
+            assert repr(_forest.tree_dict(levels, tree, depth)) == repr(oracle)
+            preds = routed[min(depth, len(levels) - 1), at : at + q.size]
+            assert np.array_equal(preds, thermoreg._tree_batch(oracle, q))
+        at += q.size
+    event(f"{len(levels) - 1} levels split")
 
 
 def _nudged(pixel: int, ulps: int) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermotrack import thermoreg
+from thermotrack import _forest, thermoreg
 from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
     DEFAULT_GRIDS,
@@ -374,6 +374,27 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="fold underflow"):
             k_fold_cv(samples, ModelSpec("knn", {"k": 5}), k_folds=3, seed=0)
 
+    def test_tree_underflow_raises_at_first_point_that_needs_it(self):
+        # 60 samples in 5 folds leave 48 to train on: min_samples_leaf 40
+        # underflows every fold, 1 none. The forest is grown in the first
+        # tree call and must not raise for the leaf-40 trees then.
+        leaf_one = [{"max_depth": d, "min_samples_leaf": 1} for d in (3, 0, 2)]
+        grids = {"decision_tree": leaf_one + [{"max_depth": 1, "min_samples_leaf": 40}] + leaf_one}
+        scored = []
+
+        def counted(samples, spec, *args, **kwargs):
+            scored.append(spec.hyperparams["min_samples_leaf"])
+            return k_fold_cv(samples, spec, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermoreg, "k_fold_cv", counted)
+            with pytest.raises(ValueError) as raised:
+                grid_search(_noisy_line(n=60), grids, k_folds=5, seed=0)
+        assert str(raised.value) == (
+            "fold underflow for decision_tree: need at least 80 samples for min_samples_leaf=40"
+        )
+        assert scored == [1, 1, 1, 40]
+
     def test_bad_fold_counts(self):
         with pytest.raises(ValueError):
             kfold_partition(10, 1, seed=0)
@@ -423,20 +444,28 @@ class TestGridSearch:
             grid_search(_noisy_line(), {}, 5, 0)
 
     def test_default_grids_share_one_partition_and_nested_trees(self, monkeypatch):
-        # One partition for all 47 points, and one tree per (fold,
-        # min_samples_leaf) cut to each max_depth: 5 x 3 trees, not 60.
+        # One partition for all 47 points, and one forest growth of one tree
+        # per (fold, min_samples_leaf), each grown once to the deepest
+        # max_depth: 5 x 3 trees, not 60, and no growth per depth.
         calls = {}
-        for name in ("kfold_partition", "_grow_tree"):
-            original = getattr(thermoreg, name)
+        forest_trees = []
+        for module, name in ((thermoreg, "kfold_partition"), (_forest, "grow_forest"), (thermoreg, "_grow_tree")):
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "grow_forest":
+                    _, sizes, min_leaf, max_depth = args[2:]
+                    forest_trees.extend(zip(sizes.tolist(), min_leaf.tolist(), max_depth.tolist()))
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(thermoreg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         grid_search(_noisy_line(), DEFAULT_GRIDS, k_folds=5, seed=0)
-        leaf_sizes = {point["min_samples_leaf"] for point in DEFAULT_GRIDS["decision_tree"]}
-        assert calls == {"kfold_partition": 1, "_grow_tree": 5 * len(leaf_sizes)}
+        leaf_sizes = sorted({point["min_samples_leaf"] for point in DEFAULT_GRIDS["decision_tree"]})
+        deepest = max(point["max_depth"] for point in DEFAULT_GRIDS["decision_tree"])
+        assert calls == {"kfold_partition": 1, "grow_forest": 1}  # and no one-tree fit
+        # _noisy_line() has 60 samples: every training fold holds 48.
+        assert forest_trees == [(48, leaf, deepest) for _ in range(5) for leaf in leaf_sizes]
 
 
 def _integer_pixel_set():
@@ -473,6 +502,36 @@ class TestGridSearchPins:
             }
             for e in report.entries
         ] == pinned["entries"]
+
+
+def _tree_model_docs(samples, tmp_path):
+    """The ``save_model`` text of a decision tree fitted at every max_depth
+    0..6 and min_samples_leaf 1, 3, 5, keyed ``"<depth>/<leaf>"``."""
+    docs = {}
+    for depth in range(7):
+        for leaf in (1, 3, 5):
+            model = ModelSpec("decision_tree", {"max_depth": depth, "min_samples_leaf": leaf}).fit(samples)
+            path = tmp_path / f"tree-{depth}-{leaf}.json"
+            save_model(model, path)
+            docs[f"{depth}/{leaf}"] = path.read_text()
+    return docs
+
+
+class TestTreePins:
+    """Decision-tree model JSON recorded from the recursive tree builder on
+    the ``TestGridSearchPins`` sets; it must stay byte for byte the same."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "tree_model_pins.json").read_text())
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("n200", lambda: generate_calibration_set(200, 20.0, 0.1, seed=11)),
+            ("integer_dups", _integer_pixel_set),
+        ],
+    )
+    def test_model_json_unchanged(self, name, make, tmp_path):
+        assert _tree_model_docs(make(), tmp_path) == self.PINS[name]
 
 
 class TestGuardAndSelection:
