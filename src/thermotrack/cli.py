@@ -121,6 +121,22 @@ def _add_detector_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--adapter-timeout", type=float, help="seconds to wait for the handshake and for each whole response")
 
 
+# The flags only one detector reads, by argparse dest.
+_DETECTOR_FLAGS = {
+    "blob": ("blob_threshold", "blob_min_area", "blob_max_aspect"),
+    "external": ("adapter_timeout",),
+}
+
+
+def _reject_unused_flags(args, detector: str) -> None:
+    """Fail on a flag given on the command line that ``detector`` does not
+    read; config-file keys are not checked."""
+    for owner, flags in _DETECTOR_FLAGS.items():
+        for flag in flags:
+            if owner != detector and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply to the {detector} detector")
+
+
 def _build_detector(args, config, section: str, load_items: Callable[[], list[DatasetItem]] | None):
     """Returns (detector, adapter); adapter is None unless external. Only
     replay calls ``load_items``, which is None for an unlabeled source."""
@@ -132,11 +148,13 @@ def _build_detector(args, config, section: str, load_items: Callable[[], list[Da
         nms_iou_threshold=_resolve(args, config, section, "nms_threshold", float),
     )
     if spec == "replay":
+        _reject_unused_flags(args, "replay")
         if load_items is None:
             raise ValueError("the replay detector needs a labeled dataset directory")
         settings.setdefault("nms_iou_threshold", REPLAY_NMS_IOU)
         return ReplayDetector.from_items(load_items(), DetectorConfig(**settings)), None
     if spec == "blob":
+        _reject_unused_flags(args, "blob")
         settings.update(_set_only(
             intensity_threshold=_resolve(args, config, section, "blob_threshold", int),
             min_blob_area=_resolve(args, config, section, "blob_min_area", int),
@@ -147,6 +165,7 @@ def _build_detector(args, config, section: str, load_items: Callable[[], list[Da
         command = shlex.split(spec[len("external:") :])
         if not command:
             raise ValueError("external detector needs a command line after 'external:'")
+        _reject_unused_flags(args, "external")
         # Built before the launch, so a bad threshold leaves no process behind.
         cfg = DetectorConfig(**settings)
         timeout = _resolve(args, config, section, "adapter_timeout", float)

@@ -118,9 +118,8 @@ class FittedRegressor:
     for trees); ``hyperparams`` the knobs it was fitted with;
     ``train_mse``/``train_r2`` the in-sample diagnostics (R2 is NaN when the
     training temperatures are constant) and ``training_digest`` the sha256 of
-    the training pairs. ``ModelSpec.fit`` fills in the diagnostics; a fit
-    without them (``ModelSpec._fit_arrays``, as kNN cross-validation folds
-    use) leaves them at NaN and "".
+    the training pairs. ``ModelSpec.fit``, the only fitter, fills in all
+    three; a model built directly leaves them at NaN and "".
 
     ``predict_batch`` works on whole arrays for every kind and agrees bit for
     bit with ``predict``. knn ranks stored samples by distance, then lower
@@ -146,17 +145,19 @@ class FittedRegressor:
         if self.kind in LINEAR_KINDS:
             return self.params["intercept"] + self.params["slope"] * q
         if self.kind == "knn":
-            return _knn_batch(self.params, q)
+            pixels = np.asarray(self.params["pixels"], dtype=np.float64)
+            temps = np.asarray(self.params["temps"], dtype=np.float64)
+            return _knn_batch(pixels, temps, self.params["k"], q)
         if self.kind == "decision_tree":
             return _tree_batch(self.params["tree"], q)
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _knn_batch(params: dict, q: np.ndarray) -> np.ndarray:
-    pixels = np.asarray(params["pixels"], dtype=np.float64)
-    k = params["k"]
+def _knn_batch(pixels: np.ndarray, temps: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
+    """The unweighted mean of the k stored temperatures nearest each query
+    pixel by |dpixel|, with samples given in insertion order."""
     order = np.argsort(pixels, kind="stable")  # by (pixel, insertion index)
-    temps = np.asarray(params["temps"], dtype=np.float64)[order]
+    temps = temps[order]
     pixels = pixels[order]
     # One run per distinct pixel value: its samples are temps[start:start + count].
     starts = np.flatnonzero(np.diff(pixels, prepend=np.nan))
@@ -252,17 +253,9 @@ def _linear_coef(stats: tuple, lam: float, mix: float) -> tuple[float, float]:
     return t_bar - slope * p_bar, slope
 
 
-def _fit_linear(p: np.ndarray, t: np.ndarray, kind: str, lam: float, mix: float) -> FittedRegressor:
-    intercept, slope = _linear_coef(_linear_stats(p, t), lam, mix)
-    hyper = dict(zip(_HYPERPARAM_NAMES[kind], (lam, mix)))
-    return FittedRegressor(kind, {"intercept": intercept, "slope": slope}, hyper)
-
-
-def _fit_knn(p: np.ndarray, t: np.ndarray, k: int) -> FittedRegressor:
-    """Store the samples; predict the unweighted mean of the k nearest by |dpixel|."""
-    if k > p.size:
-        raise ValueError(f"k must be in [1, {p.size}], got {k!r}")
-    return FittedRegressor("knn", {"pixels": p.tolist(), "temps": t.tolist(), "k": k}, {"k": k})
+def _check_k(n_samples: int, k: int) -> None:
+    if k > n_samples:
+        raise ValueError(f"k must be in [1, {n_samples}], got {k!r}")
 
 
 def _check_leaf_room(n_samples: int, min_samples_leaf: int) -> None:
@@ -329,26 +322,23 @@ class ModelSpec:
     def fit(self, samples: Sequence[CalibrationSample]) -> FittedRegressor:
         """Fit and attach the in-sample scores and training digest."""
         p, t = _as_xy(samples)
-        model = self._fit_arrays(p, t)
+        h = self.hyperparams
+        if self.kind in LINEAR_KINDS:
+            intercept, slope = _linear_coef(_linear_stats(p, t), *self._penalty())
+            params = {"intercept": intercept, "slope": slope}
+        elif self.kind == "knn":
+            _check_k(p.size, h["k"])
+            params = {"pixels": p.tolist(), "temps": t.tolist(), "k": h["k"]}
+        else:
+            params = {"tree": _grow_tree(p, t, h["max_depth"], h["min_samples_leaf"])}
+        hyper = {name: h[name] for name in _HYPERPARAM_NAMES[self.kind]}
+        model = FittedRegressor(self.kind, params, hyper)
         preds = model.predict_batch(p)
         model.train_mse = mse(t, preds)
         sst = float(np.sum((t - t.mean()) ** 2))
         model.train_r2 = float("nan") if sst == 0.0 else r2(t, preds)
         model.training_digest = _digest(samples)
         return model
-
-    def _fit_arrays(self, p: np.ndarray, t: np.ndarray) -> FittedRegressor:
-        """Fit on pixel/temperature arrays, without training diagnostics."""
-        h = self.hyperparams
-        if self.kind in LINEAR_KINDS:
-            return _fit_linear(p, t, self.kind, *self._penalty())
-        if self.kind == "knn":
-            return _fit_knn(p, t, h["k"])
-        depth, leaf = h["max_depth"], h["min_samples_leaf"]
-        tree = _grow_tree(p, t, depth, leaf)
-        return FittedRegressor(
-            "decision_tree", {"tree": tree}, {"max_depth": depth, "min_samples_leaf": leaf}
-        )
 
     def _penalty(self) -> tuple[float, float]:
         """(lambda, mix) of a linear kind, with the kind's fixed values filled in."""
@@ -415,8 +405,8 @@ class _FoldWork:
     by one ``_forest.grow_forest`` call; each fold's test pixels are routed
     through it once, which gives the predictions of every ``max_depth``. A tree
     whose fold is too small for its leaf size is left out, and raises only
-    when a point that needs it is scored. kNN fits each fold from the shared
-    arrays.
+    when a point that needs it is scored. A kNN point runs ``_knn_batch``
+    on each fold's training and test arrays; no model is built.
     """
 
     def __init__(
@@ -463,7 +453,8 @@ class _FoldWork:
                 self._tree_preds = self._grow_and_route()
             preds = self._tree_preds[fold, h["min_samples_leaf"]]
             return preds[min(h["max_depth"], len(preds) - 1)]
-        return spec._fit_arrays(train_p, train_t).predict_batch(test_p)
+        _check_k(train_p.size, h["k"])
+        return _knn_batch(train_p, train_t, h["k"], test_p)
 
     def _grow_and_route(self) -> dict[tuple[int, int], np.ndarray]:
         """(fold, min_samples_leaf) -> that tree's test-fold predictions, one
@@ -718,7 +709,7 @@ def _tree_problem(node) -> str | None:
 
 def load_model(path: str | Path) -> FittedRegressor:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")

@@ -382,6 +382,14 @@ class TestRun:
         assert code == 3
         assert "model file not found" in capsys.readouterr().err
 
+    def test_non_object_model_is_data_error(self, tmp_path, capsys):
+        ds = self._dataset(tmp_path, frames=2)
+        model = tmp_path / "list.json"
+        model.write_text("[1, 2]\n")
+        code = run_cli("run", str(ds), "--model", str(model))
+        assert code == 3
+        assert "list.json: not a thermotrack-model document" in capsys.readouterr().err
+
     def test_stdin_path_source(self, tmp_path, capsys, monkeypatch):
         ds = self._dataset(tmp_path, frames=3)
         model = _ridge_law_model(tmp_path)
@@ -604,6 +612,29 @@ fever_threshold = 37.5
         code = run_cli("--config", str(cfg), "run", str(self._dataset(tmp_path)), "--model", str(model))
         assert code == 3
         assert "config [run] decimals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "eval-detector"])
+    @pytest.mark.parametrize(
+        "detector, flags, ignored",
+        [
+            ("replay", ["--blob-threshold", "32"], "--blob-threshold"),
+            ("replay", ["--adapter-timeout", "1.5"], "--adapter-timeout"),
+            ("blob", ["--blob-min-area", "40", "--adapter-timeout", "1.5"], "--adapter-timeout"),
+            ("external", ["--adapter-timeout", "1.5", "--blob-max-aspect", "3.0"], "--blob-max-aspect"),
+        ],
+    )
+    def test_flag_the_detector_ignores_is_data_error(
+        self, tmp_path, capsys, monkeypatch, command, detector, flags, ignored
+    ):
+        launched = []
+        monkeypatch.setattr(cli, "ExternalAdapter", lambda *a, **kw: launched.append(a))
+        spec = f"external:{shlex.join([sys.executable, str(STUB)])}" if detector == "external" else detector
+        argv = [command, str(self._dataset(tmp_path)), "--detector", spec, *flags]
+        if command == "run":
+            argv += ["--model", str(_ridge_law_model(tmp_path))]
+        assert run_cli(*argv) == 3
+        assert f"{ignored} does not apply to the {detector} detector" in capsys.readouterr().err
+        assert launched == []
 
     @pytest.mark.parametrize("command", ["run", "eval-detector"])
     def test_empty_detector_is_data_error(self, tmp_path, capsys, command):

@@ -9,6 +9,7 @@ from thermotrack import _forest, thermoreg
 from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
     DEFAULT_GRIDS,
+    LINEAR_KINDS,
     CalibrationSample,
     CrossValReport,
     ModelSpec,
@@ -476,19 +477,20 @@ def _integer_pixel_set():
     ]
 
 
+# The sample sets the pin files are recorded on.
+_PIN_SETS = [
+    ("n200", lambda: generate_calibration_set(200, 20.0, 0.1, seed=11)),
+    ("integer_dups", _integer_pixel_set),
+]
+
+
 class TestGridSearchPins:
     """grid_search output recorded from the scalar (sort-per-query) kNN and
     per-sample fold fitting; the array path must reproduce it bit for bit."""
 
     PINS = json.loads((Path(__file__).parent / "data" / "grid_search_pins.json").read_text())
 
-    @pytest.mark.parametrize(
-        "name, make",
-        [
-            ("n200", lambda: generate_calibration_set(200, 20.0, 0.1, seed=11)),
-            ("integer_dups", _integer_pixel_set),
-        ],
-    )
+    @pytest.mark.parametrize("name, make", _PIN_SETS)
     def test_report_and_fold_scores_unchanged(self, name, make):
         report = grid_search(make(), seed=0)
         pinned = self.PINS[name]
@@ -504,17 +506,33 @@ class TestGridSearchPins:
         ] == pinned["entries"]
 
 
+def _model_docs(samples, specs, tmp_path):
+    """The ``save_model`` text of each spec in ``specs`` fitted on ``samples``,
+    under the same key."""
+    docs = {}
+    for key, spec in specs.items():
+        path = tmp_path / "model.json"
+        save_model(spec.fit(samples), path)
+        docs[key] = path.read_text()
+    return docs
+
+
 def _tree_model_docs(samples, tmp_path):
     """The ``save_model`` text of a decision tree fitted at every max_depth
     0..6 and min_samples_leaf 1, 3, 5, keyed ``"<depth>/<leaf>"``."""
-    docs = {}
-    for depth in range(7):
-        for leaf in (1, 3, 5):
-            model = ModelSpec("decision_tree", {"max_depth": depth, "min_samples_leaf": leaf}).fit(samples)
-            path = tmp_path / f"tree-{depth}-{leaf}.json"
-            save_model(model, path)
-            docs[f"{depth}/{leaf}"] = path.read_text()
-    return docs
+    specs = {
+        f"{depth}/{leaf}": ModelSpec("decision_tree", {"max_depth": depth, "min_samples_leaf": leaf})
+        for depth in range(7)
+        for leaf in (1, 3, 5)
+    }
+    return _model_docs(samples, specs, tmp_path)
+
+
+def _grid_model_docs(samples, kind, tmp_path):
+    """The ``save_model`` text of a ``kind`` model fitted at each of its
+    ``DEFAULT_GRIDS`` points, keyed by the point's sorted JSON."""
+    specs = {json.dumps(point, sort_keys=True): ModelSpec(kind, point) for point in DEFAULT_GRIDS[kind]}
+    return _model_docs(samples, specs, tmp_path)
 
 
 class TestTreePins:
@@ -523,15 +541,22 @@ class TestTreePins:
 
     PINS = json.loads((Path(__file__).parent / "data" / "tree_model_pins.json").read_text())
 
-    @pytest.mark.parametrize(
-        "name, make",
-        [
-            ("n200", lambda: generate_calibration_set(200, 20.0, 0.1, seed=11)),
-            ("integer_dups", _integer_pixel_set),
-        ],
-    )
+    @pytest.mark.parametrize("name, make", _PIN_SETS)
     def test_model_json_unchanged(self, name, make, tmp_path):
         assert _tree_model_docs(make(), tmp_path) == self.PINS[name]
+
+
+class TestLinearKnnPins:
+    """Linear-family and kNN model JSON at every ``DEFAULT_GRIDS`` point,
+    recorded from the per-kind fitters on the ``TestGridSearchPins`` sets; it
+    must stay byte for byte the same."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "linear_knn_model_pins.json").read_text())
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS + ("knn",))
+    @pytest.mark.parametrize("name, make", _PIN_SETS)
+    def test_model_json_unchanged(self, name, make, kind, tmp_path):
+        assert _grid_model_docs(make(), kind, tmp_path) == self.PINS[name][kind]
 
 
 class TestGuardAndSelection:
@@ -717,6 +742,13 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else", "version": 1}))
         with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None, 3.5], ids=["list", "string", "null", "number"])
+    def test_non_object_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad.json: not a thermotrack-model document"):
             load_model(path)
 
 
