@@ -21,6 +21,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import re
 import shlex
 import sys
@@ -233,6 +234,8 @@ def _load_grids(path: str) -> dict[str, list[dict]]:
 def cmd_calibrate(args, config) -> int:
     folds = _resolve(args, config, "calibrate", "folds", _folds)
     ceiling = _resolve(args, config, "calibrate", "ceiling", float)
+    if ceiling is not None and not math.isfinite(ceiling):
+        raise ValueError(f"ceiling must be finite, got {ceiling}")
     samples = load_calibration_csv(args.samples)
     grids = _load_grids(args.grids) if args.grids else None
     screening = _guard_pixels(args.guard_set) if args.guard_set else None

@@ -147,25 +147,27 @@ class FittedRegressor:
         if self.kind == "knn":
             pixels = np.asarray(self.params["pixels"], dtype=np.float64)
             temps = np.asarray(self.params["temps"], dtype=np.float64)
-            return _knn_batch(pixels, temps, self.params["k"], q)
+            return _knn_batch(pixels, temps, (self.params["k"],), q)[0]
         if self.kind == "decision_tree":
             return _tree_batch(self.params["tree"], q)
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _knn_batch(pixels: np.ndarray, temps: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
-    """The unweighted mean of the k stored temperatures nearest each query
-    pixel by |dpixel|, with samples given in insertion order."""
+def _knn_batch(pixels: np.ndarray, temps: np.ndarray, ks: Sequence[int], q: np.ndarray) -> np.ndarray:
+    """Row i: the unweighted mean of the ``ks[i]`` stored temperatures nearest
+    each query pixel by |dpixel|, with samples given in insertion order. One
+    sort, window and running sum at ``max(ks)`` serve every k."""
     order = np.argsort(pixels, kind="stable")  # by (pixel, insertion index)
-    temps = temps[order]
+    temps = temps[order] + 0.0  # -0.0 to 0.0, as a sum that starts from 0.0 adds it
     pixels = pixels[order]
     # One run per distinct pixel value: its samples are temps[start:start + count].
     starts = np.flatnonzero(np.diff(pixels, prepend=np.nan))
     counts = np.diff(starts, append=pixels.size)
     values = pixels[starts]
     pos = np.searchsorted(values, q)  # values[pos - 1] < q <= values[pos]
+    k = max(ks)
 
-    def window_means(q: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    def window_sums(q: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
         # Only the `width` nearest runs on each side of q can hold one of the
         # k nearest samples. Rank them by (distance, pixel): columns are in
         # ascending pixel order and the sort is stable. Runs past either end
@@ -183,12 +185,9 @@ def _knn_batch(pixels: np.ndarray, temps: np.ndarray, k: int, q: np.ndarray) -> 
         run = (ends[:, :, None] <= slots).sum(axis=1)
         first_slot = (ends - sizes)[rows, run]
         picked = temps[starts[cols[rows, run]] + slots - first_slot]
-        total = np.zeros(q.size)
-        for column in picked.T:  # left to right, as Python's sum() adds
-            total += column
-        return total / k
+        return np.cumsum(picked, axis=1)  # left to right, as Python's sum() adds
 
-    means = window_means(q, pos, k)
+    sums = window_sums(q, pos, k)
     # Rounded distances on the lower side can tie across distinct pixels; the
     # lower (farther) one then wins, so the run just past the window may
     # belong in it. Rescan such queries over every run.
@@ -197,8 +196,8 @@ def _knn_batch(pixels: np.ndarray, temps: np.ndarray, k: int, q: np.ndarray) -> 
     edge, near = edge[tied], q[tied]
     tied[tied] = np.abs(values[edge - 1] - near) == np.abs(values[edge] - near)
     if tied.any():
-        means[tied] = window_means(q[tied], pos[tied], values.size)
-    return means
+        sums[tied] = window_sums(q[tied], pos[tied], values.size)
+    return np.stack([sums[:, j - 1] / j for j in ks])
 
 
 def _tree_batch(node: dict, q: np.ndarray) -> np.ndarray:
@@ -235,9 +234,9 @@ def _linear_stats(p: np.ndarray, t: np.ndarray) -> tuple[float, float, float, fl
     return p_bar, t_bar, sxx, sxy, int(np.unique(p).size)
 
 
-def _linear_coef(stats: tuple, lam: float, mix: float) -> tuple[float, float]:
+def _linear_coef(stats: Sequence, lam: np.ndarray, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimiser of 0.5 * SSE + lam * (mix * |b| + (1 - mix) * b^2 / 2),
-    as (intercept, slope), from ``_linear_stats``.
+    as (intercept, slope), from ``_linear_stats``, for each (lam, mix) pair.
 
     With one feature, the soft-threshold update on centred data is the
     closed-form solution: slope = soft(Sxy, lam * mix) / (Sxx + lam * (1 - mix)),
@@ -245,33 +244,25 @@ def _linear_coef(stats: tuple, lam: float, mix: float) -> tuple[float, float]:
     intercept is unpenalized. Least squares is lam = 0, ridge mix = 0 and
     lasso mix = 1, so each equals elastic net at those values bit for bit.
     """
-    p_bar, t_bar, sxx, sxy, distinct = stats
-    if lam == 0.0 and distinct < 2:
-        raise ValueError("need at least 2 distinct pixel values when lambda is 0")
+    p_bar, t_bar, sxx, sxy, _ = stats
     denom = sxx + lam * (1.0 - mix)
-    slope = 0.0 if denom == 0.0 else math.copysign(max(abs(sxy) - lam * mix, 0.0), sxy) / denom
+    shrunk = np.copysign(np.maximum(abs(sxy) - lam * mix, 0.0), sxy)
+    slope = np.divide(shrunk, denom, out=np.zeros_like(denom), where=denom != 0.0)
     return t_bar - slope * p_bar, slope
 
 
-def _check_k(n_samples: int, k: int) -> None:
-    if k > n_samples:
-        raise ValueError(f"k must be in [1, {n_samples}], got {k!r}")
-
-
-def _check_leaf_room(n_samples: int, min_samples_leaf: int) -> None:
-    if n_samples < 2 * min_samples_leaf:
-        raise ValueError(
-            f"need at least {2 * min_samples_leaf} samples for min_samples_leaf={min_samples_leaf}"
-        )
-
-
-def _grow_tree(p: np.ndarray, t: np.ndarray, max_depth: int, min_samples_leaf: int) -> dict:
-    """A forest of one tree on all samples, in the saved shape."""
-    _check_leaf_room(p.size, min_samples_leaf)
-    order = np.argsort(p, kind="stable")
-    start, size, leaf, depth = (np.array([v]) for v in (0, p.size, min_samples_leaf, max_depth))
-    levels = _forest.grow_forest(p[order], t[order], start, size, leaf, depth)
-    return _forest.tree_dict(levels, 0, max_depth)
+def _grow(sets: list[tuple[np.ndarray, np.ndarray]], leaves: list[int], depth: int) -> list:
+    """One forest to ``depth``: tree ``j * len(sets) + i`` has leaf size ``leaves[j]`` on ``sets[i]``."""
+    orders = [np.argsort(p, kind="stable") for p, _ in sets]
+    sizes = np.array([order.size for order in orders])
+    return _forest.grow_forest(
+        np.concatenate([p[order] for (p, _), order in zip(sets, orders)]),
+        np.concatenate([t[order] for (_, t), order in zip(sets, orders)]),
+        np.tile(np.cumsum(sizes) - sizes, len(leaves)),
+        np.tile(sizes, len(leaves)),
+        np.repeat(leaves, sizes.size),
+        np.full(len(leaves) * sizes.size, depth),
+    )
 
 
 def mse(truth: Sequence[float], pred: Sequence[float]) -> float:
@@ -323,14 +314,16 @@ class ModelSpec:
         """Fit and attach the in-sample scores and training digest."""
         p, t = _as_xy(samples)
         h = self.hyperparams
+        stats = _linear_stats(p, t) if self.kind in LINEAR_KINDS else None
+        self._check_fit(p.size, stats)
         if self.kind in LINEAR_KINDS:
-            intercept, slope = _linear_coef(_linear_stats(p, t), *self._penalty())
-            params = {"intercept": intercept, "slope": slope}
+            intercept, slope = _linear_coef(stats, *np.array([self._penalty()], dtype=np.float64).T)
+            params = {"intercept": float(intercept[0]), "slope": float(slope[0])}
         elif self.kind == "knn":
-            _check_k(p.size, h["k"])
             params = {"pixels": p.tolist(), "temps": t.tolist(), "k": h["k"]}
         else:
-            params = {"tree": _grow_tree(p, t, h["max_depth"], h["min_samples_leaf"])}
+            levels = _grow([(p, t)], [h["min_samples_leaf"]], h["max_depth"])
+            params = {"tree": _forest.tree_dict(levels, 0, h["max_depth"])}
         hyper = {name: h[name] for name in _HYPERPARAM_NAMES[self.kind]}
         model = FittedRegressor(self.kind, params, hyper)
         preds = model.predict_batch(p)
@@ -339,6 +332,17 @@ class ModelSpec:
         model.train_r2 = float("nan") if sst == 0.0 else r2(t, preds)
         model.training_digest = _digest(samples)
         return model
+
+    def _check_fit(self, n: int, stats: tuple | None) -> None:
+        """Raise what a fit on ``n`` samples with linear statistics ``stats`` raises for lack of data."""
+        h = self.hyperparams
+        if self.kind == "knn" and h["k"] > n:
+            raise ValueError(f"k must be in [1, {n}], got {h['k']!r}")
+        leaf = h.get("min_samples_leaf", 0)
+        if n < 2 * leaf:
+            raise ValueError(f"need at least {2 * leaf} samples for min_samples_leaf={leaf}")
+        if self.kind in LINEAR_KINDS and self._penalty()[0] == 0.0 and stats[4] < 2:
+            raise ValueError("need at least 2 distinct pixel values when lambda is 0")
 
     def _penalty(self) -> tuple[float, float]:
         """(lambda, mix) of a linear kind, with the kind's fixed values filled in."""
@@ -396,17 +400,13 @@ def kfold_partition(n_samples: int, n_folds: int, seed: int) -> list[np.ndarray]
 class _FoldWork:
     """The fold work every grid point of one cross-validation shares.
 
-    One partition and one train/test split, and each test fold's truth and
-    its SST. Built on first use, so inside the first scoring call that needs
-    them: each fold's linear sufficient statistics, and the tree forest. A
-    linear point then costs one scalar soft-threshold step per fold. The
-    forest is every (fold, ``min_samples_leaf``) tree of the specs, each
-    grown to the deepest ``max_depth`` the specs ask for with its leaf size,
-    by one ``_forest.grow_forest`` call; each fold's test pixels are routed
-    through it once, which gives the predictions of every ``max_depth``. A tree
-    whose fold is too small for its leaf size is left out, and raises only
-    when a point that needs it is scored. A kNN point runs ``_knn_batch``
-    on each fold's training and test arrays; no model is built.
+    One partition and train/test split, and each test fold's truth and SST.
+    The first ``sses`` call of a kind predicts every test fold for all points
+    of that kind at once (linear: one array soft-threshold step on shared
+    fold statistics; kNN: one ``_knn_batch`` a fold for every ``k``; trees:
+    one forest of a tree per (``min_samples_leaf``, fold) grown to the
+    deepest ``max_depth``, routed once) and keeps each (point, fold) error
+    sum. A point that fails to fit a fold keeps that error until it is scored.
     """
 
     def __init__(
@@ -419,73 +419,68 @@ class _FoldWork:
             truth = t[fold]
             sst = float(np.sum((truth - truth.mean()) ** 2))
             self.folds.append((p[train], t[train], p[fold], truth, sst))
-        self._tree_depths: dict[int, int] = {}
+        self._test_p, self._truth = (np.concatenate([f[i] for f in self.folds]) for i in (2, 3))
+        self._bounds = np.cumsum([0] + [f[2].size for f in self.folds]).tolist()
+        self._specs: dict[str, dict[tuple, ModelSpec]] = {}  # kind -> point -> spec
         for spec in specs:
-            if spec.kind == "decision_tree":
-                leaf, depth = spec.hyperparams["min_samples_leaf"], spec.hyperparams["max_depth"]
-                self._tree_depths[leaf] = max(depth, self._tree_depths.get(leaf, 0))
+            self._specs.setdefault(spec.kind, {}).setdefault(_point(spec), spec)
+        self._rows: dict[tuple, list[float] | ValueError] = {}  # point -> sums or error
         self._linear: dict[int, tuple] = {}  # fold -> _linear_stats
-        # (fold, min_samples_leaf) -> routed test predictions, one row per depth
-        self._tree_preds: dict[tuple[int, int], np.ndarray] | None = None
 
     def sses(self, spec: ModelSpec) -> list[float]:
         """Squared-error sum of ``spec`` on each test fold, in fold order."""
-        out = []
-        for fold, (_, _, _, truth, _) in enumerate(self.folds):
+        if _point(spec) not in self._rows:
+            self._score(spec.kind)
+        row = self._rows[_point(spec)]
+        if isinstance(row, ValueError):
+            raise ValueError(f"fold underflow for {spec.kind}: {row}") from row
+        return row
+
+    def _score(self, kind: str) -> None:
+        """Each point of ``kind`` gets its sums, or the error of its first failing fold."""
+        for point, spec in self._specs[kind].items():
             try:
-                preds = self._predict(spec, fold)
+                for fold, (train_p, train_t, *_) in enumerate(self.folds):
+                    if kind in LINEAR_KINDS and fold not in self._linear:
+                        self._linear[fold] = _linear_stats(train_p, train_t)
+                    spec._check_fit(train_p.size, self._linear.get(fold))
             except ValueError as exc:
-                raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
-            out.append(float(np.sum((truth - preds) ** 2)))
-        return out
+                self._rows[point] = exc
+        live = [spec for point, spec in self._specs[kind].items() if point not in self._rows]
+        if not live:
+            return
+        if kind == "knn":
+            ks = [spec.hyperparams["k"] for spec in live]
+            preds = np.concatenate([_knn_batch(*fold[:2], ks, fold[2]) for fold in self.folds], axis=1)
+        elif kind == "decision_tree":
+            preds = self._tree_preds(live)
+        else:
+            stats = np.array([self._linear[fold] for fold in range(len(self.folds))]).T
+            lam, mix = np.array([spec._penalty() for spec in live], dtype=np.float64).T[:, :, None]
+            intercept, slope = _linear_coef(np.repeat(stats, np.diff(self._bounds), axis=1), lam, mix)
+            preds = intercept + slope * self._test_p  # as FittedRegressor.predict_batch
+        # Sum row by row over each fold alone, in C order, as a one-point fold
+        # sum adds: padded folds or a column-major block round differently.
+        errors = np.ascontiguousarray((self._truth - preds) ** 2)
+        bounds = zip(self._bounds, self._bounds[1:])
+        sses = zip(*(np.sum(errors[:, a:b], axis=1).tolist() for a, b in bounds))
+        self._rows.update(zip(map(_point, live), map(list, sses)))
 
-    def _predict(self, spec: ModelSpec, fold: int) -> np.ndarray:
-        train_p, train_t, test_p, _, _ = self.folds[fold]
-        h = spec.hyperparams
-        if spec.kind in LINEAR_KINDS:
-            if fold not in self._linear:
-                self._linear[fold] = _linear_stats(train_p, train_t)
-            intercept, slope = _linear_coef(self._linear[fold], *spec._penalty())
-            return intercept + slope * test_p  # as FittedRegressor.predict_batch
-        if spec.kind == "decision_tree":
-            _check_leaf_room(train_p.size, h["min_samples_leaf"])
-            if self._tree_preds is None:
-                self._tree_preds = self._grow_and_route()
-            preds = self._tree_preds[fold, h["min_samples_leaf"]]
-            return preds[min(h["max_depth"], len(preds) - 1)]
-        _check_k(train_p.size, h["k"])
-        return _knn_batch(train_p, train_t, h["k"], test_p)
+    def _tree_preds(self, specs: list[ModelSpec]) -> np.ndarray:
+        leaves = list(dict.fromkeys(spec.hyperparams["min_samples_leaf"] for spec in specs))
+        depth = max(spec.hyperparams["max_depth"] for spec in specs)  # cut at d: the depth-d tree
+        levels = _grow([fold[:2] for fold in self.folds], leaves, depth)
+        n_trees = len(leaves) * len(self.folds)
+        roots = np.repeat(np.arange(n_trees), np.tile(np.diff(self._bounds), len(leaves)))
+        routed = _forest.route(levels, roots, np.tile(self._test_p, len(leaves)))
+        routed = routed.reshape(len(levels), len(leaves), -1)
+        rows = [min(spec.hyperparams["max_depth"], len(levels) - 1) for spec in specs]
+        return routed[rows, [leaves.index(spec.hyperparams["min_samples_leaf"]) for spec in specs]]
 
-    def _grow_and_route(self) -> dict[tuple[int, int], np.ndarray]:
-        """(fold, min_samples_leaf) -> that tree's test-fold predictions, one
-        row per depth, from one forest growth and one route."""
-        trees = [
-            (fold, leaf)
-            for fold, (train_p, *_) in enumerate(self.folds)
-            for leaf in self._tree_depths
-            if train_p.size >= 2 * leaf
-        ]
-        ps, ts, fold_starts = [], [], [0]
-        for train_p, train_t, *_ in self.folds:
-            order = np.argsort(train_p, kind="stable")
-            ps.append(train_p[order])
-            ts.append(train_t[order])
-            fold_starts.append(fold_starts[-1] + train_p.size)
-        folds = np.array([fold for fold, _ in trees])
-        leaves = np.array([leaf for _, leaf in trees])
-        levels = _forest.grow_forest(
-            np.concatenate(ps),
-            np.concatenate(ts),
-            np.array(fold_starts)[folds],
-            np.diff(fold_starts)[folds],
-            leaves,
-            np.array([self._tree_depths[leaf] for leaf in leaves.tolist()]),
-        )
-        tests = [self.folds[fold][2] for fold in folds.tolist()]
-        roots = np.repeat(np.arange(len(trees)), [q.size for q in tests])
-        routed = _forest.route(levels, roots, np.concatenate(tests))
-        bounds = np.cumsum([0] + [q.size for q in tests]).tolist()
-        return {tree: routed[:, a:b] for tree, a, b in zip(trees, bounds, bounds[1:])}
+
+def _point(spec: ModelSpec) -> tuple:
+    """``spec``'s kind and hyperparameter values, in ``_HYPERPARAM_NAMES`` order."""
+    return (spec.kind, *(spec.hyperparams[name] for name in _HYPERPARAM_NAMES[spec.kind]))
 
 
 def k_fold_cv(
@@ -586,8 +581,10 @@ def plausibility_guard(
 
     The screening pixels should be max-ROI intensities from a population
     known to be afebrile, so any prediction above the ceiling is a model
-    artifact, not a detection.
+    artifact, not a detection. A ceiling that is not finite is an error.
     """
+    if not math.isfinite(ceiling_c):
+        raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     pixels = np.asarray(list(screening_pixels), dtype=np.float64)
     if not pixels.size:
         raise ValueError("screening set must be nonempty")
@@ -608,6 +605,8 @@ def select_model(
     With ``screening_pixels=None`` the guard is skipped and the top-ranked
     candidate wins. Raises NoViableModelError when no candidate passes.
     """
+    if not math.isfinite(ceiling_c):
+        raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     rejected: list[dict] = []
     for rank, entry in enumerate(report.entries):
         model = entry.spec.fit(list(samples))

@@ -238,6 +238,26 @@ class TestCalibrate:
         assert "fold underflow" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize(
+        "source, value", [("flag", "nan"), ("flag", "-inf"), ("config", "inf"), ("config", "nan")]
+    )
+    def test_non_finite_ceiling_is_data_error(self, tmp_path, capsys, monkeypatch, source, value):
+        # A NaN ceiling would pass every candidate (nothing is > NaN) and
+        # write NaN into the model JSON; it is refused before the grid search.
+        monkeypatch.setattr(cli, "grid_search", lambda *a, **k: pytest.fail("grid search ran"))
+        csv_path = self._csv(tmp_path)
+        model_path = tmp_path / "m.json"
+        argv = ["calibrate", str(csv_path), "--out", str(model_path)]
+        if source == "flag":
+            argv.append(f"--ceiling={value}")
+        else:
+            cfg = tmp_path / "thermotrack.cfg"
+            cfg.write_text(f"[calibrate]\nceiling = {value}\n")
+            argv = ["--config", str(cfg)] + argv
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err.startswith("error: ceiling must be finite")
+        assert not model_path.exists()
+
     def test_k_above_fold_size_is_fold_underflow(self, tmp_path, capsys):
         # 100 samples in 5 folds leave 80 to train on: k = 90 fits no fold.
         csv_path = self._csv(tmp_path)

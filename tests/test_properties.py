@@ -390,6 +390,37 @@ def test_knn_predict_batch_matches_sorted_oracle(seed):
     assert model.predict_batch(queries).tolist() == expected
 
 
+def _lower_edge_tie(values: np.ndarray, k: int, query: float) -> bool:
+    """Whether the k-th and (k+1)-th distinct pixels below ``query`` round to
+    the same distance from it: the case ``_knn_batch`` rescans."""
+    below = values[values < query]
+    return below.size > k and abs(below[-k - 1] - query) == abs(below[-k] - query)
+
+
+@BULK
+@given(seed=st.integers(0, 2**32 - 1))
+def test_knn_batch_over_several_k_matches_sorted_oracle(seed):
+    # One call for several k (unsorted, with repeats) must give, row by row,
+    # each k's sorted-oracle mean, -0.0 temperatures summed as sum() adds.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 31))
+    low = int(rng.integers(0, 246))
+    pixels = [
+        _nudged(int(p), int(u)) for p, u in zip(rng.integers(low, low + 6, n), rng.integers(0, 3, n))
+    ]
+    temps = [-0.0 if zero else float(t) for t, zero in zip(rng.uniform(0.0, 60.0, n), rng.random(n) < 0.2)]
+    ks = rng.integers(1, n + 1, int(rng.integers(1, 5))).tolist()
+    queries = [h / 2 for h in rng.integers(2 * low - 6, 2 * low + 17, 5).tolist()]
+    queries += rng.uniform(0.0, 255.0, 5).tolist()
+    means = thermoreg._knn_batch(np.array(pixels), np.array(temps), ks, np.array(queries))
+    expected = [[knn_sorted_mean(pixels, temps, k, q) for q in queries] for k in ks]
+    assert repr(means.tolist()) == repr(expected)
+    values = np.unique(pixels)
+    tied = any(_lower_edge_tie(values, max(ks), q) for q in queries)
+    event("lower-edge tie rescanned" if tied else "no lower-edge tie")
+    event("several k" if len(set(ks)) > 1 else "one k")
+
+
 @BULK
 @given(seed=st.integers(0, 2**32 - 1))
 def test_predict_agrees_with_predict_batch(seed):

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,12 +446,18 @@ class TestGridSearch:
             grid_search(_noisy_line(), {}, 5, 0)
 
     def test_default_grids_share_one_partition_and_nested_trees(self, monkeypatch):
-        # One partition for all 47 points, and one forest growth of one tree
-        # per (fold, min_samples_leaf), each grown once to the deepest
-        # max_depth: 5 x 3 trees, not 60, and no growth per depth.
+        # One partition for all 47 points; one forest growth of one tree per
+        # (min_samples_leaf, fold), each grown once to the deepest max_depth:
+        # 3 x 5 trees, not 60, and no growth per depth; one kNN prediction per
+        # fold for all four k (5 calls, not 20); and one set of linear
+        # statistics per fold for all 31 linear points.
         calls = {}
         forest_trees = []
-        for module, name in ((thermoreg, "kfold_partition"), (_forest, "grow_forest"), (thermoreg, "_grow_tree")):
+        patched = (
+            (thermoreg, "kfold_partition"), (_forest, "grow_forest"),
+            (thermoreg, "_knn_batch"), (thermoreg, "_linear_stats"),
+        )
+        for module, name in patched:
             original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -464,9 +471,42 @@ class TestGridSearch:
         grid_search(_noisy_line(), DEFAULT_GRIDS, k_folds=5, seed=0)
         leaf_sizes = sorted({point["min_samples_leaf"] for point in DEFAULT_GRIDS["decision_tree"]})
         deepest = max(point["max_depth"] for point in DEFAULT_GRIDS["decision_tree"])
-        assert calls == {"kfold_partition": 1, "grow_forest": 1}  # and no one-tree fit
+        assert calls == {"kfold_partition": 1, "grow_forest": 1, "_knn_batch": 5, "_linear_stats": 5}
         # _noisy_line() has 60 samples: every training fold holds 48.
-        assert forest_trees == [(48, leaf, deepest) for _ in range(5) for leaf in leaf_sizes]
+        assert forest_trees == [(48, leaf, deepest) for leaf in leaf_sizes for _ in range(5)]
+
+    @pytest.mark.parametrize(
+        "samples, grids, message",
+        [
+            (
+                _noisy_line(),
+                {"knn": [{"k": 1}, {"k": 10**6}]},
+                "fold underflow for knn: k must be in [1, 48], got 1000000",
+            ),
+            (
+                [CalibrationSample(100.0, 36.0 + i / 10) for i in range(10)],
+                {"ridge": [{"lambda": 1.0}, {"lambda": 0.0}]},
+                "fold underflow for ridge: need at least 2 distinct pixel values when lambda is 0",
+            ),
+        ],
+        ids=["knn-k-too-large", "ridge-lambda-zero-constant-pixels"],
+    )
+    def test_mixed_grid_fails_at_its_failing_point(self, samples, grids, message):
+        # One kind's points are scored together, but only the point that
+        # cannot be fitted raises, in its own k_fold_cv call.
+        scored = []
+
+        def recorded(samples, spec, *args, **kwargs):
+            entry = k_fold_cv(samples, spec, *args, **kwargs)
+            scored.append(entry.mean_mse)
+            return entry
+
+        with mock.patch.object(thermoreg, "k_fold_cv", wraps=recorded) as spy:
+            with pytest.raises(ValueError) as raised:
+                grid_search(samples, grids, k_folds=5, seed=0)
+        assert str(raised.value) == message
+        assert spy.call_count == 2
+        assert len(scored) == 1 and math.isfinite(scored[0])
 
 
 def _integer_pixel_set():
@@ -579,6 +619,18 @@ class TestGuardAndSelection:
     def test_empty_screening_set_rejected(self):
         with pytest.raises(ValueError):
             plausibility_guard(ModelSpec("linear", {}).fit(TWO_POINTS), [])
+
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ceiling_rejected(self, ceiling):
+        # `pred > nan` is always False: a NaN ceiling would pass any model.
+        samples = _noisy_line(n=20)
+        model = ModelSpec("linear", {}).fit(samples)
+        with pytest.raises(ValueError, match="ceiling_c must be finite"):
+            plausibility_guard(model, [250.0], ceiling)
+        report = grid_search(samples, {"linear": [{}]}, 4, 0)
+        for screening in ([250.0], None):
+            with pytest.raises(ValueError, match="ceiling_c must be finite"):
+                select_model(samples, report, screening, ceiling)
 
     def _overfit_vs_shrunk_report(self, samples):
         # Rank a flexible memorizer above a heavily shrunk line, as a CV
