@@ -8,13 +8,19 @@ checkable against a brute-force precision/recall enumeration.
 An evaluation builds one (images x detections x truths) IoU tensor, with
 the scalar ``iou``'s integer steps so each value is bit-identical to it,
 and claims truths for all swept thresholds in one walk over the detection
-ranks. ``match_greedy`` is the one-image, one-threshold call of that walk.
+ranks. Only a truth of positive IoU can be claimed, so each rank looks at
+K candidates a detection: K is the most positive-IoU truths any detection
+has (at worst every truth). ``match_greedy`` is the one-image,
+one-threshold call of that walk. ``_ap_rows`` scores every threshold's
+pooled flags in one pass; ``average_precision`` is its one-row call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -28,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type hints
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 CSV_HEADER = "dataset,precision,recall,map50,map5095"
+
+_CORNERS = attrgetter("x1", "y1", "x2", "y2")
 
 
 @dataclass
@@ -86,6 +94,12 @@ def iou(a: PixelBBox, b: PixelBBox) -> float:
     return inter / (a.area() + b.area() - inter)
 
 
+def _check_threshold(thr: float) -> None:
+    """Reject an IoU threshold outside (0, 1]; NaN compares false and fails."""
+    if not 0.0 < thr <= 1.0:
+        raise ValueError(f"IoU threshold {thr} outside (0, 1]")
+
+
 def _check_sorted_desc(confidences: np.ndarray) -> None:
     """Reject any row of ``confidences`` that rises; NaN pairs compare false."""
     if np.any(confidences[..., 1:] > confidences[..., :-1]):
@@ -99,9 +113,8 @@ def _pad_boxes(boxes_per_image: Sequence[Sequence[PixelBBox]]) -> tuple[np.ndarr
     counts = np.fromiter((len(boxes) for boxes in boxes_per_image), dtype=np.int64, count=len(boxes_per_image))
     valid = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
     corners = np.zeros((*valid.shape, 4), dtype=np.int64)
-    corners[valid] = np.array(
-        [(b.x1, b.y1, b.x2, b.y2) for boxes in boxes_per_image for b in boxes], dtype=np.int64
-    ).reshape(-1, 4)
+    flat = chain.from_iterable(map(_CORNERS, chain.from_iterable(boxes_per_image)))
+    corners[valid] = np.fromiter(flat, dtype=np.int64, count=4 * int(counts.sum())).reshape(-1, 4)
     return corners, valid
 
 
@@ -140,28 +153,33 @@ def _match_flags(
 
     Returns the (thresholds, detections) true-positive flags and the
     detections' confidences, both over each image's detections in turn.
-    One walk over the detection ranks claims for all thresholds and images
-    together; ``argmax`` over the unclaimed truths (claimed ones masked to
-    -1) keeps the first index of the highest IoU, the scalar rule's tie
-    break.
+    Each detection's truths are sorted once by falling IoU, ties to the
+    lower index, and cut to the K that can overlap it; per rank, ``argmax``
+    over them (claimed ones masked to -1) picks the highest IoU of lowest
+    index, the scalar rule's tie break, for all thresholds and images.
     """
     dets, det_valid = _pad_boxes([[d.bbox for d in image] for image in dets_per_image])
     confs = np.full(det_valid.shape, -np.inf)
     confs[det_valid] = [d.confidence for image in dets_per_image for d in image]
     _check_sorted_desc(confs)  # -inf padding never rises
     ious = _iou_tensor(dets, _pad_boxes(gts_per_image)[0])
-    thr = np.asarray(thresholds, dtype=float)[:, None]
     images, ranks, truths = ious.shape
-    claimed = np.zeros((len(thr), images, truths), dtype=bool)
+    k = max(int(np.count_nonzero(ious > 0.0, axis=2).max(initial=0)), 1)
+    cand = np.argsort(-ious, axis=2, kind="stable")[:, :, :k]
+    cand_iou = np.take_along_axis(ious, cand, axis=2)
+    # A new (images, D, K) array, so the full sort is freed; it indexes all images' truths end to end.
+    cand = cand + np.arange(0, images * truths, truths)[:, None, None]
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    claimed = np.zeros((len(thr), images * truths), dtype=bool)
     flags = np.zeros((len(thr), images, ranks), dtype=bool)
     t_index, i_index = np.ix_(np.arange(len(thr)), np.arange(images))
     for rank in range(ranks):
-        candidates = np.where(claimed, -1.0, ious[:, rank])
-        best_j = candidates.argmax(axis=2)
-        best = candidates.max(axis=2)
+        rank_cand = cand[:, rank]
+        free = np.where(claimed[:, rank_cand], -1.0, cand_iou[:, rank])
+        best = free.max(axis=2)
         # Only a positive IoU is claimed, so padded rows and columns never hit.
         hit = (best >= thr) & (best > 0.0)
-        claimed[t_index, i_index, best_j] |= hit
+        claimed[t_index, rank_cand[i_index, free.argmax(axis=2)]] |= hit
         flags[:, :, rank] = hit
     return flags[:, det_valid], confs[det_valid]
 
@@ -180,6 +198,7 @@ def match_greedy(
     This is the one-image, one-threshold view of ``map_over_thresholds``'
     batched claim pass.
     """
+    _check_threshold(iou_thr)
     flags, _ = _match_flags([dets], [gts], [iou_thr])
     return MatchResult(flags[0].tolist(), len(gts))
 
@@ -199,20 +218,24 @@ def average_precision(match: MatchResult, confidences: Sequence[float]) -> float
     if len(confidences) != len(match.tp_flags):
         raise ValueError("confidences and tp_flags must be aligned")
     _check_sorted_desc(np.asarray(confidences, dtype=float))
-    flags = np.asarray(match.tp_flags, dtype=bool)
-    if match.num_gt == 0:
-        return 0.0 if flags.size else 1.0
-    if flags.size == 0:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / match.num_gt
-    precision = tp / (tp + fp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    recall_steps = np.diff(np.concatenate(([0.0], recall)))
+    return _ap_rows(np.asarray(match.tp_flags, dtype=bool)[None], match.num_gt)[0]
+
+
+def _ap_rows(flags: np.ndarray, num_gt: int) -> list[float]:
+    """``average_precision`` of each row of (rows, detections) ranked flags,
+    all against ``num_gt`` truths, from one cumulative pass over the block."""
+    rows, ranks = flags.shape
+    tp = np.cumsum(flags, axis=1)
+    if ranks and np.any(tp[:, -1] > num_gt):
+        raise ValueError("more true positives than ground-truth boxes")
+    if num_gt == 0 or ranks == 0:
+        return [1.0 if num_gt == ranks == 0 else 0.0] * rows
+    precision = tp / np.arange(1, ranks + 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    recall_steps = np.diff(tp / num_gt, axis=1, prepend=0.0)
     # fsum: the recall steps telescope exactly, so a perfect detector scores
     # exactly 1.0 instead of drifting an ulp below.
-    return math.fsum(recall_steps * envelope)
+    return [math.fsum(row) for row in (recall_steps * envelope).tolist()]
 
 
 def map_over_thresholds(
@@ -232,34 +255,25 @@ def map_over_thresholds(
     if not thresholds:
         raise ValueError("at least one IoU threshold is required")
     for thr in thresholds:
-        if not 0.0 < thr <= 1.0:
-            raise ValueError(f"IoU threshold {thr} outside (0, 1]")
+        _check_threshold(thr)
 
     # One claim pass scores every threshold; precision and recall need the 0.5 match.
-    swept = list(dict.fromkeys(float(thr) for thr in [*thresholds, 0.5]))
+    levels = list(dict.fromkeys(float(thr) for thr in thresholds))
+    swept = list(dict.fromkeys([*levels, 0.5]))
     flags, confs = _match_flags(dets_per_image, gts_per_image, swept)
-    order = np.argsort(-confs, kind="stable")
-    pooled_confs = confs[order]
+    flags = flags[:, np.argsort(-confs, kind="stable")]
     total_gt = sum(len(gts) for gts in gts_per_image)
-    matches = {thr: MatchResult(flags[t, order].tolist(), total_gt) for t, thr in enumerate(swept)}
-    ap_by_threshold = {
-        float(thr): average_precision(matches[float(thr)], pooled_confs) for thr in thresholds
-    }
+    ap_by_threshold = dict(zip(levels, _ap_rows(flags[: len(levels)], total_gt)))
 
-    match50 = matches[0.5]
-    tp = sum(match50.tp_flags)
-    n_det = len(match50.tp_flags)
-    precision = tp / n_det if n_det else 0.0
-    recall = tp / match50.num_gt if match50.num_gt else 0.0
-
-    aps = list(ap_by_threshold.values())
+    tp = int(np.count_nonzero(flags[swept.index(0.5)]))
+    n_det = len(confs)
     return DetectionEvalReport(
-        precision=precision,
-        recall=recall,
+        precision=tp / n_det if n_det else 0.0,
+        recall=tp / total_gt if total_gt else 0.0,
         map_50=ap_by_threshold.get(0.5, float("nan")),
-        map_50_95=float(np.mean(aps)),
+        map_50_95=float(np.mean(list(ap_by_threshold.values()))),
         ap_by_threshold=ap_by_threshold,
         num_images=len(gts_per_image),
-        num_gt=match50.num_gt,
+        num_gt=total_gt,
         num_detections=n_det,
     )

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -76,7 +77,9 @@ def _is_real(value) -> bool:
 # The sample-independent range of each hyperparameter, checked by ModelSpec;
 # the fitters check only what depends on the training samples.
 _HYPERPARAM_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "lambda": ("a finite number >= 0", lambda v: _is_real(v) and 0 <= v < math.inf),
+    # Python compares an int with a float exactly, so an int too large for a
+    # float fails here instead of overflowing in the fit.
+    "lambda": ("a finite number >= 0", lambda v: _is_real(v) and 0 <= v <= sys.float_info.max),
     "mix": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
     "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "max_depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),

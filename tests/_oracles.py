@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from thermotrack.deteval import DetectionEvalReport
 from thermotrack.pipeline import BOX_COLOR, GLYPH_H, GLYPH_PITCH, GLYPHS, TEXT_COLOR
 from thermotrack.thermoreg import ModelSpec, kfold_partition, mse, r2
 
@@ -298,3 +299,72 @@ def cv_grid_per_point(samples, grids, k_folds, seed):
         rows.append((kind, hyperparams, grid_index, fold_mses, fold_r2s, mean_mse, mean_r2))
     rows.sort(key=lambda row: (row[5], -(row[6] if not math.isnan(row[6]) else -math.inf), row[2]))
     return rows, None
+
+
+def full_width_report(dets_per_image, gts_per_image, thresholds):
+    """``map_over_thresholds`` as it was before the candidate walk, for the
+    bit-identity check: every rank's claim looks at every truth of its
+    image, and each threshold's AP is computed on its own from a Python
+    list of flags. The IoU table is built pair by pair with ``iou_corners``
+    (exact integer steps and one true division, like the library's ``iou``).
+
+    Returns a ``DetectionEvalReport`` to compare with ``==``."""
+    images = len(gts_per_image)
+    ranks = max([len(image) for image in dets_per_image] + [1])
+    truths = max([len(image) for image in gts_per_image] + [1])
+    ious = np.zeros((images, ranks, truths))
+    confs = np.full((images, ranks), -np.inf)
+    det_valid = np.zeros((images, ranks), dtype=bool)
+    for i, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
+        for a, det in enumerate(dets):
+            confs[i, a] = det.confidence
+            det_valid[i, a] = True
+            d = (det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2)
+            for b, gt in enumerate(gts):
+                ious[i, a, b] = iou_corners(d, (gt.x1, gt.y1, gt.x2, gt.y2))
+
+    swept = list(dict.fromkeys(float(thr) for thr in [*thresholds, 0.5]))
+    thr = np.asarray(swept)[:, None]
+    claimed = np.zeros((len(swept), images, truths), dtype=bool)
+    walked = np.zeros((len(swept), images, ranks), dtype=bool)
+    t_index, i_index = np.ix_(np.arange(len(swept)), np.arange(images))
+    for rank in range(ranks):
+        candidates = np.where(claimed, -1.0, ious[:, rank])
+        best_j = candidates.argmax(axis=2)
+        best = candidates.max(axis=2)
+        hit = (best >= thr) & (best > 0.0)
+        claimed[t_index, i_index, best_j] |= hit
+        walked[:, :, rank] = hit
+    flags, confs = walked[:, det_valid], confs[det_valid]
+
+    order = np.argsort(-confs, kind="stable")
+    total_gt = sum(len(gts) for gts in gts_per_image)
+
+    def average_precision(tp_flags):
+        flags = np.asarray(tp_flags, dtype=bool)
+        if total_gt == 0:
+            return 0.0 if flags.size else 1.0
+        if flags.size == 0:
+            return 0.0
+        tp = np.cumsum(flags)
+        fp = np.cumsum(~flags)
+        recall = tp / total_gt
+        precision = tp / (tp + fp)
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        recall_steps = np.diff(np.concatenate(([0.0], recall)))
+        return math.fsum(recall_steps * envelope)
+
+    pooled = {level: flags[t, order].tolist() for t, level in enumerate(swept)}
+    ap_by_threshold = {float(level): average_precision(pooled[float(level)]) for level in thresholds}
+    tp = sum(pooled[0.5])
+    n_det = len(pooled[0.5])
+    return DetectionEvalReport(
+        precision=tp / n_det if n_det else 0.0,
+        recall=tp / total_gt if total_gt else 0.0,
+        map_50=ap_by_threshold.get(0.5, float("nan")),
+        map_50_95=float(np.mean(list(ap_by_threshold.values()))),
+        ap_by_threshold=ap_by_threshold,
+        num_images=images,
+        num_gt=total_gt,
+        num_detections=n_det,
+    )

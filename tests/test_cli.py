@@ -220,10 +220,11 @@ class TestCalibrate:
             {"elastic_net": [{"lambda": 1.0, "mix": 2}]},
             {"knn": [{"k": 0}]},
             {"decision_tree": [{"max_depth": -1, "min_samples_leaf": 1}]},
+            {"ridge": [{"lambda": 10**400}]},
         ],
         ids=[
             "missing-name", "misspelt-name", "name-not-taken", "string-lambda", "null-mix", "extra-name",
-            "negative-lambda", "mix-above-one", "zero-k", "negative-depth",
+            "negative-lambda", "mix-above-one", "zero-k", "negative-depth", "401-digit-lambda",
         ],
     )
     def test_bad_hyperparameters_are_data_errors(self, tmp_path, capsys, grid):

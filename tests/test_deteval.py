@@ -1,12 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import ap_enumeration, greedy_match_flags, iou_corners
+from _oracles import ap_enumeration, full_width_report, greedy_match_flags, iou_corners
 from thermotrack.annotations import PixelBBox
-from thermotrack import deteval
-from thermotrack.detectors import Detection
+from thermotrack import deteval, synthscene
+from thermotrack.annotations import denormalize
+from thermotrack.detectors import BlobDetector, Detection, DetectorConfig
 from thermotrack.deteval import (
     DEFAULT_IOU_THRESHOLDS,
     MatchResult,
@@ -82,6 +86,21 @@ class TestMatchGreedy:
         with pytest.raises(ValueError, match="sorted"):
             match_greedy(dets, [PixelBBox(0, 0, 5, 5)], 0.5)
 
+    @pytest.mark.parametrize("thr", [float("nan"), 0.0, -0.25, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, thr):
+        # NaN would mark every detection a miss and 0.0 would let any overlap claim.
+        dets = [Detection(PixelBBox(0, 0, 5, 5), 0.9)]
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            match_greedy(dets, [PixelBBox(0, 0, 5, 5)], thr)
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            map_over_thresholds([dets], [[PixelBBox(0, 0, 5, 5)]], [thr])
+
+    def test_threshold_one_needs_an_exact_box(self):
+        dets = [Detection(PixelBBox(0, 0, 5, 5), 0.9), Detection(PixelBBox(0, 0, 5, 4), 0.8)]
+        gts = [PixelBBox(0, 0, 5, 4), PixelBBox(0, 0, 5, 5)]
+        assert match_greedy(dets, gts, 1.0).tp_flags == [True, True]
+        assert match_greedy(dets[1:], gts[1:], 1.0).tp_flags == [False]
+
     def test_matches_reference_on_random_instances(self, rng):
         for _ in range(100):
             dets = _ranked_detections(rng, _random_boxes(rng, 10))
@@ -110,6 +129,10 @@ class TestAveragePrecision:
 
     def test_no_gt_no_detections_is_neutral_one(self):
         assert average_precision(MatchResult([], 0), []) == 1.0
+
+    def test_more_true_positives_than_truths_rejected(self):
+        with pytest.raises(ValueError, match="more true positives"):
+            deteval._ap_rows(np.array([[True, False], [True, True]]), 1)
 
     def test_matches_enumeration_oracle_on_random_flag_patterns(self, rng):
         for _ in range(300):
@@ -280,6 +303,43 @@ class TestMapOverThresholds:
         assert "ap_0.95=1.000000" in text
 
 
+def _dense_blob_set():
+    """Blob detections and truths of 50 dense 160x120 frames (12-15 faces each)."""
+    seq = synthscene.SequenceSpec(frames=50, layout="dense", seed=5)
+    blob = BlobDetector(DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1))
+    dets, gts = [], []
+    for frame, labels, _ in synthscene.generate_sequence(seq):
+        dets.append(blob.detect(frame))
+        gts.append([denormalize(label.bbox, frame.width, frame.height) for label in labels])
+    return dets, gts
+
+
+def _exact_report(report):
+    """Every float of a report as its ``repr``, so a pin holds to the last bit."""
+    return {
+        "precision": repr(report.precision),
+        "recall": repr(report.recall),
+        "map_50": repr(report.map_50),
+        "map_50_95": repr(report.map_50_95),
+        "ap_by_threshold": {repr(thr): repr(ap) for thr, ap in report.ap_by_threshold.items()},
+    }
+
+
+EVAL_REPORT_PINS = json.loads((Path(__file__).parent / "data" / "eval_report_pins.json").read_text())
+PINNED_EVALUATIONS = {
+    "shifted-sweep": (TestMapOverThresholds._shifted_detections, DEFAULT_IOU_THRESHOLDS),
+    "shifted-without-0.5": (TestMapOverThresholds._shifted_detections, (0.3, 0.55, 0.75)),
+    "dense-blob-50": (_dense_blob_set, DEFAULT_IOU_THRESHOLDS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EVALUATIONS))
+def test_report_floats_pinned_exactly(name):
+    make_set, thresholds = PINNED_EVALUATIONS[name]
+    dets, gts = make_set()
+    assert _exact_report(map_over_thresholds(dets, gts, thresholds)) == EVAL_REPORT_PINS[name]
+
+
 def test_iou_oracle_agreement(rng):
     for _ in range(200):
         a, b = _random_boxes(rng, 2)
@@ -348,6 +408,74 @@ def test_sweep_matches_oracle(images):
         if thr == 0.5:
             assert report.precision == (sum(flags) / len(flags) if flags else 0.0)
             assert report.recall == (sum(flags) / num_gt if num_gt else 0.0)
+
+
+# A 4x4 grid with sides of 1-4 px and 2-7 truths an image: most detections
+# overlap two or more truths, so the candidate walk keeps K >= 2 columns and
+# claims contend for shared truths. The explicit examples add the empty cases.
+crowded_images = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.builds(
+                    lambda x1, y1, w, h: PixelBBox(x1, y1, x1 + w, y1 + h),
+                    x1=st.integers(0, 3), y1=st.integers(0, 3), w=st.integers(1, 4), h=st.integers(1, 4),
+                ),
+                st.sampled_from([0.5, 0.75, 1.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(
+            st.builds(
+                lambda x1, y1, w, h: PixelBBox(x1, y1, x1 + w, y1 + h),
+                x1=st.integers(0, 3), y1=st.integers(0, 3), w=st.integers(1, 4), h=st.integers(1, 4),
+            ),
+            min_size=2,
+            max_size=7,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _positive_truths(images):
+    """The most truths of positive IoU that any one detection has (K, at least 1)."""
+    counts = [
+        sum(iou_corners(_corners(box), _corners(gt)) > 0 for gt in gts) for dets, gts in images for box, _ in dets
+    ]
+    return max(counts + [1])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(crowded_images)
+# A duplicate detection (K = 4): the first copy takes the truth at IoU 2/3,
+# the second meets a three-way tie at IoU exactly 0.5 and takes the lowest
+# index. IoU exactly 0.6; confidences 0.75 and 0.5 tied across images; an
+# image with detections and no truths; an empty image; no images at all.
+@example(
+    [
+        (
+            [(PixelBBox(0, 0, 2, 1), 1.0), (PixelBBox(0, 0, 2, 1), 0.75), (PixelBBox(0, 0, 4, 1), 0.5)],
+            [PixelBBox(0, 0, 1, 1), PixelBBox(1, 0, 2, 1), PixelBBox(0, 0, 3, 1), PixelBBox(0, 0, 4, 1)],
+        ),
+        ([(PixelBBox(0, 0, 5, 1), 0.75), (PixelBBox(2, 2, 4, 4), 0.5)], [PixelBBox(0, 0, 3, 1)]),
+        ([(PixelBBox(3, 3, 5, 5), 1.0)], []),
+        ([], []),
+    ]
+)
+@example([([], [])])
+@example([])
+def test_candidate_walk_report_is_full_width_report(images):
+    event(f"K={_positive_truths(images)}")
+    dets = [
+        [Detection(box, conf) for box, conf in sorted(image_dets, key=lambda d: -d[1])]
+        for image_dets, _ in images
+    ]
+    gts = [image_gts for _, image_gts in images]
+    for thresholds in (DEFAULT_IOU_THRESHOLDS, (0.6, 0.5, 0.3, 0.6)):
+        assert map_over_thresholds(dets, gts, thresholds) == full_width_report(dets, gts, thresholds)
 
 
 near_million_boxes = st.builds(

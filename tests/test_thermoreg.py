@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -112,6 +113,17 @@ class TestRidge:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec("ridge", {"lambda": -1.0}).fit(TWO_POINTS)
+
+    @pytest.mark.parametrize(
+        "lam", [10**400, 2**1024, math.inf, math.nan], ids=["401-digits", "2^1024", "inf", "nan"]
+    )
+    def test_lambda_beyond_float_range_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
+            ModelSpec("ridge", {"lambda": lam})
+
+    def test_largest_float_lambda_accepted(self):
+        # The largest int that converts to a float is still in range.
+        ModelSpec("ridge", {"lambda": int(sys.float_info.max)})
 
     def test_slope_magnitude_nonincreasing_in_lambda(self):
         samples = _noisy_line()
