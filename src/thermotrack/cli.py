@@ -184,24 +184,25 @@ def cmd_prepare(args, config) -> int:
             if item.frame.source_id in stems:
                 raise ValueError(f"stem collision while combining: {item.frame.source_id!r}")
         items.extend(extra_items)
-    if args.resize is not None:
-        width, height = args.resize
-        items = [DatasetItem(resize(it.frame, width, height), it.labels) for it in items]
     if args.augment_hflip:
         stems = {item.frame.source_id for item in items}
-        augmented = []
         for item in items:
-            flipped = horizontal_flip(item)
-            flipped.frame.source_id = f"{item.frame.source_id}_hf"
-            if flipped.frame.source_id in stems:
-                raise ValueError(f"augmented stem collides: {flipped.frame.source_id!r}")
-            augmented.append(flipped)
-        items.extend(augmented)
+            mirrored = f"{item.frame.source_id}_hf"
+            if mirrored in stems:
+                raise ValueError(f"augmented stem collides: {mirrored!r}")
+    # Every check is done; derive and write one item at a time, so at most
+    # one derived frame and its mirror are held.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for item in items:
+        if args.resize is not None:
+            item = DatasetItem(resize(item.frame, *args.resize), item.labels)
         save_item(item, out_dir)
-    print(f"items={len(items)}")
+        if args.augment_hflip:
+            flipped = horizontal_flip(item)
+            flipped.frame.source_id = f"{item.frame.source_id}_hf"
+            save_item(flipped, out_dir)
+    print(f"items={len(items) * (2 if args.augment_hflip else 1)}")
     print(f"out={args.out}")
     return EXIT_OK
 

@@ -168,11 +168,17 @@ def bgr_to_grayscale(frame: ThermalFrame) -> ThermalFrame:
     """
     if frame.channels != 3:
         raise ValueError("frame is already single-channel")
-    px = frame.pixels.astype(np.float64)
+    px = frame.pixels
     wr, wg, wb = GRAY_WEIGHTS
-    gray = wr * px[:, :, 2] + wg * px[:, :, 1] + wb * px[:, :, 0]
-    gray = np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8)
-    return replace(frame, pixels=gray)
+    # (wr*R + wg*G) + wb*B, one float64 plane at a time: no float copy of
+    # the whole three-channel frame.
+    gray = np.multiply(px[:, :, 2], wr, dtype=np.float64)
+    gray += wg * px[:, :, 1]
+    gray += wb * px[:, :, 0]
+    gray += 0.5
+    np.floor(gray, out=gray)
+    np.clip(gray, 0, 255, out=gray)
+    return replace(frame, pixels=gray.astype(np.uint8))
 
 
 def gray_to_bgr(frame: ThermalFrame) -> ThermalFrame:
@@ -181,6 +187,20 @@ def gray_to_bgr(frame: ThermalFrame) -> ThermalFrame:
         raise ValueError("frame is not single-channel")
     gray = frame.pixels
     return replace(frame, pixels=np.stack((gray, gray, gray), axis=-1))
+
+
+# float64 cells of one block of output rows in the vertical pass of
+# ``resize``: caps each of its two block arrays at 512 KB.
+_RESIZE_BLOCK_CELLS = 1 << 16
+
+
+def _sample_grid(target: int, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per output index along one axis: the two source indices it blends
+    (borders replicated) and the weight of the second."""
+    pos = (np.arange(target) + 0.5) * (source / target) - 0.5
+    lo = np.floor(pos)
+    first = lo.astype(np.int64)
+    return np.clip(first, 0, source - 1), np.clip(first + 1, 0, source - 1), pos - lo
 
 
 def resize(frame: ThermalFrame, target_w: int, target_h: int) -> ThermalFrame:
@@ -192,38 +212,48 @@ def resize(frame: ThermalFrame, target_w: int, target_h: int) -> ThermalFrame:
 
     Interpolation is written as ``a + f * (b - a)`` per axis, which keeps
     constant regions exactly constant and every output inside the input
-    value range.
+    value range. The x pass runs over the source rows only; the y pass
+    blends two of its rows into each output row, a block of rows at a time,
+    so no float array of the whole output is ever held.
     """
+    for dim in (target_w, target_h):
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"target dims must be integers, got {target_w!r}x{target_h!r}")
     if target_w <= 0 or target_h <= 0:
         raise ValueError(f"target dims must be positive, got {target_w}x{target_h}")
+    target_w, target_h = int(target_w), int(target_h)
     if (target_w, target_h) == (frame.width, frame.height):
         return frame.copy()
 
-    src = frame.pixels.astype(np.float64)
-    xs = (np.arange(target_w) + 0.5) * (frame.width / target_w) - 0.5
-    ys = (np.arange(target_h) + 0.5) * (frame.height / target_h) - 0.5
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    fx = xs - x0
-    fy = ys - y0
-    x0i = np.clip(x0.astype(np.int64), 0, frame.width - 1)
-    x1i = np.clip(x0.astype(np.int64) + 1, 0, frame.width - 1)
-    y0i = np.clip(y0.astype(np.int64), 0, frame.height - 1)
-    y1i = np.clip(y0.astype(np.int64) + 1, 0, frame.height - 1)
-
-    c00 = src[y0i[:, None], x0i[None, :]]
-    c01 = src[y0i[:, None], x1i[None, :]]
-    c10 = src[y1i[:, None], x0i[None, :]]
-    c11 = src[y1i[:, None], x1i[None, :]]
+    x0, x1, fx = _sample_grid(target_w, frame.width)
+    y0, y1, fy = _sample_grid(target_h, frame.height)
     if frame.channels == 3:
-        fxb, fyb = fx[None, :, None], fy[:, None, None]
+        fx, fy = fx[:, None], fy[:, None, None]
     else:
-        fxb, fyb = fx[None, :], fy[:, None]
-    top = c00 + fxb * (c01 - c00)
-    bottom = c10 + fxb * (c11 - c10)
-    out = top + fyb * (bottom - top)
-    pixels = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return replace(frame, pixels=pixels)
+        fy = fy[:, None]
+
+    # x pass: (source height, target width[, 3]).
+    rows = frame.pixels[:, x1].astype(np.float64)
+    left = frame.pixels[:, x0].astype(np.float64)
+    rows -= left
+    rows *= fx
+    rows += left
+    del left
+
+    out = np.empty((target_h, target_w) + frame.pixels.shape[2:], dtype=np.uint8)
+    block = max(1, _RESIZE_BLOCK_CELLS // rows[0].size)
+    for start in range(0, target_h, block):
+        stop = min(start + block, target_h)
+        top = rows[y0[start:stop]]
+        blend = rows[y1[start:stop]]
+        blend -= top
+        blend *= fy[start:stop]
+        blend += top
+        blend += 0.5
+        np.floor(blend, out=blend)
+        np.clip(blend, 0, 255, out=blend)
+        out[start:stop] = blend
+    return replace(frame, pixels=out)
 
 
 def horizontal_flip(item: DatasetItem) -> DatasetItem:

@@ -185,16 +185,15 @@ def _draw_text(pixels: np.ndarray, x: int, y: int, text: str, color: np.ndarray)
 def render_overlay(
     frame: ThermalFrame, readings: Sequence[TempReading], decimals: int = 1
 ) -> ThermalFrame:
-    """Draw 1-pixel box outlines and temperature text onto a copy of a
-    3-channel frame.
+    """Draw 1-pixel box outlines and temperature text onto a BGR copy of a
+    frame: a gray frame is replicated into three channels, a BGR frame is
+    copied. That copy is the only frame-sized array made.
 
     Text sits just above its box, or below the box when the frame edge
     would clip it, and is always clamped inside the frame. Identical inputs
     render identically.
     """
-    if frame.channels != 3:
-        raise ValueError("overlay rendering needs a 3-channel frame")
-    pixels = frame.pixels.copy()
+    pixels = gray_to_bgr(frame).pixels if frame.channels == 1 else frame.pixels.copy()
     # uint8 colours once per frame, not a tuple conversion per write.
     box_color = np.array(BOX_COLOR, dtype=np.uint8)
     text_color = np.array(TEXT_COLOR, dtype=np.uint8)
@@ -247,12 +246,9 @@ def process_frame(
                 flagged=temperature > cfg.fever_threshold_c,
             )
         )
-    base = frame.copy() if frame.channels == 3 else gray_to_bgr(gray)
     if cfg.overlay_enabled and readings:
-        annotated = render_overlay(base, readings, cfg.overlay_decimals)
-    else:
-        annotated = base
-    return annotated, readings
+        return render_overlay(frame, readings, cfg.overlay_decimals), readings
+    return (gray_to_bgr(gray) if frame.channels == 1 else frame.copy()), readings
 
 
 def _log_row(reading: TempReading) -> str:

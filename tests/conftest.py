@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ def bgr_frame(width, height, value=(0, 0, 0), frame_index=0, source_id="frame"):
     pixels = np.empty((height, width, 3), dtype=np.uint8)
     pixels[:, :] = value
     return ThermalFrame(pixels, frame_index, source_id)
+
+
+def peak_traced_bytes(fn, *args):
+    """tracemalloc peak of one call, after one untraced warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def grid_box(class_id, cx_u, cy_u, w_u, h_u):

@@ -1,9 +1,11 @@
+import hashlib
 import inspect
 import io
 import json
 import shlex
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from thermotrack import cli, frameio, pipeline
 from thermotrack.cli import main
 from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter, ReplayDetector
-from thermotrack.frameio import load_frame, pair_frames_with_labels, save_frame
+from thermotrack.frameio import gray_to_bgr, load_frame, pair_frames_with_labels, save_frame
 from thermotrack.pipeline import PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
 from thermotrack.thermoreg import (
@@ -178,6 +180,43 @@ class TestPrepare:
         a = self._dataset(tmp_path, n=2, seed=1, name="a")
         b = self._dataset(tmp_path, n=2, seed=2, name="b")
         assert run_cli("prepare", str(a), str(tmp_path / "x"), "--combine", str(b)) == 3
+        assert not (tmp_path / "x").exists()
+
+    PINS = json.loads((Path(__file__).parent / "data" / "prepare_pins.json").read_text())
+
+    @staticmethod
+    def _tree_sha(root):
+        digest = hashlib.sha256()
+        for path in sorted(root.iterdir()):
+            digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("case", ["resize-hflip-combine", "hflip"])
+    def test_output_files_pinned(self, tmp_path, case):
+        """sha256 over the names and bytes of every written file, recorded
+        when prepare still derived every item before writing any."""
+        a = self._dataset(tmp_path, n=3, seed=41, name="a")
+        b = tmp_path / "b"
+        write_dataset(SequenceSpec(frames=2, layout="dense", dense_min=3, dense_max=4, seed=42), b)
+        (b / "truth.csv").unlink()
+        for path in sorted(b.glob("frame_*.pgm")):  # BGR frames under distinct stems
+            save_frame(gray_to_bgr(load_frame(path)), b / f"bgr_{path.stem[6:]}.ppm")
+            (b / f"{path.stem}.txt").rename(b / f"bgr_{path.stem[6:]}.txt")
+            path.unlink()
+        flags = ["--augment-hflip"]
+        if case == "resize-hflip-combine":
+            flags += ["--resize", "64x48", "--combine", str(b)]
+        out = tmp_path / case
+        assert run_cli("prepare", str(a), str(out), *flags) == 0
+        assert self._tree_sha(out) == self.PINS[case]
+
+    def test_hflip_collision_writes_nothing(self, tmp_path):
+        src = self._dataset(tmp_path, n=3)
+        for path in src.glob("frame_000002.*"):
+            path.rename(src / f"frame_000000_hf{path.suffix}")
+        out = tmp_path / "aug"
+        assert run_cli("prepare", str(src), str(out), "--resize", "64x48", "--augment-hflip") == 3
+        assert not out.exists()
 
     def test_bad_resize_flag_is_usage_error(self, tmp_path):
         src = self._dataset(tmp_path)

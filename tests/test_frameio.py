@@ -1,9 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bgr_frame, gray_frame
+from _oracles import resize_all_at_once
+from conftest import bgr_frame, gray_frame, peak_traced_bytes
 from thermotrack.annotations import GroundTruthLabel, NormBBox
 from thermotrack.frameio import (
     DatasetItem,
@@ -18,6 +23,26 @@ from thermotrack.frameio import (
     save_frame,
     save_item,
 )
+
+
+DATA = Path(__file__).parent / "data"
+RESIZE_PINS = json.loads((DATA / "resize_pins.json").read_text())
+GRAYSCALE_PINS = json.loads((DATA / "grayscale_pins.json").read_text())
+MIB = 1 << 20
+
+
+def _dims(text):
+    width, height = text.split("x")
+    return int(width), int(height)
+
+
+def _seeded_pixels(seed, width, height, channels):
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+
+
+def _sha256(pixels):
+    return hashlib.sha256(np.ascontiguousarray(pixels).tobytes()).hexdigest()
 
 
 class TestFrameType:
@@ -135,6 +160,18 @@ class TestGrayscale:
         back = bgr_to_grayscale(gray_to_bgr(gray))
         assert np.array_equal(back.pixels, gray.pixels)
 
+    @pytest.mark.parametrize("case", sorted(GRAYSCALE_PINS))
+    def test_output_pinned(self, case):
+        """sha256 of gray frames from seeded BGR frames, recorded when the
+        conversion still made a float copy of the whole frame."""
+        pin = GRAYSCALE_PINS[case]
+        pixels = _seeded_pixels(pin["seed"], *_dims(case.split("-")[1]), channels=3)
+        assert _sha256(bgr_to_grayscale(ThermalFrame(pixels)).pixels) == pin["sha256"]
+
+    def test_peak_memory_at_640(self, rng):
+        frame = ThermalFrame(rng.integers(0, 256, (640, 640, 3), dtype=np.uint8))
+        assert peak_traced_bytes(bgr_to_grayscale, frame) <= 8 * MIB
+
 
 class TestResize:
     def test_native_to_training_size(self, rng):
@@ -163,6 +200,29 @@ class TestResize:
     def test_bad_target_dims(self):
         with pytest.raises(ValueError):
             resize(gray_frame(4, 4), 0, 10)
+
+    @pytest.mark.parametrize("dims", [(6.5, 4), (4, 6.0), (True, 2), (2, False), ("4", 4), (None, 4), (np.float64(4), 4)])
+    def test_non_integer_target_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            resize(gray_frame(4, 4), *dims)
+
+    def test_numpy_integer_target_dims_accepted(self):
+        out = resize(gray_frame(4, 4, value=9), np.int64(6), np.uint8(3))
+        assert out.pixels.shape == (3, 6) and type(out.width) is int
+        assert np.all(out.pixels == 9)
+
+    @pytest.mark.parametrize("case", sorted(RESIZE_PINS))
+    def test_output_pinned(self, case):
+        """sha256 of resized seeded frames, recorded when ``resize`` still
+        built the whole output as float arrays at once."""
+        kind, source, target = case.split("-")
+        pin = RESIZE_PINS[case]
+        pixels = _seeded_pixels(pin["seed"], *_dims(source), channels=1 if kind == "gray" else 3)
+        assert _sha256(resize(ThermalFrame(pixels), *_dims(target)).pixels) == pin["sha256"]
+
+    def test_peak_memory_native_to_640(self, rng):
+        frame = ThermalFrame(rng.integers(0, 256, (120, 160), dtype=np.uint8))
+        assert peak_traced_bytes(resize, frame, 640, 640) < 4 * MIB
 
 
 class TestHorizontalFlip:
@@ -280,3 +340,19 @@ def test_flip_involution_on_random_frames(seed, width, height):
     twice = horizontal_flip(horizontal_flip(item))
     assert np.array_equal(twice.frame.pixels, item.frame.pixels)
     assert twice.labels == item.labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    target=st.tuples(st.integers(1, 90), st.integers(1, 90)),
+    channels=st.sampled_from((1, 3)),
+)
+@example(seed=0, source=(1, 1), target=(1, 1), channels=3)
+@example(seed=1, source=(40, 1), target=(1, 90), channels=1)
+@example(seed=2, source=(3, 3), target=(3, 3), channels=1)
+def test_resize_matches_all_at_once_formula(seed, source, target, channels):
+    pixels = _seeded_pixels(seed, *source, channels)
+    out = resize(ThermalFrame(pixels), *target)
+    assert np.array_equal(out.pixels, resize_all_at_once(pixels, *target))

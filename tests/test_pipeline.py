@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from _oracles import expected_overlay, max_pixel_scan
-from conftest import gray_frame
+from conftest import gray_frame, peak_traced_bytes
 from thermotrack.annotations import PixelBBox
-from thermotrack.detectors import BlobDetector, Detection, DetectorConfig, ExternalAdapter, ExternalDetector
+from thermotrack.detectors import (
+    BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector
+)
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
     TEXT_COLOR,
@@ -141,6 +143,21 @@ class TestProcessFrame:
         assert np.array_equal(bgr.pixels, before)
         assert not np.shares_memory(annotated.pixels, bgr.pixels)
 
+    def test_one_bgr_frame_allocated_at_640(self, rng):
+        """The annotated copy is the only frame-sized array: the peak stays
+        under one and a half 640x640 BGR frames."""
+
+        class Fixed(Detector):
+            def _detect_raw(self, frame):
+                return [Detection(PixelBBox(40 + 150 * i, 60, 140 + 150 * i, 180), 0.9) for i in range(4)]
+
+        frame = ThermalFrame(rng.integers(0, 256, (640, 640), dtype=np.uint8))
+        detector = Fixed(DetectorConfig())
+        annotated, readings = process_frame(frame, PipelineConfig(), detector, LAW)
+        assert len(readings) == 4
+        peak = peak_traced_bytes(process_frame, frame, PipelineConfig(), detector, LAW)
+        assert peak < 1.5 * annotated.pixels.nbytes
+
     def test_detector_failure_carries_frame_index(self):
         class Exploding(BlobDetector):
             def _detect_raw(self, frame):
@@ -176,6 +193,16 @@ class TestRenderOverlay:
         expected = expected_overlay(frame.pixels, readings, 1)
         assert np.array_equal(out.pixels, expected)
         assert np.any(out.pixels != frame.pixels)
+
+    def test_gray_frame_drawn_on_its_bgr_replica(self, rng):
+        gray = ThermalFrame(rng.integers(0, 256, (40, 60), dtype=np.uint8), frame_index=3, source_id="g")
+        before = gray.pixels.copy()
+        readings = [TempReading(3, PixelBBox(5, 12, 30, 35), 150, 36.5, False)]
+        out = render_overlay(gray, readings)
+        expected = expected_overlay(np.repeat(before[..., None], 3, axis=2), readings, 1)
+        assert np.array_equal(out.pixels, expected)
+        assert (out.frame_index, out.source_id) == (3, "g")
+        assert np.array_equal(gray.pixels, before)
 
     def test_never_writes_outside_frame(self):
         frame = gray_to_bgr(gray_frame(30, 22, value=0))
