@@ -9,7 +9,8 @@ Subcommands mirror the library workflows:
 * ``run``            monitor an ordered frame source end to end
 * ``synth``          generate a synthetic dataset with exact ground truth
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime abort.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime abort,
+143 stopped by SIGTERM (after the reading log and any adapter are closed).
 A ``--config`` file (key=value with one [section] per subcommand) supplies
 values for unset flags; explicit flags win, and a key set by neither keeps
 the library default.
@@ -24,6 +25,7 @@ import logging
 import math
 import re
 import shlex
+import signal
 import sys
 from pathlib import Path
 from typing import Callable
@@ -65,6 +67,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+EXIT_SIGTERM = 128 + signal.SIGTERM
 
 
 def _dims(text: str) -> tuple[int, int]:
@@ -381,10 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(EXIT_SIGTERM)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    # SIGTERM unwinds like an exception, so every finally block closes the
+    # reading log and stops the adapter, which removes its scratch directory.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         config = _load_config(args.config)
         return args.func(args, config)
@@ -394,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

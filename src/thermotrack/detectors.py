@@ -55,7 +55,8 @@ from .annotations import (
     PixelBBox,
     denormalize,
 )
-from .deteval import iou
+# iou stays importable from here: perfbench's tracer counts detectors.iou by name.
+from .deteval import _check_threshold, _iou_tensor, iou  # noqa: F401
 from .frameio import DatasetItem, ThermalFrame, save_frame
 
 PROTOCOL_VERSION = 1
@@ -121,14 +122,28 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
 
     Walk detections by descending confidence (stable for ties) and keep one
     only if its IoU with every already-kept detection stays below the
-    threshold. Output order is descending confidence.
+    threshold, which must lie in (0, 1]. Output order is descending
+    confidence.
+
+    One IoU matrix holds every pair, bit-identical to ``iou``; two boxes
+    conflict unless their IoU is below the threshold. Only the boxes with a
+    conflict are walked, in order, and a kept one drops every box it
+    conflicts with. IoU is symmetric, so its row lists earlier boxes too;
+    each of those is already dropped, or it would have dropped this one.
     """
+    _check_threshold(iou_threshold)
     ordered = sorted(dets, key=lambda d: -d.confidence)
-    kept: list[Detection] = []
-    for det in ordered:
-        if all(iou(det.bbox, k.bbox) < iou_threshold for k in kept):
-            kept.append(det)
-    return kept
+    corners = np.array(
+        [(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in ordered], dtype=np.int64
+    ).reshape(1, -1, 4)
+    conflict = ~(_iou_tensor(corners, corners)[0] < iou_threshold)
+    # A box never drops itself; clearing the diagonal costs less than np.triu.
+    np.fill_diagonal(conflict, False)
+    keep = np.ones(len(ordered), dtype=bool)
+    for row in np.flatnonzero(conflict.any(axis=1)).tolist():
+        if keep[row]:
+            keep[conflict[row]] = False
+    return [det for det, kept in zip(ordered, keep.tolist()) if kept]
 
 
 def _join_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
@@ -294,9 +309,12 @@ class ExternalAdapter:
             self._proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
             )
-        except OSError as exc:
+        except BaseException as exc:
+            # Also a SystemExit from a SIGTERM that lands during the launch.
             shutil.rmtree(self._scratch_dir, ignore_errors=True)
-            raise AdapterExitedError(f"could not launch {self.command}: {exc}") from exc
+            if isinstance(exc, OSError):
+                raise AdapterExitedError(f"could not launch {self.command}: {exc}") from exc
+            raise
         try:
             self._handshake()
         except BaseException:

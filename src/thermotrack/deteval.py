@@ -7,12 +7,16 @@ checkable against a brute-force precision/recall enumeration.
 
 An evaluation builds one (images x detections x truths) IoU tensor, with
 the scalar ``iou``'s integer steps so each value is bit-identical to it,
-and claims truths for all swept thresholds in one walk over the detection
-ranks. Only a truth of positive IoU can be claimed, so each rank looks at
-K candidates a detection: K is the most positive-IoU truths any detection
-has (at worst every truth). ``match_greedy`` is the one-image,
-one-threshold call of that walk. ``_ap_rows`` scores every threshold's
-pooled flags in one pass; ``average_precision`` is its one-row call.
+and claims truths for all swept thresholds at once. A detection whose
+reachable truths (IoU at least the lowest threshold) no other detection
+reaches is scored from its best IoU alone; one walk over the detection
+ranks settles the rest, visiting only the ranks that hold a detection
+reaching a shared truth. Only a truth of positive IoU can be claimed, so
+each walked rank looks at K candidates a detection: K is the most
+positive-IoU truths of any detection at a walked rank (at worst every
+truth). ``match_greedy`` is the one-image, one-threshold call of that
+pass. ``_ap_rows`` scores every threshold's pooled flags in one pass;
+``average_precision`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -153,10 +157,19 @@ def _match_flags(
 
     Returns the (thresholds, detections) true-positive flags and the
     detections' confidences, both over each image's detections in turn.
-    Each detection's truths are sorted once by falling IoU, ties to the
-    lower index, and cut to the K that can overlap it; per rank, ``argmax``
-    over them (claimed ones masked to -1) picks the highest IoU of lowest
-    index, the scalar rule's tie break, for all thresholds and images.
+
+    A detection reaches a truth of IoU at least the lowest threshold (and
+    above 0); only a reached truth can be claimed. A truth that one
+    detection alone reaches is claimed by it or by nobody, so a detection
+    that reaches no shared truth is settled at once: it hits when its best
+    IoU reaches the threshold. The rank walk visits only the ranks that
+    hold a detection reaching a shared truth. There, each such detection's
+    truths are sorted once by falling IoU, ties to the lower index, and cut
+    to the K that can overlap it; per rank, ``argmax`` over them (claimed
+    ones masked to -1) picks the highest IoU of lowest index, the scalar
+    rule's tie break, for all thresholds and images. Claims that settled
+    detections would make are left out: no walked detection reaches those
+    truths, so none of them can decide a walked detection's hit.
     """
     dets, det_valid = _pad_boxes([[d.bbox for d in image] for image in dets_per_image])
     confs = np.full(det_valid.shape, -np.inf)
@@ -164,23 +177,29 @@ def _match_flags(
     _check_sorted_desc(confs)  # -inf padding never rises
     ious = _iou_tensor(dets, _pad_boxes(gts_per_image)[0])
     images, ranks, truths = ious.shape
-    k = max(int(np.count_nonzero(ious > 0.0, axis=2).max(initial=0)), 1)
-    cand = np.argsort(-ious, axis=2, kind="stable")[:, :, :k]
-    cand_iou = np.take_along_axis(ious, cand, axis=2)
-    # A new (images, D, K) array, so the full sort is freed; it indexes all images' truths end to end.
-    cand = cand + np.arange(0, images * truths, truths)[:, None, None]
     thr = np.asarray(thresholds, dtype=float)[:, None]
-    claimed = np.zeros((len(thr), images * truths), dtype=bool)
-    flags = np.zeros((len(thr), images, ranks), dtype=bool)
-    t_index, i_index = np.ix_(np.arange(len(thr)), np.arange(images))
-    for rank in range(ranks):
-        rank_cand = cand[:, rank]
-        free = np.where(claimed[:, rank_cand], -1.0, cand_iou[:, rank])
-        best = free.max(axis=2)
-        # Only a positive IoU is claimed, so padded rows and columns never hit.
-        hit = (best >= thr) & (best > 0.0)
-        claimed[t_index, rank_cand[i_index, free.argmax(axis=2)]] |= hit
-        flags[:, :, rank] = hit
+    # Only a positive IoU is claimed, so padded rows and columns never hit.
+    best = ious.max(axis=2)
+    flags = (best >= thr[:, :, None]) & (best > 0.0)
+    reach = (ious >= thr.min()) & (ious > 0.0)
+    shared = np.count_nonzero(reach, axis=1) >= 2
+    walked = np.flatnonzero(np.any(reach & shared[:, None, :], axis=(0, 2)))
+    if walked.size:
+        ious = ious[:, walked]
+        k = max(int(np.count_nonzero(ious > 0.0, axis=2).max()), 1)
+        cand = np.argsort(-ious, axis=2, kind="stable")[:, :, :k]
+        cand_iou = np.take_along_axis(ious, cand, axis=2)
+        # A new (images, walked, K) array, so the full sort is freed; it indexes all images' truths end to end.
+        cand = cand + np.arange(0, images * truths, truths)[:, None, None]
+        claimed = np.zeros((len(thr), images * truths), dtype=bool)
+        t_index, i_index = np.ix_(np.arange(len(thr)), np.arange(images))
+        for step, rank in enumerate(walked.tolist()):
+            rank_cand = cand[:, step]
+            free = np.where(claimed[:, rank_cand], -1.0, cand_iou[:, step])
+            best = free.max(axis=2)
+            hit = (best >= thr) & (best > 0.0)
+            claimed[t_index, rank_cand[i_index, free.argmax(axis=2)]] |= hit
+            flags[:, :, rank] = hit
     return flags[:, det_valid], confs[det_valid]
 
 

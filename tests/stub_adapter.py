@@ -11,7 +11,8 @@ selects a behavior:
   garbage                handshake, then answer with a nonsense token
   non-utf8               handshake, then answer with a header that is not UTF-8
   err                    handshake, then answer ERR to every frame
-  slow <seconds>         handshake, then sleep before each answer
+  slow <seconds>         handshake, then sleep before each answer; every
+                         frame is answered with one DET line
   slow-once <seconds>    handshake, then sleep before the first answer only;
                          every frame is answered with one DET line
   partial                answer OK 1 and a DET line without its LF, then sleep
@@ -67,11 +68,8 @@ def main() -> int:
             sys.stdout.buffer.flush()
         elif mode == "err":
             print("ERR detector exploded", flush=True)
-        elif mode == "slow":
-            time.sleep(float(args[0]))
-            print("OK 0", flush=True)
-        elif mode in ("slow-once", "crlf"):
-            if mode == "slow-once" and request_count == 1:
+        elif mode in ("slow", "slow-once", "crlf"):
+            if mode == "slow" or (mode == "slow-once" and request_count == 1):
                 time.sleep(float(args[0]))
             print(f"OK 1\n{DET_LINE}", flush=True)
         elif mode == "partial":

@@ -2,9 +2,13 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import shlex
+import signal
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ from thermotrack import cli, frameio, pipeline
 from thermotrack.cli import main
 from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter, ReplayDetector
 from thermotrack.frameio import gray_to_bgr, load_frame, pair_frames_with_labels, save_frame
-from thermotrack.pipeline import PipelineConfig, StreamSummary
+from thermotrack.pipeline import LOG_CSV_HEADER, PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
 from thermotrack.thermoreg import (
     ModelSpec,
@@ -542,6 +546,55 @@ class TestRun:
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code = run_cli("run", "-", "--model", str(model), "--detector", "replay")
         assert code == 3
+
+    def test_sigterm_handler_restored_after_main(self, tmp_path):
+        ds = self._dataset(tmp_path, frames=2)
+        model = _ridge_law_model(tmp_path)
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.parametrize("command", ["run", "eval-detector"])
+    def test_sigterm_closes_log_and_adapter(self, tmp_path, command):
+        """SIGTERM mid-stream exits 143 after the finally blocks ran: the
+        adapter's scratch directory is gone and every logged row is whole."""
+        ds = self._dataset(tmp_path)
+        scratch = tmp_path / "tmpdir"
+        scratch.mkdir()
+        log = tmp_path / "readings.csv"
+        detector = f"external:{shlex.join([sys.executable, str(STUB), 'slow', '0.2'])}"
+        argv = [command, str(ds), "--detector", detector]
+        if command == "run":
+            argv += ["--model", str(_ridge_law_model(tmp_path)), "--log", str(log)]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "TMPDIR": str(scratch)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thermotrack.cli", *argv],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            # run: the first reading row; eval-detector has no log, so a pending request file.
+            def started():
+                if command == "eval-detector":
+                    return any(scratch.glob("thermotrack-adapter-*/frame-*"))
+                return log.exists() and log.read_text().count("\n") >= 2
+
+            deadline = time.monotonic() + 30
+            while not started() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert proc.poll() is None, "the run ended before it was signalled"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 143
+        finally:
+            proc.kill()
+            proc.wait()
+        assert not list(scratch.iterdir())
+        if command == "run":
+            text = log.read_text()
+            assert text.endswith("\n")
+            rows = text.splitlines()
+            assert rows[0] == LOG_CSV_HEADER and len(rows) >= 2
+            assert all(len(row.split(",")) == len(LOG_CSV_HEADER.split(",")) for row in rows)
 
 
 class TestConfigLayering:

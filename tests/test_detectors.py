@@ -9,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import bfs_components, nms_keep, scipy_components
+from _oracles import bfs_components, iou_corners, nms_keep, scipy_components
 from conftest import gray_frame
-from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
+from thermotrack import detectors, deteval, synthscene
+from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox, denormalize
 from thermotrack.detectors import (
+    REPLAY_NMS_IOU,
     AdapterError,
     AdapterExitedError,
     AdapterProtocolError,
@@ -27,11 +31,11 @@ from thermotrack.detectors import (
     blob_detect,
     nms,
 )
-from thermotrack.deteval import iou
+from thermotrack.deteval import iou, map_over_thresholds
 from thermotrack.frameio import ThermalFrame
 
 STUB = Path(__file__).parent / "stub_adapter.py"
-# The reply of the stub's slow-once, partial, die-mid and crlf modes.
+# The reply of the stub's slow, slow-once, partial, die-mid and crlf modes.
 STUB_DET = (0, 0.9, NormBBox(0, 0.5, 0.5, 0.25, 0.25))
 
 
@@ -88,6 +92,111 @@ class TestNms:
                 [((d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2), d.confidence) for d in dets], thr
             )
             assert [(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in kept] == [c for c, _ in expected]
+
+    @pytest.mark.parametrize("thr", [float("nan"), 0.0, -1.0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, thr):
+        box = PixelBBox(0, 0, 10, 10)
+        with pytest.raises(ValueError, match="outside"):
+            nms([Detection(box, 0.9), Detection(box, 0.8)], thr)
+
+    @pytest.mark.parametrize("thr", [1.0, REPLAY_NMS_IOU])
+    def test_threshold_one_suppresses_exact_duplicates_only(self, thr):
+        dets = [
+            Detection(PixelBBox(0, 0, 10, 10), 0.9),
+            Detection(PixelBBox(0, 0, 10, 10), 0.8),
+            Detection(PixelBBox(0, 0, 10, 9), 0.7),
+        ]
+        assert nms(dets, thr) == [dets[0], dets[2]]
+
+
+def _corners(det):
+    return det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2
+
+
+def _assert_nms_is_oracle(dets, thr):
+    kept = nms(dets, thr)
+    assert [(_corners(d), d.confidence) for d in kept] == nms_keep([(_corners(d), d.confidence) for d in dets], thr)
+    return kept
+
+
+@st.composite
+def nms_cases(draw):
+    """Up to 60 boxes on a 12x12 grid with sides of 1-6 px and three
+    confidences, so identical boxes, tied confidences and suppression chains
+    are common. Half the time the threshold is exactly the IoU of a pair of
+    the boxes, so "below the threshold" is decided on an exact tie."""
+    dets = draw(st.lists(
+        st.builds(
+            lambda x1, y1, w, h, conf: Detection(PixelBBox(x1, y1, x1 + w, y1 + h), conf),
+            x1=st.integers(0, 11), y1=st.integers(0, 11), w=st.integers(1, 6), h=st.integers(1, 6),
+            conf=st.sampled_from([0.3, 0.6, 0.9]),
+        ),
+        max_size=60,
+    ))
+    corners = [_corners(d) for d in dets]
+    pair_ious = sorted({iou_corners(a, b) for i, a in enumerate(corners) for b in corners[i + 1 :]} - {0.0})
+    if pair_ious and draw(st.booleans()):
+        return dets, draw(st.sampled_from(pair_ious))
+    return dets, draw(st.floats(0.01, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nms_cases())
+# Three identical boxes of equal confidence; a pair at IoU exactly 0.5,
+# which the threshold 0.5 suppresses; one box; no boxes.
+@example(([Detection(PixelBBox(0, 0, 2, 2), 0.6)] * 3, 0.45))
+@example(([Detection(PixelBBox(0, 0, 2, 1), 0.9), Detection(PixelBBox(0, 0, 1, 1), 0.9)], 0.5))
+@example(([Detection(PixelBBox(3, 3, 4, 4), 0.3)], 0.45))
+@example(([], 0.45))
+def test_nms_is_greedy_oracle(case):
+    dets, thr = case
+    kept = _assert_nms_is_oracle(dets, thr)
+    event("some suppressed" if len(kept) < len(dets) else "none suppressed")
+
+
+# Blob settings that find the faces of synthetic scenes at the default radiometry.
+SCENE_BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
+
+
+def _crowd():
+    """The blob detections and truth boxes of one 400-face 1024x768 dense frame."""
+    seq = synthscene.SequenceSpec(
+        width=1024, height=768, frames=1, layout="dense", dense_min=400, dense_max=400, seed=3
+    )
+    frame, labels, _ = next(synthscene.generate_sequence(seq))
+    return blob_detect(frame, SCENE_BLOB_CFG), [denormalize(label.bbox, frame.width, frame.height) for label in labels]
+
+
+def test_nms_on_a_400_face_crowd_is_greedy_oracle():
+    dets, _ = _crowd()
+    assert len(dets) == 400
+    assert len(_assert_nms_is_oracle(dets, 0.45)) == 400  # separable faces: nothing overlaps
+    # A box grown by 2 px beside every second face, at the face's confidence:
+    # the stable sort keeps the face first, and the grown box conflicts with it.
+    grown = [
+        Detection(PixelBBox(d.bbox.x1, d.bbox.y1, d.bbox.x2 + 2, d.bbox.y2 + 2), d.confidence) for d in dets[::2]
+    ]
+    assert len(_assert_nms_is_oracle(dets + grown, 0.45)) == 400
+
+
+def test_greedy_loops_run_without_scalar_iou(monkeypatch):
+    def no_scalar_iou(a, b):
+        raise AssertionError("scalar iou called")
+
+    monkeypatch.setattr(deteval, "iou", no_scalar_iou)
+    monkeypatch.setattr(detectors, "iou", no_scalar_iou)
+    dets, gts = _crowd()
+    kept = nms(dets, 0.45)
+    assert len(kept) == 400
+    seq = synthscene.SequenceSpec(frames=50, layout="dense", seed=13)
+    blob = BlobDetector(SCENE_BLOB_CFG)
+    frames = list(synthscene.generate_sequence(seq))
+    report = map_over_thresholds(
+        [blob.detect(frame) for frame, _, _ in frames],
+        [[denormalize(l.bbox, frame.width, frame.height) for l in labels] for frame, labels, _ in frames],
+    )
+    assert report.num_images == 50 and report.num_detections > 0
+    assert map_over_thresholds([kept], [gts]).num_gt == 400
 
 
 class TestBlobDetect:
@@ -532,6 +641,17 @@ class TestExternalAdapter:
         with pytest.raises(AdapterExitedError):
             ExternalAdapter(["/nonexistent/detector-binary"])
         _assert_cleaned_up(launched, tmp_path, processes=0)
+
+    def test_exit_during_launch_removes_scratch_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def interrupted_launch(*args, **kwargs):
+            raise SystemExit(143)
+
+        monkeypatch.setattr(subprocess, "Popen", interrupted_launch)
+        with pytest.raises(SystemExit):
+            ExternalAdapter(stub_command())
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
 
     def test_answered_requests_leave_no_scratch_files(self, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))

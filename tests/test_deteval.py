@@ -448,8 +448,43 @@ def _positive_truths(images):
     return max(counts + [1])
 
 
+def _walked_ranks(images, lowest):
+    """How many ranks the claim walk visits: those that hold, in some image,
+    a detection reaching (IoU >= ``lowest``, which is positive) a truth that
+    another detection of that image also reaches."""
+    walked = set()
+    for dets, gts in images:
+        ranked = [_corners(box) for box, _ in sorted(dets, key=lambda d: -d[1])]
+        reach = [[iou_corners(d, _corners(gt)) >= lowest for gt in gts] for d in ranked]
+        shared = [sum(row[j] for row in reach) >= 2 for j in range(len(gts))]
+        walked |= {rank for rank, row in enumerate(reach) if any(r and s for r, s in zip(row, shared))}
+    return len(walked)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(crowded_images)
+# A truth shared at the lowest threshold only: the first detection reaches
+# it at IoU 1/3, the second at 1. The (0.6, 0.5, 0.3) sweep walks both
+# ranks: at 0.3 the first takes the truth and the second misses, at 0.5 and
+# 0.6 the second hits. The default sweep walks none.
+@example([([(PixelBBox(0, 0, 1, 1), 1.0), (PixelBBox(0, 0, 3, 1), 0.75)], [PixelBBox(0, 0, 3, 1)])])
+# A shared and an unshared image at the same ranks: ranks 1 and 2 of the
+# first image contend for one truth, and the walk also carries the second
+# image's detections there. The first image's rank 0 is settled; the truth
+# it takes lies at IoU 1/4 from the walked detections, so leaving its claim
+# out of the walk changes nothing.
+@example(
+    [
+        (
+            [(PixelBBox(0, 0, 2, 1), 1.0), (PixelBBox(1, 0, 4, 1), 0.75), (PixelBBox(1, 0, 4, 1), 0.5)],
+            [PixelBBox(0, 0, 2, 1), PixelBBox(1, 0, 4, 1)],
+        ),
+        (
+            [(PixelBBox(0, 0, 2, 2), 1.0), (PixelBBox(3, 3, 5, 5), 0.75), (PixelBBox(6, 6, 8, 8), 0.5)],
+            [PixelBBox(0, 0, 2, 2), PixelBBox(3, 3, 5, 5)],
+        ),
+    ]
+)
 # A duplicate detection (K = 4): the first copy takes the truth at IoU 2/3,
 # the second meets a three-way tie at IoU exactly 0.5 and takes the lowest
 # index. IoU exactly 0.6; confidences 0.75 and 0.5 tied across images; an
@@ -475,6 +510,7 @@ def test_candidate_walk_report_is_full_width_report(images):
     ]
     gts = [image_gts for _, image_gts in images]
     for thresholds in (DEFAULT_IOU_THRESHOLDS, (0.6, 0.5, 0.3, 0.6)):
+        event(f"walked ranks at lowest threshold {min(thresholds)}: {_walked_ranks(images, min(thresholds))}")
         assert map_over_thresholds(dets, gts, thresholds) == full_width_report(dets, gts, thresholds)
 
 
