@@ -183,8 +183,8 @@ def denormalize(box: NormBBox, frame_w: int, frame_h: int) -> PixelBBox:
     return PixelBBox(x1, y1, x2, y2)
 
 
-def normalize(box: PixelBBox, frame_w: int, frame_h: int, class_id: int = 0) -> NormBBox:
-    """Inverse of denormalize; the box must lie inside the frame."""
+def normalize(box: PixelBBox, frame_w: int, frame_h: int) -> NormBBox:
+    """Inverse of denormalize, as class 0; the box must lie inside the frame."""
     if frame_w <= 0 or frame_h <= 0:
         raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
     if box.x2 > frame_w or box.y2 > frame_h:
@@ -193,7 +193,7 @@ def normalize(box: PixelBBox, frame_w: int, frame_h: int, class_id: int = 0) -> 
             f"{frame_w}x{frame_h} frame"
         )
     return NormBBox(
-        class_id,
+        0,
         (box.x1 + box.x2) / (2 * frame_w),
         (box.y1 + box.y2) / (2 * frame_h),
         (box.x2 - box.x1) / frame_w,

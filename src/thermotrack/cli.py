@@ -28,7 +28,6 @@ import shlex
 import signal
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .annotations import denormalize
 from .detectors import (
@@ -48,6 +47,7 @@ from .frameio import (
     horizontal_flip,
     list_frame_paths,
     pair_frames_with_labels,
+    read_labels,
     resize,
     save_item,
 )
@@ -141,9 +141,10 @@ def _reject_unused_flags(args, detector: str) -> None:
                 raise ValueError(f"--{flag.replace('_', '-')} does not apply to the {detector} detector")
 
 
-def _build_detector(args, config, section: str, load_items: Callable[[], list[DatasetItem]] | None):
+def _build_detector(args, config, section: str, dataset_dir: str | Path | None):
     """Returns (detector, adapter); adapter is None unless external. Only
-    replay calls ``load_items``, which is None for an unlabeled source."""
+    replay reads ``dataset_dir``, for its labels alone; it is None for an
+    unlabeled source."""
     spec = _resolve(args, config, section, "detector", str)
     if spec is None:
         spec = "blob"
@@ -153,10 +154,10 @@ def _build_detector(args, config, section: str, load_items: Callable[[], list[Da
     )
     if spec == "replay":
         _reject_unused_flags(args, "replay")
-        if load_items is None:
+        if dataset_dir is None:
             raise ValueError("the replay detector needs a labeled dataset directory")
         settings.setdefault("nms_iou_threshold", REPLAY_NMS_IOU)
-        return ReplayDetector.from_items(load_items(), DetectorConfig(**settings)), None
+        return ReplayDetector(read_labels(dataset_dir), DetectorConfig(**settings)), None
     if spec == "blob":
         _reject_unused_flags(args, "blob")
         settings.update(_set_only(
@@ -262,7 +263,7 @@ def cmd_calibrate(args, config) -> int:
 def cmd_eval_detector(args, config) -> int:
     dataset_dir = Path(args.dataset)
     items = pair_frames_with_labels(dataset_dir)
-    detector, adapter = _build_detector(args, config, "eval-detector", lambda: items)
+    detector, adapter = _build_detector(args, config, "eval-detector", dataset_dir)
     try:
         dets_per_image = []
         gts_per_image = []
@@ -289,17 +290,13 @@ def cmd_run(args, config) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"model file not found: {model_path}")
     model = load_model(model_path)
-    loaded: list[DatasetItem] = []
     if args.frames == "-":
         # Lazy, so each path is processed as it arrives on a live pipe.
         source = (Path(line.strip()) for line in sys.stdin if line.strip())
-        load_items = None
+        dataset_dir = None
     else:
         source = list_frame_paths(args.frames)
-
-        def load_items() -> list[DatasetItem]:
-            loaded.extend(pair_frames_with_labels(args.frames))
-            return loaded
+        dataset_dir = args.frames
     settings = _set_only(
         min_bbox_area=_resolve(args, config, section, "min_bbox_area", float),
         overlay_decimals=_resolve(args, config, section, "decimals", int),
@@ -308,10 +305,7 @@ def cmd_run(args, config) -> int:
     cfg = PipelineConfig(
         overlay_enabled=not args.no_overlay, log_path=args.log, output_dir=args.out, **settings
     )
-    detector, adapter = _build_detector(args, config, section, load_items)
-    if loaded:
-        # Replay decoded every frame to read its labels: stream those frames.
-        source = [item.frame for item in loaded]
+    detector, adapter = _build_detector(args, config, section, dataset_dir)
     try:
         summary = run_stream(source, detector, model, cfg)
     finally:

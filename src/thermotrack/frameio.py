@@ -9,6 +9,7 @@ All operations are pure: they return new frames and never mutate inputs.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -100,6 +101,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write(Path(path), text.encode("utf-8"))
 
 
+# A header token after any whitespace and "#" comments; empty at the end.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, int]:
     """Header fields and the offset of the raster: (width, height, channels, offset)."""
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
@@ -107,20 +112,13 @@ def _parse_netpbm(data: bytes, path: Path) -> tuple[int, int, int, int]:
     channels = 1 if data[:2] == b"P5" else 3
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+    for _ in range(3):
+        match = _HEADER_TOKEN.match(data, pos)
+        token = match[1]
         if not token.isdigit():
             raise FrameFormatError(f"{path}: malformed header token {token!r}")
         fields.append(int(token))
+        pos = match.end()
     width, height, maxval = fields
     if maxval != 255:
         raise FrameFormatError(f"{path}: unsupported maxval {maxval}, expected 255")
@@ -288,29 +286,35 @@ def list_frame_paths(frames_dir: str | Path) -> list[Path]:
     return paths
 
 
-def pair_frames_with_labels(dataset_dir: str | Path) -> list[DatasetItem]:
-    """Pair every frame file in a dataset directory with its same-stem label
-    file in that directory.
+def read_labels(dataset_dir: str | Path) -> dict[str, list[GroundTruthLabel]]:
+    """Labels of every frame file in a dataset directory, by frame stem in
+    stem order, from the same-stem label files; no frame is decoded.
 
-    A frame whose label file is missing or empty yields an item with an
-    empty label list (the null-label state). A label file with no matching
-    frame is an orphan and raises.
+    A missing or empty label file gives an empty list (the null-label
+    state). A label file with no matching frame is an orphan and raises.
     """
     dataset_dir = Path(dataset_dir)
-    frame_paths = list_frame_paths(dataset_dir)
-    frame_stems = {p.stem for p in frame_paths}
+    stems = [p.stem for p in list_frame_paths(dataset_dir)]
+    frame_stems = set(stems)
     for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
         if label_path.stem not in frame_stems:
             raise ValueError(f"orphan label file {label_path} has no matching frame")
-    items = []
-    for index, frame_path in enumerate(frame_paths):
-        frame = load_frame(frame_path, frame_index=index)
-        label_path = dataset_dir / f"{frame_path.stem}{LABEL_SUFFIX}"
-        labels = []
-        if label_path.exists():
-            labels = [GroundTruthLabel(b) for b in parse_yolo_text(label_path.read_text())]
-        items.append(DatasetItem(frame, labels))
-    return items
+    labels = {}
+    for stem in stems:
+        label_path = dataset_dir / f"{stem}{LABEL_SUFFIX}"
+        text = label_path.read_text() if label_path.exists() else ""
+        labels[stem] = [GroundTruthLabel(b) for b in parse_yolo_text(text)]
+    return labels
+
+
+def pair_frames_with_labels(dataset_dir: str | Path) -> list[DatasetItem]:
+    """Pair every frame file in a dataset directory, decoded and stamped with
+    its position, with its labels as ``read_labels`` reads them."""
+    labels = read_labels(dataset_dir)
+    return [
+        DatasetItem(load_frame(path, frame_index=index), labels[path.stem])
+        for index, path in enumerate(list_frame_paths(dataset_dir))
+    ]
 
 
 def save_item(item: DatasetItem, out_dir: str | Path) -> None:

@@ -11,7 +11,7 @@ monitoring session.
 from __future__ import annotations
 
 import logging
-import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,9 +87,10 @@ class PipelineConfig:
     output_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_bbox_area < math.inf:
+        # Range checks also reject an int too large for a float.
+        if not 1 <= self.min_bbox_area <= sys.float_info.max:
             raise ValueError(f"min_bbox_area must be finite and >= 1, got {self.min_bbox_area}")
-        if not math.isfinite(self.fever_threshold_c):
+        if not -sys.float_info.max <= self.fever_threshold_c <= sys.float_info.max:
             raise ValueError(f"fever_threshold_c must be finite, got {self.fever_threshold_c}")
         if self.overlay_decimals < 0:
             raise ValueError("overlay_decimals must be >= 0")
@@ -150,7 +151,8 @@ def extract_max_pixel(frame: ThermalFrame, roi: PixelBBox) -> int:
 
 def scaled_min_area(min_bbox_area: float, frame_w: int, frame_h: int) -> float:
     """Grow the native-scale area threshold proportionally with frame area."""
-    return min_bbox_area * (frame_w * frame_h) / NATIVE_FRAME_AREA
+    # float() first: int * int / int raises OverflowError above the float range.
+    return float(min_bbox_area) * (frame_w * frame_h) / NATIVE_FRAME_AREA
 
 
 def filter_min_area(dets: Sequence[Detection], min_area: float) -> list[Detection]:
@@ -246,9 +248,8 @@ def process_frame(
                 flagged=temperature > cfg.fever_threshold_c,
             )
         )
-    if cfg.overlay_enabled and readings:
-        return render_overlay(frame, readings, cfg.overlay_decimals), readings
-    return (gray_to_bgr(gray) if frame.channels == 1 else frame.copy()), readings
+    drawn = readings if cfg.overlay_enabled else []
+    return render_overlay(frame, drawn, cfg.overlay_decimals), readings
 
 
 def _log_row(reading: TempReading) -> str:

@@ -123,6 +123,7 @@ def generate(spec: SceneSpec) -> tuple[ThermalFrame, list[GroundTruthLabel], lis
 
 CAPTURE_MEAN_C = 36.6
 CAPTURE_SD_C = 2.26
+PIXEL_NOISE_SD = 1.0
 CAPTURE_LOW_C = 25.8
 CAPTURE_HIGH_C = 38.8
 COLD_TAIL_FRACTION = 0.1
@@ -134,15 +135,14 @@ def generate_calibration_set(
     beta0: float,
     beta1: float,
     seed: int,
-    pixel_noise_sd: float = 1.0,
 ) -> list[CalibrationSample]:
     """Draw calibration pairs matching the ground-truth capture statistics.
 
     Temperatures come from a normal distribution truncated to
     [CAPTURE_LOW_C, CAPTURE_HIGH_C], with a COLD_TAIL_FRACTION share drawn
     uniformly up to COLD_TAIL_HIGH_C (the water-bottle-style low readings).
-    Pixels are the inverse calibration line plus Gaussian noise, clipped to
-    [0, 255]. Deterministic given the seed.
+    Pixels are the inverse calibration line plus PIXEL_NOISE_SD Gaussian
+    noise, clipped to [0, 255]. Deterministic given the seed.
     """
     if n < 10:
         raise ValueError(f"need at least 10 samples, got {n}")
@@ -156,7 +156,7 @@ def generate_calibration_set(
         draws = rng.normal(CAPTURE_MEAN_C, CAPTURE_SD_C, n_body)
         body = np.concatenate([body, draws[(draws >= CAPTURE_LOW_C) & (draws <= CAPTURE_HIGH_C)]])
     temps[~is_tail] = body[:n_body]
-    pixels = np.clip((temps - beta0) / beta1 + rng.normal(0.0, pixel_noise_sd, n), 0.0, 255.0)
+    pixels = np.clip((temps - beta0) / beta1 + rng.normal(0.0, PIXEL_NOISE_SD, n), 0.0, 255.0)
     return [CalibrationSample(float(px), float(tc)) for px, tc in zip(pixels, temps)]
 
 

@@ -74,12 +74,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number in the float range: NaN, infinities and ints too large
+    for a float fail the comparisons, which are exact for an int."""
+    return _is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 # The sample-independent range of each hyperparameter, checked by ModelSpec;
 # the fitters check only what depends on the training samples.
 _HYPERPARAM_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    # Python compares an int with a float exactly, so an int too large for a
-    # float fails here instead of overflowing in the fit.
-    "lambda": ("a finite number >= 0", lambda v: _is_real(v) and 0 <= v <= sys.float_info.max),
+    "lambda": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
     "mix": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
     "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "max_depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
@@ -106,9 +110,10 @@ class CalibrationSample:
     temperature_c: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.max_pixel) or not 0.0 <= self.max_pixel <= 255.0:
+        # The ranges alone reject NaN, infinities and ints too large for a float.
+        if not 0.0 <= self.max_pixel <= 255.0:
             raise ValueError(f"max_pixel {self.max_pixel!r} outside [0, 255]")
-        if not math.isfinite(self.temperature_c) or not 0.0 <= self.temperature_c <= 60.0:
+        if not 0.0 <= self.temperature_c <= 60.0:
             raise ValueError(f"temperature_c {self.temperature_c!r} outside [0, 60]")
 
 
@@ -586,7 +591,7 @@ def plausibility_guard(
     known to be afebrile, so any prediction above the ceiling is a model
     artifact, not a detection. A ceiling that is not finite is an error.
     """
-    if not math.isfinite(ceiling_c):
+    if not _is_finite(ceiling_c):
         raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     pixels = np.asarray(list(screening_pixels), dtype=np.float64)
     if not pixels.size:
@@ -608,7 +613,7 @@ def select_model(
     With ``screening_pixels=None`` the guard is skipped and the top-ranked
     candidate wins. Raises NoViableModelError when no candidate passes.
     """
-    if not math.isfinite(ceiling_c):
+    if not _is_finite(ceiling_c):
         raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     rejected: list[dict] = []
     for rank, entry in enumerate(report.entries):
@@ -667,27 +672,21 @@ def save_model(model: FittedRegressor, path: str | Path) -> None:
     atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-
-
 def _params_problem(kind: str, params) -> str | None:
     """Why ``params`` cannot drive a ``kind`` model's predict, or None."""
     if not isinstance(params, dict):
         return "params must be an object"
     if kind in LINEAR_KINDS:
         for name in ("intercept", "slope"):
-            if not _is_finite_number(params.get(name)):
+            if not _is_finite(params.get(name)):
                 return f"{name} must be a finite number, got {params.get(name)!r}"
     elif kind == "knn":
         pixels, temps, k = params.get("pixels"), params.get("temps"), params.get("k")
         if not (isinstance(pixels, list) and isinstance(temps, list) and len(pixels) == len(temps)):
             return "knn pixels and temps must be lists of equal length"
-        if not all(_is_finite_number(v) for v in pixels + temps):
+        if not all(_is_finite(v) for v in pixels + temps):
             return "knn pixels and temps must be finite numbers"
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(pixels):
+        if not _is_int(k) or not 1 <= k <= len(pixels):
             return f"knn k must be an integer in [1, {len(pixels)}], got {k!r}"
     elif kind == "decision_tree":
         return _tree_problem(params.get("tree"))
@@ -699,12 +698,12 @@ def _tree_problem(node) -> str | None:
     if not isinstance(node, dict):
         return f"tree nodes must be objects, got {type(node).__name__}"
     if node.get("kind") == "leaf":
-        if not _is_finite_number(node.get("value")):
+        if not _is_finite(node.get("value")):
             return f"tree leaf value must be a finite number, got {node.get('value')!r}"
         return None
     if node.get("kind") != "split":
         return f"tree node kind must be leaf or split, got {node.get('kind')!r}"
-    if not _is_finite_number(node.get("threshold")):
+    if not _is_finite(node.get("threshold")):
         return f"tree split threshold must be a finite number, got {node.get('threshold')!r}"
     return _tree_problem(node.get("left")) or _tree_problem(node.get("right"))
 

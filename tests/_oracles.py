@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from thermotrack.deteval import DetectionEvalReport
+from thermotrack.frameio import FrameFormatError
 from thermotrack.pipeline import BOX_COLOR, GLYPH_H, GLYPH_PITCH, GLYPHS, TEXT_COLOR
 from thermotrack.thermoreg import ModelSpec, kfold_partition, mse, r2
 
@@ -400,3 +401,39 @@ def resize_all_at_once(pixels, target_w, target_h):
     bottom = c10 + fxb * (c11 - c10)
     out = top + fyb * (bottom - top)
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def netpbm_header_scan(data, path):
+    """Binary PGM/PPM header fields and raster offset, read byte by byte:
+    (width, height, channels, offset). The library's former header scanner,
+    kept as the oracle of its tokenizer."""
+    if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
+        raise FrameFormatError(f"{path}: not a binary PGM/PPM file")
+    channels = 1 if data[:2] == b"P5" else 3
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        token = data[start:pos]
+        if not token.isdigit():
+            raise FrameFormatError(f"{path}: malformed header token {token!r}")
+        fields.append(int(token))
+    width, height, maxval = fields
+    if maxval != 255:
+        raise FrameFormatError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width <= 0 or height <= 0:
+        raise FrameFormatError(f"{path}: non-positive dimensions {width}x{height}")
+    pos += 1
+    if len(data) - pos != width * height * channels:
+        raise FrameFormatError(
+            f"{path}: raster holds {len(data) - pos} bytes, expected {width * height * channels}"
+        )
+    return width, height, channels, pos

@@ -53,7 +53,7 @@ def _passed(number: int, detail: str) -> None:
 
 
 def test_criterion_1_calibration_quality(tmp_path, capsys):
-    samples = generate_calibration_set(100, beta0=20.0, beta1=0.1, seed=2024, pixel_noise_sd=1.0)
+    samples = generate_calibration_set(100, beta0=20.0, beta1=0.1, seed=2024)
     csv_path = tmp_path / "calibration.csv"
     save_calibration_csv(samples, csv_path)
     model_path = tmp_path / "model.json"

@@ -9,15 +9,19 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermotrack import cli, frameio, pipeline
+from thermotrack.annotations import GroundTruthLabel, NormBBox
 from thermotrack.cli import main
 from thermotrack.detectors import REPLAY_NMS_IOU, DetectorConfig, ExternalAdapter, ReplayDetector
-from thermotrack.frameio import gray_to_bgr, load_frame, pair_frames_with_labels, save_frame
+from thermotrack.frameio import (
+    DatasetItem, gray_to_bgr, load_frame, pair_frames_with_labels, save_frame, save_item
+)
 from thermotrack.pipeline import LOG_CSV_HEADER, PipelineConfig, StreamSummary
 from thermotrack.synthscene import SequenceSpec, generate_calibration_set, write_dataset
 from thermotrack.thermoreg import (
@@ -440,6 +444,20 @@ class TestRun:
         annotated = load_frame(out_dir / "out_000000.ppm")
         assert annotated.channels == 3
 
+    def test_no_overlay_writes_plain_frames(self, tmp_path):
+        ds = self._dataset(tmp_path, frames=3)
+        model = _ridge_law_model(tmp_path)
+        out_dir, log = tmp_path / "plain", tmp_path / "readings.csv"
+        code = run_cli(
+            "run", str(ds), "--model", str(model), *BLOB_FLAGS, "--no-overlay",
+            "--out", str(out_dir), "--log", str(log),
+        )
+        assert code == 0
+        assert len(log.read_text().splitlines()) == 1 + 6
+        for position, path in enumerate(frameio.list_frame_paths(ds)):
+            written = load_frame(out_dir / f"out_{position:06d}.ppm")
+            assert np.array_equal(written.pixels, gray_to_bgr(load_frame(path)).pixels)
+
     def test_missing_model_fails_before_frames(self, tmp_path, capsys):
         ds = self._dataset(tmp_path, frames=2)
         code = run_cli("run", str(ds), "--model", str(tmp_path / "absent.json"))
@@ -540,6 +558,49 @@ class TestRun:
         assert len(frames) == 12
         for name in frames:
             assert (out_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_replay_run_memory_does_not_grow_with_frames(self, tmp_path):
+        ds = tmp_path / "big"
+        ds.mkdir()
+        for index in range(40):
+            frame = gray_frame(640, 640, value=20 + index, source_id=f"f{index:02d}")
+            save_item(DatasetItem(frame, [GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.25, 0.25))]), ds)
+        model = _ridge_law_model(tmp_path)
+        log = tmp_path / "readings.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli("run", str(ds), "--model", str(model), "--detector", "replay", "--log", str(log))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(log.read_text().splitlines()) == 1 + 40
+        # Three annotated 640x640 BGR frames' bytes; the 40 decoded frames
+        # alone would hold 16 MB.
+        assert peak < 3 * 640 * 640 * 3
+
+    @pytest.mark.parametrize("detector", [["--detector", "replay"], BLOB_FLAGS], ids=["replay", "blob"])
+    def test_corrupt_frame_skipped(self, tmp_path, capsys, detector):
+        ds = self._dataset(tmp_path, frames=6)
+        (ds / "frame_000002.pgm").write_bytes(b"P5\n160 120\n255\n\x00")
+        model = _ridge_law_model(tmp_path)
+        log = tmp_path / "readings.csv"
+        code = run_cli("run", str(ds), "--model", str(model), *detector, "--log", str(log))
+        assert code == 0
+        assert "frames=5" in capsys.readouterr().out
+        rows = log.read_text().splitlines()[1:]
+        assert sorted(int(row.split(",")[0]) for row in rows) == [0, 0, 1, 1, 3, 3, 4, 4, 5, 5]
+
+    def test_model_number_beyond_float_is_data_error(self, tmp_path, capsys):
+        ds = self._dataset(tmp_path, frames=2)
+        model = tmp_path / "huge.json"
+        params = {"intercept": 10**400, "slope": 0.1}
+        model.write_text(json.dumps({"format": "thermotrack-model", "version": 1, "kind": "ridge", "params": params}))
+        code = run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "intercept" in err
+        assert "Traceback" not in err
 
     def test_replay_detector_needs_directory(self, tmp_path, capsys, monkeypatch):
         model = _ridge_law_model(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import resize_all_at_once
+from _oracles import netpbm_header_scan, resize_all_at_once
 from conftest import bgr_frame, gray_frame, peak_traced_bytes
 from thermotrack.annotations import GroundTruthLabel, NormBBox
 from thermotrack.frameio import (
@@ -18,7 +18,9 @@ from thermotrack.frameio import (
     gray_to_bgr,
     horizontal_flip,
     load_frame,
+    _parse_netpbm,
     pair_frames_with_labels,
+    read_labels,
     resize,
     save_frame,
     save_item,
@@ -286,6 +288,20 @@ class TestPairing:
         with pytest.raises(ValueError, match="orphan"):
             pair_frames_with_labels(tmp_path)
 
+    def test_read_labels_keyed_by_stem_without_decoding(self, tmp_path):
+        _write_dataset(tmp_path, {"b": None, "a": "0 0.5 0.5 0.2 0.2\n", "c": ""})
+        (tmp_path / "b.pgm").write_bytes(b"not a frame")
+        labels = read_labels(tmp_path)
+        assert list(labels) == ["a", "b", "c"]
+        assert labels["a"] == [GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.2, 0.2))]
+        assert labels["b"] == labels["c"] == []
+
+    def test_read_labels_orphan_errors(self, tmp_path):
+        _write_dataset(tmp_path, {"a": None})
+        (tmp_path / "img_003.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        with pytest.raises(ValueError, match="orphan"):
+            read_labels(tmp_path)
+
     def test_missing_directory_errors(self, tmp_path):
         with pytest.raises(ValueError, match="not a directory"):
             pair_frames_with_labels(tmp_path / "absent")
@@ -356,3 +372,78 @@ def test_resize_matches_all_at_once_formula(seed, source, target, channels):
     pixels = _seeded_pixels(seed, *source, channels)
     out = resize(ThermalFrame(pixels), *target)
     assert np.array_equal(out.pixels, resize_all_at_once(pixels, *target))
+
+
+WHITESPACE = [bytes([b]) for b in b" \t\n\r\x0b\x0c"]
+# A comment: "#", any bytes but LF (whitespace and "#" included), then LF
+# unless the data ends there.
+comments = st.builds(
+    lambda text, lf: b"#" + text + lf,
+    st.binary(max_size=5).map(lambda b: b.replace(b"\n", b"")),
+    st.sampled_from([b"\n", b"\n", b"\n", b""]),
+)
+# One whitespace byte, so tokens stay apart, then more whitespace or comments.
+separators = st.builds(
+    lambda first, rest: first + b"".join(rest),
+    st.sampled_from(WHITESPACE),
+    st.lists(st.one_of(st.sampled_from(WHITESPACE), comments), max_size=2),
+)
+odd_tokens = st.sampled_from([b"", b"+2", b"-2", b"2#3", b"#", b"x", b"\xff", b"0x2", b"00", b"02"])
+
+
+@st.composite
+def netpbm_files(draw):
+    """A header of separators and tokens, some of them malformed, then a
+    raster of the declared size or one byte short or long."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    if draw(st.integers(0, 9)) == 0:
+        magic = draw(st.sampled_from([b"P4", b"P", b""]))
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    tokens = [str(width).encode(), str(height).encode(), b"255"]
+    if draw(st.integers(0, 3)) == 0:
+        tokens[2] = draw(st.sampled_from([b"0255", b"254", b"65535"]))
+    if draw(st.integers(0, 3)) == 0:
+        tokens[draw(st.integers(0, 2))] = draw(odd_tokens)
+    header = magic + draw(st.one_of(separators, comments)) + tokens[0]
+    header += b"".join(draw(separators) + token for token in tokens[1:])
+    header += draw(st.one_of(st.sampled_from(WHITESPACE), separators))
+    size = width * height * (3 if magic == b"P6" else 1) + draw(st.sampled_from([0, 0, -1, 1]))
+    return header + bytes(max(size, 0))
+
+
+def _assert_parsed_as_scanner(data):
+    def outcome(parse):
+        try:
+            return parse(data, Path("f.pgm"))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_parse_netpbm) == outcome(netpbm_header_scan)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P5" + ws + b"2" + ws + b"1" + ws + b"255" + ws + b"\x01\x02" for ws in WHITESPACE]
+    + [
+        b"P5#after magic\n2 1 255\n\x01\x02",
+        b"P6 1 #between\n#two\n 1 255\n\x01\x02\x03",
+        b"P5 2 1 #at EOF",
+        b"P5 2#3 1 255\n\x01\x02",
+        b"P5 +2 1 255\n\x01\x02",
+        b"P5 2 -1 255\n\x01\x02",
+        b"P5  ",
+        b"P5 2 1 0255\n\x01\x02",
+        b"P5 2 1 254\n\x01\x02",
+        b"P5 2 1 255\n\x01",
+        b"P5 2 1 255\n\x01\x02\x03",
+        b"P5 2 1 255",
+    ],
+)
+def test_header_cases_parse_as_scanner(data):
+    _assert_parsed_as_scanner(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=netpbm_files())
+def test_header_parse_matches_byte_scanner(data):
+    _assert_parsed_as_scanner(data)

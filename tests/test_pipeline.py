@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,6 +97,21 @@ class TestAreaFilter:
         assert scaled_min_area(100.0, 160, 120) == 100.0
         assert scaled_min_area(100.0, 640, 640) == pytest.approx(100.0 * 640 * 640 / 19200)
 
+    def test_int_area_near_float_max_scales_to_inf(self):
+        # An int area times the frame area, divided as ints, would overflow.
+        cfg = PipelineConfig(min_bbox_area=10**308)
+        assert scaled_min_area(cfg.min_bbox_area, 640, 640) == math.inf
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("name", ["min_bbox_area", "fever_threshold_c"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "1e400", "-1e400"]
+    )
+    def test_value_outside_float_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+
 
 class TestProcessFrame:
     def test_single_face_reading(self):
@@ -142,6 +158,20 @@ class TestProcessFrame:
         assert readings
         assert np.array_equal(bgr.pixels, before)
         assert not np.shares_memory(annotated.pixels, bgr.pixels)
+
+    @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "bgr"])
+    def test_overlay_off_returns_the_plain_frame(self, channels):
+        frame, _, _ = _scene_frame(temp=35.0)
+        if channels == 3:
+            frame = gray_to_bgr(frame)
+            frame.pixels[0, 0] = (1, 2, 3)
+        plain = gray_to_bgr(frame).pixels if channels == 1 else frame.pixels.copy()
+        off = PipelineConfig(overlay_enabled=False)
+        annotated, readings = process_frame(frame, off, BlobDetector(BLOB_CFG), LAW)
+        _, drawn = process_frame(frame, PipelineConfig(), BlobDetector(BLOB_CFG), LAW)
+        assert readings and readings == drawn
+        assert np.array_equal(annotated.pixels, plain)
+        assert not np.shares_memory(annotated.pixels, frame.pixels)
 
     def test_one_bgr_frame_allocated_at_640(self, rng):
         """The annotated copy is the only frame-sized array: the peak stays

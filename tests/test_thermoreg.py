@@ -632,7 +632,7 @@ class TestGuardAndSelection:
         with pytest.raises(ValueError):
             plausibility_guard(ModelSpec("linear", {}).fit(TWO_POINTS), [])
 
-    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"])
     def test_non_finite_ceiling_rejected(self, ceiling):
         # `pred > nan` is always False: a NaN ceiling would pass any model.
         samples = _noisy_line(n=20)
@@ -777,6 +777,20 @@ class TestPersistence:
                 },
             ),
             ("decision_tree", {}),
+            ("ridge", {"intercept": 10**400, "slope": 0.1}),
+            ("knn", {"pixels": [1.0, 10**400], "temps": [10.0, 20.0], "k": 1}),
+            ("decision_tree", {"tree": {"kind": "leaf", "value": 10**400}}),
+            (
+                "decision_tree",
+                {
+                    "tree": {
+                        "kind": "split",
+                        "threshold": 10**400,
+                        "left": {"kind": "leaf", "value": 35.0},
+                        "right": {"kind": "leaf", "value": 37.0},
+                    }
+                },
+            ),
         ],
         ids=[
             "knn-k-above-n",
@@ -794,6 +808,10 @@ class TestPersistence:
             "tree-nonfinite-threshold",
             "tree-child-not-object",
             "tree-missing",
+            "ridge-huge-intercept",
+            "knn-huge-pixel",
+            "tree-huge-leaf",
+            "tree-huge-threshold",
         ],
     )
     def test_unusable_params_rejected(self, tmp_path, kind, params):
@@ -839,3 +857,12 @@ class TestCalibrationCsv:
             CalibrationSample(-1.0, 36.0)
         with pytest.raises(ValueError):
             CalibrationSample(100.0, 80.0)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "1e400", "-1e400"]
+    )
+    def test_non_finite_sample_is_value_error(self, value):
+        with pytest.raises(ValueError, match="max_pixel"):
+            CalibrationSample(value, 36.0)
+        with pytest.raises(ValueError, match="temperature_c"):
+            CalibrationSample(100.0, value)
