@@ -13,14 +13,14 @@ from pathlib import Path
 from thermotrack.annotations import denormalize
 from thermotrack.detectors import BlobDetector, DetectorConfig, ReplayDetector
 from thermotrack.deteval import map_over_thresholds
-from thermotrack.frameio import pair_frames_with_labels
+from thermotrack.frameio import pair_frames_with_labels, read_labels
 from thermotrack.synthscene import SequenceSpec, write_dataset
 
 OUT = Path("demo_output/eval_dataset")
 
 seq = SequenceSpec(frames=12, layout="mix", seed=19)
 write_dataset(seq, OUT)
-items = pair_frames_with_labels(OUT)
+items = list(pair_frames_with_labels(OUT))  # 12 small frames, scored twice
 print(f"dataset: {len(items)} frames, {sum(len(i.labels) for i in items)} labeled faces")
 
 gts_per_image = [
@@ -38,7 +38,7 @@ def evaluate(name, detector):
     return report
 
 
-replay_report = evaluate("replay detector (labels echoed back)", ReplayDetector.from_items(items))
+replay_report = evaluate("replay detector (labels echoed back)", ReplayDetector(read_labels(OUT)))
 assert replay_report.map_50 == 1.0
 
 blob_cfg = DetectorConfig(

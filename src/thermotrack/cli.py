@@ -41,6 +41,7 @@ from .detectors import (
 )
 from .deteval import CSV_HEADER, map_over_thresholds
 from .frameio import (
+    FRAME_SUFFIXES,
     DatasetItem,
     atomic_write_text,
     bgr_to_grayscale,
@@ -180,41 +181,38 @@ def _build_detector(args, config, section: str, dataset_dir: str | Path | None):
 
 
 def cmd_prepare(args, config) -> int:
-    items = pair_frames_with_labels(args.src)
-    for extra in args.combine or []:
-        extra_items = pair_frames_with_labels(extra)
-        stems = {item.frame.source_id for item in items}
-        for item in extra_items:
-            if item.frame.source_id in stems:
-                raise ValueError(f"stem collision while combining: {item.frame.source_id!r}")
-        items.extend(extra_items)
+    sources = [args.src, *(args.combine or [])]
+    # Stems in order, read off the label files alone: a failed check writes nothing.
+    stems: dict[str, None] = {}
+    for source in sources:
+        for stem in read_labels(source):
+            if stem in stems:
+                raise ValueError(f"stem collision while combining: {stem!r}")
+            stems[stem] = None
     if args.augment_hflip:
-        stems = {item.frame.source_id for item in items}
-        for item in items:
-            mirrored = f"{item.frame.source_id}_hf"
-            if mirrored in stems:
-                raise ValueError(f"augmented stem collides: {mirrored!r}")
-    # Every check is done; derive and write one item at a time, so at most
-    # one derived frame and its mirror are held.
+        for stem in stems:
+            if f"{stem}_hf" in stems:
+                raise ValueError(f"augmented stem collides: {stem + '_hf'!r}")
+    # One item at a time: one source frame, its derived frame and its mirror are held.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for item in items:
-        if args.resize is not None:
-            item = DatasetItem(resize(item.frame, *args.resize), item.labels)
-        save_item(item, out_dir)
-        if args.augment_hflip:
-            flipped = horizontal_flip(item)
-            flipped.frame.source_id = f"{item.frame.source_id}_hf"
-            save_item(flipped, out_dir)
-    print(f"items={len(items) * (2 if args.augment_hflip else 1)}")
+    for source in sources:
+        for item in pair_frames_with_labels(source):
+            if args.resize is not None:
+                item = DatasetItem(resize(item.frame, *args.resize), item.labels)
+            save_item(item, out_dir)
+            if args.augment_hflip:
+                flipped = horizontal_flip(item)
+                flipped.frame.source_id = f"{item.frame.source_id}_hf"
+                save_item(flipped, out_dir)
+    print(f"items={len(stems) * (2 if args.augment_hflip else 1)}")
     print(f"out={args.out}")
     return EXIT_OK
 
 
 def _guard_pixels(guard_dir: str) -> list[int]:
-    items = pair_frames_with_labels(guard_dir)
     pixels = []
-    for item in items:
+    for item in pair_frames_with_labels(guard_dir):
         frame = item.frame if item.frame.channels == 1 else bgr_to_grayscale(item.frame)
         for label in item.labels:
             roi = denormalize(label.bbox, frame.width, frame.height)
@@ -276,6 +274,8 @@ def cmd_eval_detector(args, config) -> int:
     finally:
         if adapter is not None:
             adapter.close()
+    if not gts_per_image:
+        raise ValueError(f"{dataset_dir} holds no {'/'.join(FRAME_SUFFIXES)} frame files")
     report = map_over_thresholds(dets_per_image, gts_per_image)
     prefix = args.out_prefix or f"eval_{dataset_dir.name}"
     atomic_write_text(f"{prefix}.csv", CSV_HEADER + "\n" + report.to_csv_row(dataset_dir.name) + "\n")

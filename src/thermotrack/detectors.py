@@ -57,7 +57,7 @@ from .annotations import (
 )
 # iou stays importable from here: perfbench's tracer counts detectors.iou by name.
 from .deteval import _check_threshold, _iou_tensor, iou  # noqa: F401
-from .frameio import DatasetItem, ThermalFrame, save_frame
+from .frameio import ThermalFrame, save_frame
 
 PROTOCOL_VERSION = 1
 
@@ -263,10 +263,6 @@ class ReplayDetector(Detector):
     ):
         super().__init__(config or DetectorConfig(nms_iou_threshold=REPLAY_NMS_IOU))
         self._labels = {key: list(value) for key, value in labels_by_source.items()}
-
-    @classmethod
-    def from_items(cls, items: Sequence[DatasetItem], config: DetectorConfig | None = None) -> "ReplayDetector":
-        return cls({item.frame.source_id: item.labels for item in items}, config)
 
     def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
         labels = self._labels.get(frame.source_id, [])

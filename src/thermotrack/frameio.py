@@ -13,6 +13,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -294,27 +295,26 @@ def read_labels(dataset_dir: str | Path) -> dict[str, list[GroundTruthLabel]]:
     state). A label file with no matching frame is an orphan and raises.
     """
     dataset_dir = Path(dataset_dir)
-    stems = [p.stem for p in list_frame_paths(dataset_dir)]
-    frame_stems = set(stems)
-    for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
-        if label_path.stem not in frame_stems:
-            raise ValueError(f"orphan label file {label_path} has no matching frame")
     labels = {}
-    for stem in stems:
-        label_path = dataset_dir / f"{stem}{LABEL_SUFFIX}"
+    for path in list_frame_paths(dataset_dir):
+        label_path = path.with_suffix(LABEL_SUFFIX)
         text = label_path.read_text() if label_path.exists() else ""
-        labels[stem] = [GroundTruthLabel(b) for b in parse_yolo_text(text)]
+        labels[path.stem] = [GroundTruthLabel(b) for b in parse_yolo_text(text)]
+    for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
+        if label_path.stem not in labels:
+            raise ValueError(f"orphan label file {label_path} has no matching frame")
     return labels
 
 
-def pair_frames_with_labels(dataset_dir: str | Path) -> list[DatasetItem]:
-    """Pair every frame file in a dataset directory, decoded and stamped with
-    its position, with its labels as ``read_labels`` reads them."""
+def pair_frames_with_labels(dataset_dir: str | Path) -> Iterator[DatasetItem]:
+    """Pair each frame file of a dataset directory, stamped with its position,
+    with its labels from ``read_labels``, which runs at the call (so an orphan
+    or a duplicate stem raises first); a frame is decoded when it is reached."""
     labels = read_labels(dataset_dir)
-    return [
+    return (
         DatasetItem(load_frame(path, frame_index=index), labels[path.stem])
         for index, path in enumerate(list_frame_paths(dataset_dir))
-    ]
+    )
 
 
 def save_item(item: DatasetItem, out_dir: str | Path) -> None:

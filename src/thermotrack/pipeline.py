@@ -132,6 +132,7 @@ class StreamSummary:
             f"frames={self.frames}\n"
             f"readings={self.readings}\n"
             f"flagged={self.flagged}\n"
+            f"errors={self.errors}\n"
             f"mean_latency_ms={self.mean_latency_ms:.3f}\n"
             f"max_latency_ms={self.max_latency_ms:.3f}\n"
         )
@@ -287,6 +288,7 @@ def run_stream(
     try:
         for position, item in enumerate(source):
             start = time.perf_counter()
+            frame = annotated = None  # free the last frame, even a skipped one, before a load
             try:
                 frame = item if isinstance(item, ThermalFrame) else load_frame(item)
                 frame = replace(frame, frame_index=position)

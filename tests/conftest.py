@@ -18,15 +18,20 @@ def bgr_frame(width, height, value=(0, 0, 0), frame_index=0, source_id="frame"):
     return ThermalFrame(pixels, frame_index, source_id)
 
 
+def traced_call(fn, *args):
+    """Result and tracemalloc peak of one call, with no warm-up call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def peak_traced_bytes(fn, *args):
     """tracemalloc peak of one call, after one untraced warm-up call."""
     fn(*args)
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_call(fn, *args)[1]
 
 
 def grid_box(class_id, cx_u, cy_u, w_u, h_u):

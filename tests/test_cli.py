@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from thermotrack.thermoreg import (
     save_calibration_csv,
     save_model,
 )
-from conftest import gray_frame
+from conftest import gray_frame, traced_call
 from test_detectors import STUB
 
 SCENE_SPEC = """
@@ -103,6 +102,22 @@ def _write_scene_spec(tmp_path, frames=4, layout="sparse", seed=29):
     return path
 
 
+# Three 640x640 BGR frames' bytes: the memory bound of a command that holds
+# a bounded number of frames. 40 decoded 640x640 gray frames hold 16 MB.
+THREE_BGR_640 = 3 * 640 * 640 * 3
+
+
+def _dataset_640(tmp_path, frames=40):
+    """Gray 640x640 frames, each labeled with one box around a hot square."""
+    ds = tmp_path / "big"
+    ds.mkdir()
+    for index in range(frames):
+        frame = gray_frame(640, 640, value=20 + index, source_id=f"f{index:02d}")
+        frame.pixels[240:400, 240:400] = 230
+        save_item(DatasetItem(frame, [GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.25, 0.25))]), ds)
+    return ds
+
+
 def _ridge_law_model(tmp_path):
     samples = generate_calibration_set(60, beta0=20.0, beta1=0.1, seed=77)
     model = ModelSpec("ridge", {"lambda": 0.0}).fit(samples)
@@ -117,14 +132,14 @@ class TestSynth:
         out = tmp_path / "ds"
         assert run_cli("synth", str(spec), "--out", str(out)) == 0
         assert "frames=3" in capsys.readouterr().out
-        items = pair_frames_with_labels(out)
+        items = list(pair_frames_with_labels(out))
         assert [len(item.labels) for item in items] == [3, 3, 3]
 
     def test_dense_dataset_face_counts(self, tmp_path):
         spec = _write_scene_spec(tmp_path, frames=4, layout="dense")
         out = tmp_path / "dense"
         assert run_cli("synth", str(spec), "--out", str(out)) == 0
-        items = pair_frames_with_labels(out)
+        items = list(pair_frames_with_labels(out))
         assert all(12 <= len(item.labels) <= 15 for item in items)
 
     def test_same_spec_and_seed_identical(self, tmp_path):
@@ -160,7 +175,7 @@ class TestPrepare:
         src = self._dataset(tmp_path)
         out = tmp_path / "resized"
         assert run_cli("prepare", str(src), str(out), "--resize", "640x640") == 0
-        items = pair_frames_with_labels(out)
+        items = list(pair_frames_with_labels(out))
         assert len(items) == 3
         assert items[0].frame.width == 640 and items[0].frame.height == 640
         assert len(items[0].labels) == 2  # labels ride along unchanged
@@ -169,7 +184,7 @@ class TestPrepare:
         src = self._dataset(tmp_path)
         out = tmp_path / "aug"
         assert run_cli("prepare", str(src), str(out), "--resize", "640x640", "--augment-hflip") == 0
-        items = pair_frames_with_labels(out)
+        items = list(pair_frames_with_labels(out))
         assert len(items) == 6
         stems = {item.frame.source_id for item in items}
         assert "frame_000000" in stems and "frame_000000_hf" in stems
@@ -182,7 +197,7 @@ class TestPrepare:
             path.rename(b / f"lab_{path.name[6:]}")
         out = tmp_path / "combined"
         assert run_cli("prepare", str(a), str(out), "--combine", str(b)) == 0
-        assert len(pair_frames_with_labels(out)) == 5
+        assert len(list(pair_frames_with_labels(out))) == 5
 
     def test_combine_collision_is_data_error(self, tmp_path):
         a = self._dataset(tmp_path, n=2, seed=1, name="a")
@@ -225,6 +240,28 @@ class TestPrepare:
         out = tmp_path / "aug"
         assert run_cli("prepare", str(src), str(out), "--resize", "64x48", "--augment-hflip") == 3
         assert not out.exists()
+
+    def test_corrupt_source_frame_is_data_error(self, tmp_path, capsys):
+        src = self._dataset(tmp_path, n=3)
+        corrupt = src / "frame_000001.pgm"
+        corrupt.write_bytes(b"P5\n160 120\n255\n\x00")
+        out = tmp_path / "out"
+        assert run_cli("prepare", str(src), str(out), "--augment-hflip") == 3
+        assert str(corrupt) in capsys.readouterr().err
+        # Items are written as they are read: the one before the corrupt frame is out.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "frame_000000.pgm", "frame_000000.txt", "frame_000000_hf.pgm", "frame_000000_hf.txt"
+        ]
+
+    def test_memory_does_not_grow_with_frames(self, tmp_path, capsys):
+        src = _dataset_640(tmp_path)
+        out = tmp_path / "out"
+        flags = ["--resize", "640x640", "--augment-hflip"]
+        code, peak = traced_call(run_cli, "prepare", str(src), str(out), *flags)
+        assert code == 0
+        assert "items=80" in capsys.readouterr().out
+        assert len(list(out.glob("*.pgm"))) == 80
+        assert peak < THREE_BGR_640
 
     def test_bad_resize_flag_is_usage_error(self, tmp_path):
         src = self._dataset(tmp_path)
@@ -348,6 +385,12 @@ class TestCalibrate:
         assert model.kind == "ridge"
         assert model.provenance["rejected_before"][0]["kind"] == "knn"
 
+    def test_guard_set_memory_does_not_grow_with_frames(self, tmp_path):
+        ds = _dataset_640(tmp_path)
+        pixels, peak = traced_call(cli._guard_pixels, str(ds))
+        assert pixels == [230] * 40
+        assert peak < THREE_BGR_640
+
     def test_no_viable_model_is_data_error(self, tmp_path):
         from thermotrack.thermoreg import CalibrationSample
 
@@ -417,6 +460,26 @@ class TestEvalDetector:
     def test_unknown_detector_is_data_error(self, tmp_path):
         ds = self._dataset(tmp_path)
         assert run_cli("eval-detector", str(ds), "--detector", "magic") == 3
+
+    def test_no_frame_files_is_data_error(self, tmp_path, capsys):
+        # A dataset exported as PNG: no frame file is read, so nothing is scored.
+        ds = tmp_path / "png"
+        ds.mkdir()
+        (ds / "frame_000000.png").write_bytes(b"\x89PNG")
+        prefix = tmp_path / "empty_eval"
+        assert run_cli("eval-detector", str(ds), "--detector", "replay", "--out-prefix", str(prefix)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ds) in err and ".pgm" in err and ".ppm" in err
+        assert not list(tmp_path.glob("empty_eval*"))
+
+    @pytest.mark.parametrize("detector", [["--detector", "replay"], []], ids=["replay", "blob"])
+    def test_memory_does_not_grow_with_frames(self, tmp_path, capsys, detector):
+        ds = _dataset_640(tmp_path)
+        prefix = tmp_path / "e"
+        code, peak = traced_call(run_cli, "eval-detector", str(ds), *detector, "--out-prefix", str(prefix))
+        assert code == 0
+        assert "map50=1.000000" in capsys.readouterr().out
+        assert peak < THREE_BGR_640
 
 
 class TestRun:
@@ -542,7 +605,7 @@ class TestRun:
         model = _ridge_law_model(tmp_path)
         # Reference: the replay run re-reading every frame from its path.
         reference = PipelineConfig(log_path=tmp_path / "ref.csv", output_dir=tmp_path / "ref")
-        replay = ReplayDetector.from_items(pair_frames_with_labels(ds))
+        replay = ReplayDetector({item.frame.source_id: item.labels for item in pair_frames_with_labels(ds)})
         pipeline.run_stream(frameio.list_frame_paths(ds), replay, load_model(model), reference)
         loads = _count_loads(monkeypatch)
         out_dir, log = tmp_path / "out", tmp_path / "readings.csv"
@@ -560,24 +623,23 @@ class TestRun:
             assert (out_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_replay_run_memory_does_not_grow_with_frames(self, tmp_path):
-        ds = tmp_path / "big"
-        ds.mkdir()
-        for index in range(40):
-            frame = gray_frame(640, 640, value=20 + index, source_id=f"f{index:02d}")
-            save_item(DatasetItem(frame, [GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.25, 0.25))]), ds)
+        ds = _dataset_640(tmp_path)
         model = _ridge_law_model(tmp_path)
         log = tmp_path / "readings.csv"
-        tracemalloc.start()
-        try:
-            code = run_cli("run", str(ds), "--model", str(model), "--detector", "replay", "--log", str(log))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_call(
+            run_cli, "run", str(ds), "--model", str(model), "--detector", "replay", "--log", str(log)
+        )
         assert code == 0
         assert len(log.read_text().splitlines()) == 1 + 40
-        # Three annotated 640x640 BGR frames' bytes; the 40 decoded frames
-        # alone would hold 16 MB.
-        assert peak < 3 * 640 * 640 * 3
+        assert peak < THREE_BGR_640
+
+    def test_summary_counts_skipped_frame(self, tmp_path, capsys):
+        ds = self._dataset(tmp_path, frames=3)
+        (ds / "frame_000001.pgm").write_bytes(b"P5\n160 120\n255\n\x00")
+        model = _ridge_law_model(tmp_path)
+        assert run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "frames=2" in lines and "errors=1" in lines
 
     @pytest.mark.parametrize("detector", [["--detector", "replay"], BLOB_FLAGS], ids=["replay", "blob"])
     def test_corrupt_frame_skipped(self, tmp_path, capsys, detector):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import netpbm_header_scan, resize_all_at_once
 from conftest import bgr_frame, gray_frame, peak_traced_bytes
+from thermotrack import frameio
 from thermotrack.annotations import GroundTruthLabel, NormBBox
 from thermotrack.frameio import (
     DatasetItem,
@@ -265,28 +266,60 @@ def _write_dataset(tmp_path, stems_with_labels):
             (tmp_path / f"{stem}.txt").write_text(label_text)
 
 
+def _count_loads(monkeypatch):
+    """Record the stem of every frame decode."""
+    loads = []
+    real = frameio.load_frame
+
+    def counting(path, *args, **kwargs):
+        loads.append(Path(path).stem)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(frameio, "load_frame", counting)
+    return loads
+
+
 class TestPairing:
     def test_frame_with_two_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_001": "0 0.5 0.5 0.2 0.2\n0 0.2 0.2 0.1 0.1\n"})
-        items = pair_frames_with_labels(tmp_path)
+        items = list(pair_frames_with_labels(tmp_path))
         assert len(items) == 1
         assert len(items[0].labels) == 2
 
     def test_missing_label_file_is_null_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_002": None})
-        items = pair_frames_with_labels(tmp_path)
+        items = list(pair_frames_with_labels(tmp_path))
         assert len(items) == 1
         assert items[0].labels == []
 
     def test_empty_label_file_is_null_labels(self, tmp_path):
         _write_dataset(tmp_path, {"img_005": ""})
-        items = pair_frames_with_labels(tmp_path)
+        items = list(pair_frames_with_labels(tmp_path))
         assert items[0].labels == []
 
     def test_orphan_label_errors(self, tmp_path):
         (tmp_path / "img_003.txt").write_text("0 0.5 0.5 0.2 0.2\n")
         with pytest.raises(ValueError, match="orphan"):
             pair_frames_with_labels(tmp_path)
+
+    def test_decodes_one_frame_per_step(self, tmp_path, monkeypatch):
+        _write_dataset(tmp_path, {"a": None, "b": "0 0.5 0.5 0.2 0.2\n", "c": None})
+        loads = _count_loads(monkeypatch)
+        items = pair_frames_with_labels(tmp_path)
+        assert loads == []
+        assert next(items).frame.source_id == "a"
+        assert loads == ["a"]
+        item = next(items)
+        assert (item.frame.source_id, item.frame.frame_index, len(item.labels)) == ("b", 1, 1)
+        assert loads == ["a", "b"]
+
+    def test_orphan_raises_before_any_decode(self, tmp_path, monkeypatch):
+        _write_dataset(tmp_path, {"a": None})
+        (tmp_path / "img_003.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+        loads = _count_loads(monkeypatch)
+        with pytest.raises(ValueError, match="orphan"):
+            pair_frames_with_labels(tmp_path)
+        assert loads == []
 
     def test_read_labels_keyed_by_stem_without_decoding(self, tmp_path):
         _write_dataset(tmp_path, {"b": None, "a": "0 0.5 0.5 0.2 0.2\n", "c": ""})
@@ -314,7 +347,7 @@ class TestPairing:
 
     def test_items_ordered_by_stem_and_count_matches_frames(self, tmp_path):
         _write_dataset(tmp_path, {"b": None, "a": "0 0.5 0.5 0.2 0.2\n", "c": None})
-        items = pair_frames_with_labels(tmp_path)
+        items = list(pair_frames_with_labels(tmp_path))
         assert [item.frame.source_id for item in items] == ["a", "b", "c"]
         assert [item.frame.frame_index for item in items] == [0, 1, 2]
         assert len(items) == 3
@@ -332,7 +365,7 @@ class TestPairing:
             save_item(item, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_gray.pgm", "a_gray.txt", "b_bgr.ppm", "b_bgr.txt"]
         assert (tmp_path / "b_bgr.txt").read_text() == ""
-        back = pair_frames_with_labels(tmp_path)
+        back = list(pair_frames_with_labels(tmp_path))
         for original, loaded in zip((gray, bgr), back, strict=True):
             assert loaded.frame.source_id == original.frame.source_id
             assert np.array_equal(loaded.frame.pixels, original.frame.pixels)

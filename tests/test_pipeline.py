@@ -10,9 +10,9 @@ import pytest
 
 from _oracles import expected_overlay, max_pixel_scan
 from conftest import gray_frame, peak_traced_bytes
-from thermotrack.annotations import PixelBBox
+from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
 from thermotrack.detectors import (
-    BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector
+    BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector, ReplayDetector
 )
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
@@ -340,6 +340,19 @@ class TestRunStream:
         assert summary.readings == 2
         assert summary.flagged == 1
 
+    def test_holds_one_frame_at_a_time(self, tmp_path):
+        """The previous frame and its annotated copy are freed before the
+        next frame loads: five 640x640 paths peak as high as one."""
+        paths = []
+        for index in range(5):
+            paths.append(tmp_path / f"f{index}.pgm")
+            save_frame(gray_frame(640, 640, value=20 + index), paths[-1])
+        labels = {path.stem: [GroundTruthLabel(NormBBox(0, 0.5, 0.5, 0.25, 0.25))] for path in paths}
+        detector = ReplayDetector(labels)
+        one = peak_traced_bytes(run_stream, paths[:1], detector, LAW, PipelineConfig())
+        five = peak_traced_bytes(run_stream, paths, detector, LAW, PipelineConfig())
+        assert five <= 1.1 * one
+
     def test_summary_text_keys(self):
         summary = StreamSummary(frames=3, readings=4, flagged=1)
         for ms in (2.0, 6.0, 4.0):
@@ -349,6 +362,7 @@ class TestRunStream:
             "frames=3",
             "readings=4",
             "flagged=1",
+            "errors=0",
             "mean_latency_ms=4.000",
             "max_latency_ms=6.000",
         ]

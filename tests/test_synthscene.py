@@ -188,7 +188,7 @@ temp_max_c = 38.0
         seq = SequenceSpec(frames=3, layout="sparse", sparse_count=2, seed=23)
         out = tmp_path / "ds"
         assert write_dataset(seq, out) == 3
-        items = pair_frames_with_labels(out)
+        items = list(pair_frames_with_labels(out))
         assert len(items) == 3
         assert all(len(item.labels) == 2 for item in items)
         truth_lines = (out / "truth.csv").read_text().splitlines()
