@@ -11,6 +11,9 @@ Subcommands mirror the library workflows:
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime abort,
 143 stopped by SIGTERM (after the reading log and any adapter are closed).
+A dataset directory with no frame file is a data error for every command
+that reads its labels: ``prepare``, ``calibrate --guard-set``, ``eval-detector``
+and ``run --detector replay``; ``run`` under blob or external prints ``frames=0``.
 A ``--config`` file (key=value with one [section] per subcommand) supplies
 values for unset flags; explicit flags win, and a key set by neither keeps
 the library default.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import logging
 import math
@@ -29,7 +33,7 @@ import signal
 import sys
 from pathlib import Path
 
-from .annotations import denormalize
+from .annotations import PixelBBox, denormalize
 from .detectors import (
     REPLAY_NMS_IOU,
     AdapterError,
@@ -41,8 +45,8 @@ from .detectors import (
 )
 from .deteval import CSV_HEADER, map_over_thresholds
 from .frameio import (
-    FRAME_SUFFIXES,
     DatasetItem,
+    ThermalFrame,
     atomic_write_text,
     bgr_to_grayscale,
     horizontal_flip,
@@ -143,9 +147,9 @@ def _reject_unused_flags(args, detector: str) -> None:
 
 
 def _build_detector(args, config, section: str, dataset_dir: str | Path | None):
-    """Returns (detector, adapter); adapter is None unless external. Only
-    replay reads ``dataset_dir``, for its labels alone; it is None for an
-    unlabeled source."""
+    """Returns (detector, the context that closes it): the adapter for an
+    external detector, a no-op context otherwise. Only replay reads
+    ``dataset_dir``, for its labels alone; it is None for an unlabeled source."""
     spec = _resolve(args, config, section, "detector", str)
     if spec is None:
         spec = "blob"
@@ -153,31 +157,30 @@ def _build_detector(args, config, section: str, dataset_dir: str | Path | None):
         confidence_threshold=_resolve(args, config, section, "conf_threshold", float),
         nms_iou_threshold=_resolve(args, config, section, "nms_threshold", float),
     )
-    if spec == "replay":
-        _reject_unused_flags(args, "replay")
+    kind = "external" if spec.startswith("external:") else spec
+    if kind not in ("replay", "blob", "external"):
+        raise ValueError(f"unknown detector {spec!r}; use replay, blob, or external:<cmd>")
+    _reject_unused_flags(args, kind)
+    if kind == "replay":
         if dataset_dir is None:
             raise ValueError("the replay detector needs a labeled dataset directory")
         settings.setdefault("nms_iou_threshold", REPLAY_NMS_IOU)
-        return ReplayDetector(read_labels(dataset_dir), DetectorConfig(**settings)), None
-    if spec == "blob":
-        _reject_unused_flags(args, "blob")
+        return ReplayDetector(read_labels(dataset_dir), DetectorConfig(**settings)), contextlib.nullcontext()
+    if kind == "blob":
         settings.update(_set_only(
             intensity_threshold=_resolve(args, config, section, "blob_threshold", int),
             min_blob_area=_resolve(args, config, section, "blob_min_area", int),
             max_aspect_ratio=_resolve(args, config, section, "blob_max_aspect", float),
         ))
-        return BlobDetector(DetectorConfig(**settings)), None
-    if spec.startswith("external:"):
-        command = shlex.split(spec[len("external:") :])
-        if not command:
-            raise ValueError("external detector needs a command line after 'external:'")
-        _reject_unused_flags(args, "external")
-        # Built before the launch, so a bad threshold leaves no process behind.
-        cfg = DetectorConfig(**settings)
-        timeout = _resolve(args, config, section, "adapter_timeout", float)
-        adapter = ExternalAdapter(command, **_set_only(response_timeout_s=timeout))
-        return ExternalDetector(adapter, cfg), adapter
-    raise ValueError(f"unknown detector {spec!r}; use replay, blob, or external:<cmd>")
+        return BlobDetector(DetectorConfig(**settings)), contextlib.nullcontext()
+    command = shlex.split(spec[len("external:") :])
+    if not command:
+        raise ValueError("external detector needs a command line after 'external:'")
+    # Built before the launch, so a bad threshold leaves no process behind.
+    cfg = DetectorConfig(**settings)
+    timeout = _resolve(args, config, section, "adapter_timeout", float)
+    adapter = ExternalAdapter(command, **_set_only(response_timeout_s=timeout))
+    return ExternalDetector(adapter, cfg), adapter
 
 
 def cmd_prepare(args, config) -> int:
@@ -210,13 +213,15 @@ def cmd_prepare(args, config) -> int:
     return EXIT_OK
 
 
+def _gray_with_boxes(item: DatasetItem) -> tuple[ThermalFrame, list[PixelBBox]]:
+    """A dataset item's frame in gray and its label boxes in pixels."""
+    frame = item.frame if item.frame.channels == 1 else bgr_to_grayscale(item.frame)
+    return frame, [denormalize(label.bbox, frame.width, frame.height) for label in item.labels]
+
+
 def _guard_pixels(guard_dir: str) -> list[int]:
-    pixels = []
-    for item in pair_frames_with_labels(guard_dir):
-        frame = item.frame if item.frame.channels == 1 else bgr_to_grayscale(item.frame)
-        for label in item.labels:
-            roi = denormalize(label.bbox, frame.width, frame.height)
-            pixels.append(extract_max_pixel(frame, roi))
+    items = map(_gray_with_boxes, pair_frames_with_labels(guard_dir))
+    pixels = [extract_max_pixel(frame, roi) for frame, rois in items for roi in rois]
     if not pixels:
         raise ValueError(f"guard set {guard_dir} contains no labeled regions")
     return pixels
@@ -260,22 +265,15 @@ def cmd_calibrate(args, config) -> int:
 
 def cmd_eval_detector(args, config) -> int:
     dataset_dir = Path(args.dataset)
-    items = pair_frames_with_labels(dataset_dir)
-    detector, adapter = _build_detector(args, config, "eval-detector", dataset_dir)
-    try:
-        dets_per_image = []
-        gts_per_image = []
-        for item in items:
-            frame = item.frame if item.frame.channels == 1 else bgr_to_grayscale(item.frame)
+    # Checked here, so a dataset error raises before any adapter launches.
+    items = map(_gray_with_boxes, pair_frames_with_labels(dataset_dir))
+    detector, closing = _build_detector(args, config, "eval-detector", dataset_dir)
+    dets_per_image = []
+    gts_per_image = []
+    with closing:
+        for frame, boxes in items:
             dets_per_image.append(detector.detect(frame))
-            gts_per_image.append(
-                [denormalize(l.bbox, frame.width, frame.height) for l in item.labels]
-            )
-    finally:
-        if adapter is not None:
-            adapter.close()
-    if not gts_per_image:
-        raise ValueError(f"{dataset_dir} holds no {'/'.join(FRAME_SUFFIXES)} frame files")
+            gts_per_image.append(boxes)
     report = map_over_thresholds(dets_per_image, gts_per_image)
     prefix = args.out_prefix or f"eval_{dataset_dir.name}"
     atomic_write_text(f"{prefix}.csv", CSV_HEADER + "\n" + report.to_csv_row(dataset_dir.name) + "\n")
@@ -305,12 +303,9 @@ def cmd_run(args, config) -> int:
     cfg = PipelineConfig(
         overlay_enabled=not args.no_overlay, log_path=args.log, output_dir=args.out, **settings
     )
-    detector, adapter = _build_detector(args, config, section, dataset_dir)
-    try:
+    detector, closing = _build_detector(args, config, section, dataset_dir)
+    with closing:
         summary = run_stream(source, detector, model, cfg)
-    finally:
-        if adapter is not None:
-            adapter.close()
     print(summary.to_text(), end="")
     return EXIT_OK
 
@@ -386,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
-    # SIGTERM unwinds like an exception, so every finally block closes the
-    # reading log and stops the adapter, which removes its scratch directory.
+    # SIGTERM unwinds like an exception, so every with and finally block closes
+    # the reading log and stops the adapter, which removes its scratch directory.
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         config = _load_config(args.config)

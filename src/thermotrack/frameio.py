@@ -292,7 +292,8 @@ def read_labels(dataset_dir: str | Path) -> dict[str, list[GroundTruthLabel]]:
     stem order, from the same-stem label files; no frame is decoded.
 
     A missing or empty label file gives an empty list (the null-label
-    state). A label file with no matching frame is an orphan and raises.
+    state). A label file with no matching frame is an orphan and raises,
+    and so does a directory with no frame file at all.
     """
     dataset_dir = Path(dataset_dir)
     labels = {}
@@ -303,6 +304,8 @@ def read_labels(dataset_dir: str | Path) -> dict[str, list[GroundTruthLabel]]:
     for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
         if label_path.stem not in labels:
             raise ValueError(f"orphan label file {label_path} has no matching frame")
+    if not labels:
+        raise ValueError(f"{dataset_dir} holds no {'/'.join(FRAME_SUFFIXES)} frame files")
     return labels
 
 

@@ -118,6 +118,24 @@ def _dataset_640(tmp_path, frames=40):
     return ds
 
 
+def _png_dataset(tmp_path):
+    """A dataset exported as PNG: a directory with no .pgm/.ppm frame file."""
+    ds = tmp_path / "png"
+    ds.mkdir()
+    (ds / "frame_000000.png").write_bytes(b"\x89PNG")
+    return ds
+
+
+def _assert_names_frameless(err, ds):
+    assert err.startswith("error: ") and f"{ds} holds no .pgm/.ppm frame files" in err
+
+
+def _record_adapter_launches(monkeypatch):
+    launched = []
+    monkeypatch.setattr(cli, "ExternalAdapter", lambda *a, **kw: launched.append(a))
+    return launched
+
+
 def _ridge_law_model(tmp_path):
     samples = generate_calibration_set(60, beta0=20.0, beta1=0.1, seed=77)
     model = ModelSpec("ridge", {"lambda": 0.0}).fit(samples)
@@ -267,6 +285,17 @@ class TestPrepare:
         src = self._dataset(tmp_path)
         assert run_cli("prepare", str(src), str(tmp_path / "y"), "--resize", "640") == 2
 
+    @pytest.mark.parametrize("combined", [False, True], ids=["src", "combine"])
+    def test_frameless_directory_is_data_error(self, tmp_path, capsys, combined):
+        png = _png_dataset(tmp_path)
+        sources = [str(self._dataset(tmp_path)), "--combine", str(png)] if combined else [str(png)]
+        out = tmp_path / "out"
+        assert run_cli("prepare", sources[0], str(out), *sources[1:]) == 3
+        captured = capsys.readouterr()
+        _assert_names_frameless(captured.err, png)
+        assert "items=" not in captured.out
+        assert not out.exists()
+
 
 class TestCalibrate:
     def _csv(self, tmp_path, seed=101):
@@ -391,6 +420,14 @@ class TestCalibrate:
         assert pixels == [230] * 40
         assert peak < THREE_BGR_640
 
+    def test_frameless_guard_set_is_data_error(self, tmp_path, capsys):
+        png = _png_dataset(tmp_path)
+        model_path = tmp_path / "m.json"
+        code = run_cli("calibrate", str(self._csv(tmp_path)), "--out", str(model_path), "--guard-set", str(png))
+        assert code == 3
+        _assert_names_frameless(capsys.readouterr().err, png)
+        assert not model_path.exists()
+
     def test_no_viable_model_is_data_error(self, tmp_path):
         from thermotrack.thermoreg import CalibrationSample
 
@@ -480,6 +517,24 @@ class TestEvalDetector:
         assert code == 0
         assert "map50=1.000000" in capsys.readouterr().out
         assert peak < THREE_BGR_640
+
+    def test_adapter_dying_mid_response_is_closed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ds = self._dataset(tmp_path, frames=2)
+        prefix = tmp_path / "e"
+        detector = f"external:{shlex.join([sys.executable, str(STUB), 'die-mid'])}"
+        assert run_cli("eval-detector", str(ds), "--detector", detector, "--out-prefix", str(prefix)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("thermotrack-adapter-*"))
+        assert not list(tmp_path.glob("e.*"))
+
+    def test_frameless_directory_launches_no_adapter(self, tmp_path, capsys, monkeypatch):
+        launched = _record_adapter_launches(monkeypatch)
+        png = _png_dataset(tmp_path)
+        detector = f"external:{shlex.join([sys.executable, str(STUB)])}"
+        assert run_cli("eval-detector", str(png), "--detector", detector) == 3
+        _assert_names_frameless(capsys.readouterr().err, png)
+        assert launched == []
 
 
 class TestRun:
@@ -663,6 +718,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "intercept" in err
         assert "Traceback" not in err
+
+    def test_frameless_directory_replay_is_data_error(self, tmp_path, capsys):
+        png = _png_dataset(tmp_path)
+        model = _ridge_law_model(tmp_path)
+        log = tmp_path / "readings.csv"
+        code = run_cli("run", str(png), "--model", str(model), "--detector", "replay", "--log", str(log))
+        assert code == 3
+        _assert_names_frameless(capsys.readouterr().err, png)
+        assert not log.exists()
+
+    def test_frameless_directory_blob_reads_no_labels(self, tmp_path, capsys):
+        png = _png_dataset(tmp_path)
+        model = _ridge_law_model(tmp_path)
+        assert run_cli("run", str(png), "--model", str(model), *BLOB_FLAGS) == 0
+        assert "frames=0" in capsys.readouterr().out.splitlines()
+
+    def test_bad_threshold_launches_no_adapter(self, tmp_path, capsys, monkeypatch):
+        launched = _record_adapter_launches(monkeypatch)
+        ds = self._dataset(tmp_path, frames=2)
+        model = _ridge_law_model(tmp_path)
+        detector = f"external:{shlex.join([sys.executable, str(STUB)])}"
+        code = run_cli("run", str(ds), "--model", str(model), "--detector", detector, "--conf-threshold", "2")
+        assert code == 3
+        assert "confidence_threshold" in capsys.readouterr().err
+        assert launched == []
 
     def test_replay_detector_needs_directory(self, tmp_path, capsys, monkeypatch):
         model = _ridge_law_model(tmp_path)

@@ -302,6 +302,11 @@ class TestPairing:
         with pytest.raises(ValueError, match="orphan"):
             pair_frames_with_labels(tmp_path)
 
+    def test_frameless_directory_errors(self, tmp_path):
+        (tmp_path / "frame.png").write_bytes(b"\x89PNG")
+        with pytest.raises(ValueError, match="holds no .pgm/.ppm frame files"):
+            read_labels(tmp_path)
+
     def test_decodes_one_frame_per_step(self, tmp_path, monkeypatch):
         _write_dataset(tmp_path, {"a": None, "b": "0 0.5 0.5 0.2 0.2\n", "c": None})
         loads = _count_loads(monkeypatch)
