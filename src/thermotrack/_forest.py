@@ -128,39 +128,49 @@ def _best_cuts(
 def _best_cuts_block(
     ps: np.ndarray, ts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, min_leaf: np.ndarray
 ) -> np.ndarray:
-    """``_best_cuts`` for nodes of at least ``2 * min_leaf`` samples, one row each."""
-    # Each row is its node's samples, padded to the widest node by repeating
-    # its last sample, which adds no boundary and keeps a constant row
-    # constant. np.cumsum(axis=1) adds each row in order, so a row's running
-    # sums equal its node's own 1-D np.cumsum, and none past its end is used.
-    # A difference of one shared prefix sum would round otherwise.
-    width = int(sizes.max())
-    at = np.minimum(starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None])
+    """``_best_cuts`` for nodes of at least ``2 * min_leaf`` samples, one row each.
+
+    Trees of different leaf sizes on one sample set share nodes (every root,
+    and more while their splits agree). A node's split cost at each boundary
+    does not depend on the leaf size, so it is computed once per distinct
+    (start, size) segment; each row applies only its own leaf-size mask.
+    """
+    segment = starts * (ps.size + 1) + sizes  # one integer per (start, size)
+    _, first, row_segment = np.unique(segment, return_index=True, return_inverse=True)
+    seg_starts, seg_sizes = starts[first], sizes[first]
+    # Each row is its segment's samples, padded to the widest segment by
+    # repeating its last sample, which adds no boundary and keeps a constant
+    # row constant. np.cumsum(axis=1) adds each row in order, so a row's
+    # running sums equal its segment's own 1-D np.cumsum, and none past its
+    # end is used. A difference of one shared prefix sum would round otherwise.
+    width = int(seg_sizes.max())
+    at = np.minimum(seg_starts[:, None] + np.arange(width), (seg_starts + seg_sizes - 1)[:, None])
     p, t = ps[at], ts[at]
     n_left = np.arange(1.0, width)  # boundary j splits after sample j
-    n_right = sizes[:, None] - n_left
-    valid = (
-        (p[:, :-1] != p[:, 1:])
-        & (n_left >= min_leaf[:, None])
-        & (n_right >= min_leaf[:, None])
-        & ~(t == t[:, :1]).all(axis=1, keepdims=True)
-    )
+    n_right = seg_sizes[:, None] - n_left
+    boundary = (p[:, :-1] != p[:, 1:]) & ~(t == t[:, :1]).all(axis=1, keepdims=True)
     s1 = np.cumsum(t, axis=1)
     s2 = np.cumsum(np.multiply(t, t, out=t), axis=1)
-    # SSE = sum(t^2) - (sum t)^2 / n on each side; divide only where valid.
+    # SSE = sum(t^2) - (sum t)^2 / n on each side; divide only at boundaries.
     # The block is the forest's peak memory, so the arithmetic is in place;
     # np.square is what ``x ** 2`` computes.
     del at, p, t
-    rows = np.arange(sizes.size)
-    s1_all, s2_all = s1[rows, sizes - 1][:, None], s2[rows, sizes - 1][:, None]
+    rows = np.arange(seg_sizes.size)
+    s1_all, s2_all = s1[rows, seg_sizes - 1][:, None], s2[rows, seg_sizes - 1][:, None]
     s1, s2 = s1[:, :-1], s2[:, :-1]
     left = np.square(s1)
     left /= n_left
     np.subtract(s2, left, out=left)
     right = np.square(s1_all - s1)
-    np.divide(right, n_right, out=right, where=valid)
+    np.divide(right, n_right, out=right, where=boundary)
     np.subtract(s2_all - s2, right, out=right)
-    cost = np.add(left, right, out=np.full(valid.shape, np.inf), where=valid)
+    del s1, s2
+    seg_cost = np.add(left, right, out=left)
+    del right
+    valid = boundary[row_segment]
+    valid &= n_left >= min_leaf[:, None]
+    valid &= (sizes[:, None] - n_left) >= min_leaf[:, None]
+    cost = np.where(valid, seg_cost[row_segment], np.inf)
     # argmin takes the first of equal costs: ties go to the lowest threshold.
     return np.where(valid.any(axis=1), starts + cost.argmin(axis=1), -1)
 

@@ -295,28 +295,36 @@ def read_labels(dataset_dir: str | Path) -> dict[str, list[GroundTruthLabel]]:
     state). A label file with no matching frame is an orphan and raises,
     and so does a directory with no frame file at all.
     """
+    return {path.stem: labels for path, labels in _labelled_frame_paths(dataset_dir)}
+
+
+def _labelled_frame_paths(dataset_dir: str | Path) -> list[tuple[Path, list[GroundTruthLabel]]]:
+    """Each frame file of one directory listing, in stem order, with its
+    labels as ``read_labels`` reads and checks them."""
     dataset_dir = Path(dataset_dir)
-    labels = {}
+    frames = []
     for path in list_frame_paths(dataset_dir):
         label_path = path.with_suffix(LABEL_SUFFIX)
         text = label_path.read_text() if label_path.exists() else ""
-        labels[path.stem] = [GroundTruthLabel(b) for b in parse_yolo_text(text)]
+        frames.append((path, [GroundTruthLabel(b) for b in parse_yolo_text(text)]))
+    stems = {path.stem for path, _ in frames}
     for label_path in dataset_dir.glob(f"*{LABEL_SUFFIX}"):
-        if label_path.stem not in labels:
+        if label_path.stem not in stems:
             raise ValueError(f"orphan label file {label_path} has no matching frame")
-    if not labels:
+    if not frames:
         raise ValueError(f"{dataset_dir} holds no {'/'.join(FRAME_SUFFIXES)} frame files")
-    return labels
+    return frames
 
 
 def pair_frames_with_labels(dataset_dir: str | Path) -> Iterator[DatasetItem]:
     """Pair each frame file of a dataset directory, stamped with its position,
-    with its labels from ``read_labels``, which runs at the call (so an orphan
-    or a duplicate stem raises first); a frame is decoded when it is reached."""
-    labels = read_labels(dataset_dir)
+    with its labels as ``read_labels`` reads them. The directory is listed
+    and its labels read and checked once, at the call (so an orphan or a
+    duplicate stem raises first); a frame is decoded when it is reached."""
+    frames = _labelled_frame_paths(dataset_dir)
     return (
-        DatasetItem(load_frame(path, frame_index=index), labels[path.stem])
-        for index, path in enumerate(list_frame_paths(dataset_dir))
+        DatasetItem(load_frame(path, frame_index=index), labels)
+        for index, (path, labels) in enumerate(frames)
     )
 
 

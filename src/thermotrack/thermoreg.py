@@ -161,29 +161,73 @@ class FittedRegressor:
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _knn_batch(pixels: np.ndarray, temps: np.ndarray, ks: Sequence[int], q: np.ndarray) -> np.ndarray:
+# Cells of one kNN window block: queries times the 2 * max(ks) runs each
+# searches. A cross-validation call answers every fold's queries, so this
+# keeps its block near one fold's at n = 5 000; n = 200 fits in one block.
+_KNN_BLOCK_CELLS = 1 << 14
+# Stored samples one cross-validation ``_knn_batch`` call holds, its folds'
+# training sets back to back. Five folds of up to 13 000 samples fit in one
+# call; leave-one-out takes several, so its memory stays linear in n.
+_KNN_CALL_SAMPLES = 1 << 16
+
+
+def _knn_batch(
+    pixels: np.ndarray,
+    temps: np.ndarray,
+    ks: Sequence[int],
+    q: np.ndarray,
+    folds: np.ndarray | None = None,
+    q_folds: np.ndarray | None = None,
+) -> np.ndarray:
     """Row i: the unweighted mean of the ``ks[i]`` stored temperatures nearest
-    each query pixel by |dpixel|, with samples given in insertion order. One
-    sort, window and running sum at ``max(ks)`` serve every k."""
+    each query pixel by |dpixel|, with samples given in insertion order.
+
+    Without ``folds`` every query is answered from all samples. With each
+    sample's fold in ``folds`` and each query's in ``q_folds``, a query is
+    answered from the samples outside its own fold, as cross-validation
+    trains, so one call answers every fold. One stable sort of all samples
+    gives each query fold's training samples in (pixel, insertion) order,
+    fold after fold, grouped into runs of equal pixels; each query's window
+    of runs is clipped to its own fold's runs. One window and running sum
+    at ``max(ks)`` serve every k.
+    """
     order = np.argsort(pixels, kind="stable")  # by (pixel, insertion index)
+    if folds is None:
+        sets, q_set = [order], np.zeros(q.size, dtype=np.intp)
+    else:
+        held_out, q_set = np.unique(q_folds, return_inverse=True)
+        sets = [order[folds[order] != fold] for fold in held_out.tolist()]
+    first = np.array([0] + [s.size for s in sets]).cumsum()  # set i is order[first[i]:first[i + 1]]
+    order = np.concatenate(sets)
     temps = temps[order] + 0.0  # -0.0 to 0.0, as a sum that starts from 0.0 adds it
     pixels = pixels[order]
-    # One run per distinct pixel value: its samples are temps[start:start + count].
-    starts = np.flatnonzero(np.diff(pixels, prepend=np.nan))
-    counts = np.diff(starts, append=pixels.size)
+    # One run per distinct pixel value of a set: its samples are temps[start:start + count].
+    new_run = np.concatenate(([True], pixels[1:] != pixels[:-1]))
+    new_run[first[:-1]] = True
+    starts = np.flatnonzero(new_run)
+    counts = np.append(starts[1:], pixels.size) - starts
     values = pixels[starts]
-    pos = np.searchsorted(values, q)  # values[pos - 1] < q <= values[pos]
+    edges = np.searchsorted(starts, first)  # set i holds runs edges[i]:edges[i + 1]
+    lo, hi = edges[q_set], edges[q_set + 1]
+    pos = np.empty(q.size, dtype=np.intp)  # values[pos - 1] < q <= values[pos] within the set
+    for i in range(len(sets)):
+        at = q_set == i
+        pos[at] = edges[i] + np.searchsorted(values[edges[i] : edges[i + 1]], q[at])
     k = max(ks)
 
-    def window_sums(q: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    def window_sums(
+        q: np.ndarray, pos: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int
+    ) -> np.ndarray:
         # Only the `width` nearest runs on each side of q can hold one of the
         # k nearest samples. Rank them by (distance, pixel): columns are in
         # ascending pixel order and the sort is stable. Runs past either end
-        # of `values` are clipped duplicates given zero samples.
+        # of the query's set, runs lo to hi - 1, are clipped duplicates given
+        # zero samples.
         rows = np.arange(q.size)[:, None]
         cols = pos[:, None] + np.arange(-width, width)
-        inside = (cols >= 0) & (cols < values.size)
-        cols = cols.clip(0, values.size - 1)
+        lo, hi = lo[:, None], hi[:, None] - 1
+        inside = (cols >= lo) & (cols <= hi)
+        cols = np.clip(cols, lo, hi)
         sizes = np.where(inside, counts[cols], 0)
         rank = np.argsort(np.abs(values[cols] - q[:, None]), axis=1, kind="stable")
         cols, sizes = cols[rows, rank], sizes[rows, rank]
@@ -195,16 +239,22 @@ def _knn_batch(pixels: np.ndarray, temps: np.ndarray, ks: Sequence[int], q: np.n
         picked = temps[starts[cols[rows, run]] + slots - first_slot]
         return np.cumsum(picked, axis=1)  # left to right, as Python's sum() adds
 
-    sums = window_sums(q, pos, k)
+    block = max(1, _KNN_BLOCK_CELLS // (2 * k))
+    sums = np.concatenate([
+        window_sums(q[a : a + block], pos[a : a + block], lo[a : a + block], hi[a : a + block], k)
+        for a in range(0, max(q.size, 1), block)
+    ])
     # Rounded distances on the lower side can tie across distinct pixels; the
     # lower (farther) one then wins, so the run just past the window may
-    # belong in it. Rescan such queries over every run.
+    # belong in it. Rescan such queries over every run of their set, one set
+    # at a time, so the block is one set's queries by its runs.
     edge = pos - k  # the window's farthest lower run
-    tied = edge > 0
+    tied = edge > lo
     edge, near = edge[tied], q[tied]
     tied[tied] = np.abs(values[edge - 1] - near) == np.abs(values[edge] - near)
-    if tied.any():
-        sums[tied] = window_sums(q[tied], pos[tied], values.size)
+    for i in dict.fromkeys(q_set[tied].tolist()):
+        at = tied & (q_set == i)
+        sums[at] = window_sums(q[at], pos[at], lo[at], hi[at], int(edges[i + 1] - edges[i]))
     return np.stack([sums[:, j - 1] / j for j in ks])
 
 
@@ -409,19 +459,24 @@ class _FoldWork:
     """The fold work every grid point of one cross-validation shares.
 
     One partition and train/test split, and each test fold's truth and SST.
-    The first ``sses`` call of a kind predicts every test fold for all points
-    of that kind at once (linear: one array soft-threshold step on shared
-    fold statistics; kNN: one ``_knn_batch`` a fold for every ``k``; trees:
-    one forest of a tree per (``min_samples_leaf``, fold) grown to the
-    deepest ``max_depth``, routed once) and keeps each (point, fold) error
-    sum. A point that fails to fit a fold keeps that error until it is scored.
+    The first ``sses`` call of a model family (the four linear kinds are one
+    family) predicts every test fold for all points of that family at once
+    and keeps each (point, fold) error sum: linear, one array soft-threshold
+    step on shared fold statistics for all linear kinds; kNN, one
+    ``_knn_batch`` call for every fold and every ``k``; trees, one forest of
+    a tree per (``min_samples_leaf``, fold) grown to the deepest
+    ``max_depth``, routed once. A point that fails to fit a fold keeps that
+    error until it is scored.
     """
 
     def __init__(
         self, p: np.ndarray, t: np.ndarray, k_folds: int, seed: int, specs: Iterable[ModelSpec]
     ) -> None:
+        self._p, self._t = p, t
+        self._fold = np.empty(p.size, dtype=np.intp)  # each sample's test fold
         self.folds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = []
-        for fold in kfold_partition(p.size, k_folds, seed):
+        for i, fold in enumerate(kfold_partition(p.size, k_folds, seed)):
+            self._fold[fold] = i
             train = np.ones(p.size, dtype=bool)
             train[fold] = False
             truth = t[fold]
@@ -429,47 +484,59 @@ class _FoldWork:
             self.folds.append((p[train], t[train], p[fold], truth, sst))
         self._test_p, self._truth = (np.concatenate([f[i] for f in self.folds]) for i in (2, 3))
         self._bounds = np.cumsum([0] + [f[2].size for f in self.folds]).tolist()
-        self._specs: dict[str, dict[tuple, ModelSpec]] = {}  # kind -> point -> spec
+        self._specs: dict[str, dict[tuple, ModelSpec]] = {}  # family -> point -> spec
         for spec in specs:
-            self._specs.setdefault(spec.kind, {}).setdefault(_point(spec), spec)
+            self._specs.setdefault(_family(spec.kind), {}).setdefault(_point(spec), spec)
         self._rows: dict[tuple, list[float] | ValueError] = {}  # point -> sums or error
         self._linear: dict[int, tuple] = {}  # fold -> _linear_stats
 
     def sses(self, spec: ModelSpec) -> list[float]:
         """Squared-error sum of ``spec`` on each test fold, in fold order."""
         if _point(spec) not in self._rows:
-            self._score(spec.kind)
+            self._score(_family(spec.kind))
         row = self._rows[_point(spec)]
         if isinstance(row, ValueError):
             raise ValueError(f"fold underflow for {spec.kind}: {row}") from row
         return row
 
-    def _score(self, kind: str) -> None:
-        """Each point of ``kind`` gets its sums, or the error of its first failing fold."""
-        for point, spec in self._specs[kind].items():
+    def _score(self, family: str) -> None:
+        """Each point of ``family`` gets its sums, or the error of its first failing fold."""
+        for point, spec in self._specs[family].items():
             try:
                 for fold, (train_p, train_t, *_) in enumerate(self.folds):
-                    if kind in LINEAR_KINDS and fold not in self._linear:
+                    if family == "linear" and fold not in self._linear:
                         self._linear[fold] = _linear_stats(train_p, train_t)
                     spec._check_fit(train_p.size, self._linear.get(fold))
             except ValueError as exc:
                 self._rows[point] = exc
-        live = [spec for point, spec in self._specs[kind].items() if point not in self._rows]
+        live = [spec for point, spec in self._specs[family].items() if point not in self._rows]
         if not live:
             return
-        if kind == "knn":
+        fold_sizes = np.diff(self._bounds)
+        if family == "knn":
             ks = [spec.hyperparams["k"] for spec in live]
-            preds = np.concatenate([_knn_batch(*fold[:2], ks, fold[2]) for fold in self.folds], axis=1)
-        elif kind == "decision_tree":
+            q_folds = np.repeat(np.arange(len(self.folds)), fold_sizes)
+            per_call = max(1, _KNN_CALL_SAMPLES // self._p.size)  # folds one call answers
+            cuts = self._bounds[:-1:per_call] + self._bounds[-1:]
+            preds = np.concatenate([
+                _knn_batch(self._p, self._t, ks, self._test_p[a:b], self._fold, q_folds[a:b])
+                for a, b in zip(cuts, cuts[1:])
+            ], axis=1)
+        elif family == "decision_tree":
             preds = self._tree_preds(live)
         else:
+            # Each (point, fold) coefficient once, then spread over the fold's
+            # test columns; elementwise, so each equals its own fit's. The
+            # (points x n) blocks of all linear kinds are the largest of the
+            # grid, so the predictions and errors are computed in place.
             stats = np.array([self._linear[fold] for fold in range(len(self.folds))]).T
             lam, mix = np.array([spec._penalty() for spec in live], dtype=np.float64).T[:, :, None]
-            intercept, slope = _linear_coef(np.repeat(stats, np.diff(self._bounds), axis=1), lam, mix)
-            preds = intercept + slope * self._test_p  # as FittedRegressor.predict_batch
+            intercept, slope = (np.repeat(c, fold_sizes, axis=1) for c in _linear_coef(stats, lam, mix))
+            preds = np.multiply(slope, self._test_p, out=slope)
+            preds += intercept  # intercept + slope * pixel, as FittedRegressor.predict_batch
         # Sum row by row over each fold alone, in C order, as a one-point fold
         # sum adds: padded folds or a column-major block round differently.
-        errors = np.ascontiguousarray((self._truth - preds) ** 2)
+        errors = np.ascontiguousarray(np.square(np.subtract(self._truth, preds, out=preds), out=preds))
         bounds = zip(self._bounds, self._bounds[1:])
         sses = zip(*(np.sum(errors[:, a:b], axis=1).tolist() for a, b in bounds))
         self._rows.update(zip(map(_point, live), map(list, sses)))
@@ -484,6 +551,11 @@ class _FoldWork:
         routed = routed.reshape(len(levels), len(leaves), -1)
         rows = [min(spec.hyperparams["max_depth"], len(levels) - 1) for spec in specs]
         return routed[rows, [leaves.index(spec.hyperparams["min_samples_leaf"]) for spec in specs]]
+
+
+def _family(kind: str) -> str:
+    """The model family ``_FoldWork`` scores ``kind`` with: the linear kinds are one."""
+    return "linear" if kind in LINEAR_KINDS else kind
 
 
 def _point(spec: ModelSpec) -> tuple:

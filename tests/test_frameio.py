@@ -318,6 +318,25 @@ class TestPairing:
         assert (item.frame.source_id, item.frame.frame_index, len(item.labels)) == ("b", 1, 1)
         assert loads == ["a", "b"]
 
+    def test_lists_the_directory_once(self, tmp_path, monkeypatch):
+        # A frame file that appears after the listing is not paired: the
+        # pairing reads its labels and its frame paths from one listing.
+        _write_dataset(tmp_path, {"a": None, "c": "0 0.5 0.5 0.2 0.2\n"})
+        listings = []
+        real = frameio.list_frame_paths
+
+        def listing_then_new_frame(frames_dir):
+            paths = real(frames_dir)
+            listings.append([path.name for path in paths])
+            save_frame(gray_frame(8, 6, value=100), Path(frames_dir) / "b.pgm")
+            return paths
+
+        monkeypatch.setattr(frameio, "list_frame_paths", listing_then_new_frame)
+        items = list(pair_frames_with_labels(tmp_path))
+        assert [(item.frame.source_id, len(item.labels)) for item in items] == [("a", 0), ("c", 1)]
+        assert [item.frame.frame_index for item in items] == [0, 1]
+        assert listings == [["a.pgm", "c.pgm"]]
+
     def test_orphan_raises_before_any_decode(self, tmp_path, monkeypatch):
         _write_dataset(tmp_path, {"a": None})
         (tmp_path / "img_003.txt").write_text("0 0.5 0.5 0.2 0.2\n")

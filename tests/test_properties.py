@@ -359,6 +359,10 @@ def test_forest_matches_recursive_oracle(case):
             assert np.array_equal(preds, thermoreg._tree_batch(oracle, q))
         at += q.size
     event(f"{len(levels) - 1} levels split")
+    # Trees of one set with different leaf sizes search one root segment.
+    searched = [i for i, leaf in trees if max(depths[leaf]) > 0]
+    shared = len(searched) > len(set(searched))
+    event("segment shared by trees of different leaf sizes" if shared else "no segment shared")
 
 
 def _nudged(pixel: int, ulps: int) -> float:
@@ -419,6 +423,63 @@ def test_knn_batch_over_several_k_matches_sorted_oracle(seed):
     tied = any(_lower_edge_tie(values, max(ks), q) for q in queries)
     event("lower-edge tie rescanned" if tied else "no lower-edge tie")
     event("several k" if len(set(ks)) > 1 else "one k")
+
+
+@BULK
+@given(seed=st.integers(0, 2**32 - 1))
+def test_knn_batch_over_all_folds_matches_each_folds_sorted_oracle(seed):
+    # One call for every fold must give each query, for each k, the
+    # sorted-oracle mean over the samples outside the query's own fold.
+    # Folds are unequal when the fold count does not divide n, and a fold's
+    # training set can hold fewer than max(ks) distinct pixels on a side.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    folds = kfold_partition(n, int(rng.integers(2, n + 1)), seed)
+    fold_of = np.empty(n, dtype=np.intp)
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
+    low = int(rng.integers(0, 246))
+    pixels = [
+        _nudged(int(p), int(u)) for p, u in zip(rng.integers(low, low + 6, n), rng.integers(0, 3, n))
+    ]
+    temps = [-0.0 if zero else float(t) for t, zero in zip(rng.uniform(0.0, 60.0, n), rng.random(n) < 0.2)]
+    ks = rng.integers(1, n - max(f.size for f in folds) + 1, int(rng.integers(1, 5))).tolist()
+    # Each fold's own test pixels plus half-pixel and uniform queries, in shuffled order.
+    queries, q_folds = [], []
+    for i, fold in enumerate(folds):
+        extra = [h / 2 for h in rng.integers(2 * low - 6, 2 * low + 17, 2).tolist()]
+        extra += rng.uniform(0.0, 255.0, 1).tolist()
+        queries += [pixels[j] for j in fold.tolist()] + extra
+        q_folds += [i] * (fold.size + len(extra))
+    shuffle = rng.permutation(len(queries))
+    queries = [queries[j] for j in shuffle]
+    q_folds = [q_folds[j] for j in shuffle]
+    # Small window blocks split the queries over several blocks, as n = 5 000 does.
+    block_cells = int(rng.choice([thermoreg._KNN_BLOCK_CELLS, int(rng.integers(1, 8 * max(ks)))]))
+    with mock.patch.object(thermoreg, "_KNN_BLOCK_CELLS", block_cells):
+        means = thermoreg._knn_batch(
+            np.array(pixels), np.array(temps), ks, np.array(queries), fold_of, np.array(q_folds)
+        )
+    train = [[j for j in range(n) if fold_of[j] != i] for i in range(len(folds))]
+    expected = [
+        [knn_sorted_mean([pixels[j] for j in train[i]], [temps[j] for j in train[i]], k, q)
+         for q, i in zip(queries, q_folds)]
+        for k in ks
+    ]
+    assert repr(means.tolist()) == repr(expected)
+    k = max(ks)
+    values = [np.unique([pixels[j] for j in train[i]]) for i in range(len(folds))]
+    # A window is clipped at its fold's edge when fewer than k of the fold's
+    # distinct pixels lie on one side of a query inside the fold's range.
+    clipped = any(
+        values[i][0] <= q <= values[i][-1] and min(np.sum(values[i] < q), np.sum(values[i] >= q)) < k
+        for q, i in zip(queries, q_folds)
+    )
+    tied = any(_lower_edge_tie(values[i], k, q) for q, i in zip(queries, q_folds))
+    event("window clipped at a fold edge" if clipped else "no window clipped")
+    event("lower-edge tie rescanned" if tied else "no lower-edge tie")
+    event("unequal folds" if n % len(folds) else "equal folds")
+    event("several window blocks" if len(queries) > max(1, block_cells // (2 * k)) else "one window block")
 
 
 @BULK

@@ -460,14 +460,15 @@ class TestGridSearch:
     def test_default_grids_share_one_partition_and_nested_trees(self, monkeypatch):
         # One partition for all 47 points; one forest growth of one tree per
         # (min_samples_leaf, fold), each grown once to the deepest max_depth:
-        # 3 x 5 trees, not 60, and no growth per depth; one kNN prediction per
-        # fold for all four k (5 calls, not 20); and one set of linear
-        # statistics per fold for all 31 linear points.
+        # 3 x 5 trees, not 60, and no growth per depth; one kNN prediction
+        # for all five folds and all four k (1 call, not 20); one set of
+        # linear statistics per fold and one coefficient step for all 31
+        # linear points of the four linear kinds.
         calls = {}
         forest_trees = []
         patched = (
             (thermoreg, "kfold_partition"), (_forest, "grow_forest"),
-            (thermoreg, "_knn_batch"), (thermoreg, "_linear_stats"),
+            (thermoreg, "_knn_batch"), (thermoreg, "_linear_stats"), (thermoreg, "_linear_coef"),
         )
         for module, name in patched:
             original = getattr(module, name)
@@ -483,9 +484,25 @@ class TestGridSearch:
         grid_search(_noisy_line(), DEFAULT_GRIDS, k_folds=5, seed=0)
         leaf_sizes = sorted({point["min_samples_leaf"] for point in DEFAULT_GRIDS["decision_tree"]})
         deepest = max(point["max_depth"] for point in DEFAULT_GRIDS["decision_tree"])
-        assert calls == {"kfold_partition": 1, "grow_forest": 1, "_knn_batch": 5, "_linear_stats": 5}
+        assert calls == {
+            "kfold_partition": 1, "grow_forest": 1, "_knn_batch": 1, "_linear_stats": 5, "_linear_coef": 1,
+        }
         # _noisy_line() has 60 samples: every training fold holds 48.
         assert forest_trees == [(48, leaf, deepest) for leaf in leaf_sizes for _ in range(5)]
+
+    def test_knn_folds_over_several_calls_score_as_one_call(self, monkeypatch):
+        # Leave-one-out on 60 samples holds 60 x 59 stored samples; a call
+        # cap of 150 splits it into calls of 2 folds, with the same scores.
+        samples = _noisy_line()
+        grids = {"knn": DEFAULT_GRIDS["knn"]}
+        whole = grid_search(samples, grids, k_folds=60, seed=0)
+        calls = []
+        original = thermoreg._knn_batch
+        monkeypatch.setattr(thermoreg, "_KNN_CALL_SAMPLES", 150)
+        monkeypatch.setattr(thermoreg, "_knn_batch", lambda *a: calls.append(a[3].size) or original(*a))
+        split = grid_search(samples, grids, k_folds=60, seed=0)
+        assert calls == [2] * 30
+        assert repr(split.entries) == repr(whole.entries)
 
     @pytest.mark.parametrize(
         "samples, grids, message",
@@ -556,6 +573,19 @@ class TestGridSearchPins:
             }
             for e in report.entries
         ] == pinned["entries"]
+
+    @pytest.mark.parametrize("name, make", _PIN_SETS)
+    def test_each_point_alone_matches_its_grid_entry(self, name, make):
+        # A standalone k_fold_cv scores its one point from its own fold work;
+        # grid_search scores the point with the rest of its family.
+        samples = make()
+        entries = {e.grid_index: e for e in grid_search(samples, seed=0).entries}
+        specs = [ModelSpec(kind, dict(point)) for kind, points in DEFAULT_GRIDS.items() for point in points]
+        assert len(specs) == len(entries) == 47
+        for grid_index, spec in enumerate(specs):
+            alone = k_fold_cv(samples, spec, 5, 0)
+            alone.grid_index = grid_index
+            assert repr(alone) == repr(entries[grid_index])
 
 
 def _model_docs(samples, specs, tmp_path):
