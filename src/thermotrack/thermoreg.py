@@ -459,19 +459,16 @@ class _FoldWork:
     """The fold work every grid point of one cross-validation shares.
 
     One partition and train/test split, and each test fold's truth and SST.
-    The first ``sses`` call of a model family (the four linear kinds are one
-    family) predicts every test fold for all points of that family at once
-    and keeps each (point, fold) error sum: linear, one array soft-threshold
-    step on shared fold statistics for all linear kinds; kNN, one
-    ``_knn_batch`` call for every fold and every ``k``; trees, one forest of
-    a tree per (``min_samples_leaf``, fold) grown to the deepest
-    ``max_depth``, routed once. A point that fails to fit a fold keeps that
-    error until it is scored.
+    ``check`` raises what the first failing fold fit of a point raises.
+    ``sses`` predicts every test fold for all points of one model family
+    at once (the four linear kinds are one family): linear, one array
+    soft-threshold step on shared fold statistics; kNN, one ``_knn_batch``
+    call for every fold and every ``k``; trees, one forest of a tree per
+    (``min_samples_leaf``, fold) grown to the deepest ``max_depth``, routed
+    once.
     """
 
-    def __init__(
-        self, p: np.ndarray, t: np.ndarray, k_folds: int, seed: int, specs: Iterable[ModelSpec]
-    ) -> None:
+    def __init__(self, p: np.ndarray, t: np.ndarray, k_folds: int, seed: int) -> None:
         self._p, self._t = p, t
         self._fold = np.empty(p.size, dtype=np.intp)  # each sample's test fold
         self.folds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = []
@@ -484,37 +481,31 @@ class _FoldWork:
             self.folds.append((p[train], t[train], p[fold], truth, sst))
         self._test_p, self._truth = (np.concatenate([f[i] for f in self.folds]) for i in (2, 3))
         self._bounds = np.cumsum([0] + [f[2].size for f in self.folds]).tolist()
-        self._specs: dict[str, dict[tuple, ModelSpec]] = {}  # family -> point -> spec
-        for spec in specs:
-            self._specs.setdefault(_family(spec.kind), {}).setdefault(_point(spec), spec)
-        self._rows: dict[tuple, list[float] | ValueError] = {}  # point -> sums or error
-        self._linear: dict[int, tuple] = {}  # fold -> _linear_stats
+        self._linear: list[tuple] = []  # each fold's _linear_stats, once a linear point needs them
 
-    def sses(self, spec: ModelSpec) -> list[float]:
-        """Squared-error sum of ``spec`` on each test fold, in fold order."""
-        if _point(spec) not in self._rows:
-            self._score(_family(spec.kind))
-        row = self._rows[_point(spec)]
-        if isinstance(row, ValueError):
-            raise ValueError(f"fold underflow for {spec.kind}: {row}") from row
-        return row
+    def check(self, spec: ModelSpec) -> None:
+        """Raise the error of ``spec``'s first fold fit that lacks data.
 
-    def _score(self, family: str) -> None:
-        """Each point of ``family`` gets its sums, or the error of its first failing fold."""
-        for point, spec in self._specs[family].items():
-            try:
-                for fold, (train_p, train_t, *_) in enumerate(self.folds):
-                    if family == "linear" and fold not in self._linear:
-                        self._linear[fold] = _linear_stats(train_p, train_t)
-                    spec._check_fit(train_p.size, self._linear.get(fold))
-            except ValueError as exc:
-                self._rows[point] = exc
-        live = [spec for point, spec in self._specs[family].items() if point not in self._rows]
-        if not live:
-            return
+        ``np.array_split`` puts the larger test folds first, so fold 0 trains
+        on the fewest samples: a size check that fails on any fold fails
+        there first, with fold 0's count. The distinct-pixel check fails
+        with one message on whichever fold has the fewest.
+        """
+        try:
+            stats = None
+            if spec.kind in LINEAR_KINDS:
+                self._linear = self._linear or [_linear_stats(p, t) for p, t, *_ in self.folds]
+                stats = min(self._linear, key=lambda s: s[4])
+            spec._check_fit(self.folds[0][0].size, stats)
+        except ValueError as exc:
+            raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
+
+    def sses(self, specs: list[ModelSpec]) -> list[tuple[float, ...]]:
+        """Squared-error sum of each of ``specs``, checked points of one
+        family, on each test fold, in fold order."""
         fold_sizes = np.diff(self._bounds)
-        if family == "knn":
-            ks = [spec.hyperparams["k"] for spec in live]
+        if specs[0].kind == "knn":
+            ks = [spec.hyperparams["k"] for spec in specs]
             q_folds = np.repeat(np.arange(len(self.folds)), fold_sizes)
             per_call = max(1, _KNN_CALL_SAMPLES // self._p.size)  # folds one call answers
             cuts = self._bounds[:-1:per_call] + self._bounds[-1:]
@@ -522,15 +513,15 @@ class _FoldWork:
                 _knn_batch(self._p, self._t, ks, self._test_p[a:b], self._fold, q_folds[a:b])
                 for a, b in zip(cuts, cuts[1:])
             ], axis=1)
-        elif family == "decision_tree":
-            preds = self._tree_preds(live)
+        elif specs[0].kind == "decision_tree":
+            preds = self._tree_preds(specs)
         else:
             # Each (point, fold) coefficient once, then spread over the fold's
             # test columns; elementwise, so each equals its own fit's. The
             # (points x n) blocks of all linear kinds are the largest of the
             # grid, so the predictions and errors are computed in place.
-            stats = np.array([self._linear[fold] for fold in range(len(self.folds))]).T
-            lam, mix = np.array([spec._penalty() for spec in live], dtype=np.float64).T[:, :, None]
+            stats = np.array(self._linear).T
+            lam, mix = np.array([spec._penalty() for spec in specs], dtype=np.float64).T[:, :, None]
             intercept, slope = (np.repeat(c, fold_sizes, axis=1) for c in _linear_coef(stats, lam, mix))
             preds = np.multiply(slope, self._test_p, out=slope)
             preds += intercept  # intercept + slope * pixel, as FittedRegressor.predict_batch
@@ -538,8 +529,7 @@ class _FoldWork:
         # sum adds: padded folds or a column-major block round differently.
         errors = np.ascontiguousarray(np.square(np.subtract(self._truth, preds, out=preds), out=preds))
         bounds = zip(self._bounds, self._bounds[1:])
-        sses = zip(*(np.sum(errors[:, a:b], axis=1).tolist() for a, b in bounds))
-        self._rows.update(zip(map(_point, live), map(list, sses)))
+        return list(zip(*(np.sum(errors[:, a:b], axis=1).tolist() for a, b in bounds)))
 
     def _tree_preds(self, specs: list[ModelSpec]) -> np.ndarray:
         leaves = list(dict.fromkeys(spec.hyperparams["min_samples_leaf"] for spec in specs))
@@ -553,48 +543,16 @@ class _FoldWork:
         return routed[rows, [leaves.index(spec.hyperparams["min_samples_leaf"]) for spec in specs]]
 
 
-def _family(kind: str) -> str:
-    """The model family ``_FoldWork`` scores ``kind`` with: the linear kinds are one."""
-    return "linear" if kind in LINEAR_KINDS else kind
-
-
-def _point(spec: ModelSpec) -> tuple:
-    """``spec``'s kind and hyperparameter values, in ``_HYPERPARAM_NAMES`` order."""
-    return (spec.kind, *(spec.hyperparams[name] for name in _HYPERPARAM_NAMES[spec.kind]))
-
-
 def k_fold_cv(
-    samples: Sequence[CalibrationSample],
-    spec: ModelSpec,
-    k_folds: int,
-    seed: int,
-    *,
-    _work: _FoldWork | None = None,
+    samples: Sequence[CalibrationSample], spec: ModelSpec, k_folds: int, seed: int
 ) -> CrossValEntry:
-    """Cross-validate one grid point. Deterministic given the seed.
+    """Cross-validate one grid point: ``grid_search`` of a one-point grid.
+    Deterministic given the seed.
 
     Per-fold R2 is NaN when a fold's truth is constant (always the case for
     leave-one-out); the mean skips NaN folds and is NaN if none remain.
-    Each fold's one squared-error sum gives both its MSE and its R2.
-    ``_work`` is the fold work ``grid_search`` shares across its points;
-    without it the call builds its own from ``samples``.
     """
-    work = _work if _work is not None else _FoldWork(*_as_xy(samples), k_folds, seed, [spec])
-    fold_mses: list[float] = []
-    fold_r2s: list[float] = []
-    for sse, (_, _, _, truth, sst) in zip(work.sses(spec), work.folds):
-        fold_mses.append(sse / truth.size)
-        fold_r2s.append(float("nan") if sst == 0.0 else 1.0 - sse / sst)  # one sample: sst is 0
-    defined = [v for v in fold_r2s if not math.isnan(v)]
-    mean_r2 = sum(defined) / len(defined) if defined else float("nan")
-    return CrossValEntry(
-        spec=spec,
-        mean_mse=sum(fold_mses) / len(fold_mses),
-        mean_r2=mean_r2,
-        fold_mses=fold_mses,
-        fold_r2s=fold_r2s,
-        n_folds=k_folds,
-    )
+    return grid_search(samples, {spec.kind: [spec.hyperparams]}, k_folds, seed).entries[0]
 
 
 def grid_search(
@@ -607,8 +565,9 @@ def grid_search(
 
     Entries are ranked by ascending mean CV MSE, ties by descending mean CV
     R2 (NaN last), then by grid order. All points share one fold partition
-    so scores are comparable, and score from one shared fold work. Every
-    grid point is checked before any is scored.
+    so scores are comparable. Every grid point is checked, in grid order,
+    before any model family is scored; then each family is scored in one
+    ``_FoldWork.sses`` call.
     """
     samples = list(samples)
     if grids is None:
@@ -621,12 +580,26 @@ def grid_search(
             raise ValueError(f"empty grid for {kind!r}")
         specs += [ModelSpec(kind, dict(point)) for point in points]
     p, t = _as_xy(samples)
-    work = _FoldWork(p, t, k_folds, seed, specs)
-    entries: list[CrossValEntry] = []
+    work = _FoldWork(p, t, k_folds, seed)
+    families: dict[str, list[int]] = {}  # the linear kinds are one family
     for grid_index, spec in enumerate(specs):
-        entry = k_fold_cv(samples, spec, k_folds, seed, _work=work)
-        entry.grid_index = grid_index
-        entries.append(entry)
+        work.check(spec)
+        families.setdefault("linear" if spec.kind in LINEAR_KINDS else spec.kind, []).append(grid_index)
+    entries: list[CrossValEntry] = []
+    for indices in families.values():
+        for grid_index, sses in zip(indices, work.sses([specs[i] for i in indices])):
+            # Each fold's one squared-error sum gives both its MSE and its R2.
+            fold_mses: list[float] = []
+            fold_r2s: list[float] = []
+            for sse, (*_, truth, sst) in zip(sses, work.folds):
+                fold_mses.append(sse / truth.size)
+                fold_r2s.append(float("nan") if sst == 0.0 else 1.0 - sse / sst)  # one sample: sst is 0
+            defined = [v for v in fold_r2s if not math.isnan(v)]
+            mean_r2 = sum(defined) / len(defined) if defined else float("nan")
+            mean_mse = sum(fold_mses) / len(fold_mses)
+            entries.append(
+                CrossValEntry(specs[grid_index], mean_mse, mean_r2, fold_mses, fold_r2s, k_folds, grid_index)
+            )
     entries.sort(
         key=lambda e: (
             e.mean_mse,

@@ -270,9 +270,9 @@ def cv_grid_per_point(samples, grids, k_folds, seed):
 
     Returns ``(rows, failure)``. ``rows`` holds one ``(kind, hyperparams,
     grid_index, fold_mses, fold_r2s, mean_mse, mean_r2)`` per point scored,
-    ranked as ``grid_search`` ranks them; ``failure`` is ``None`` or the
-    ``(grid_index, message)`` of the first fold fit that failed, after which
-    no further point is scored."""
+    ranked as ``grid_search`` ranks them, or in grid order when a fit failed;
+    ``failure`` is ``None`` or the ``(grid_index, message)`` of the first
+    fold fit that failed, after which no further point is scored."""
     folds = kfold_partition(len(samples), k_folds, seed)
     rows = []
     points = [(kind, dict(point)) for kind, kind_points in grids.items() for point in kind_points]

@@ -41,6 +41,7 @@ from _oracles import (
     recursive_tree,
 )
 from test_detectors import ALL_BLOBS, assert_blobs_match
+from test_thermoreg import scorers_spied
 
 BULK = settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -258,27 +259,36 @@ def _cv_case(draw):
     return samples, grids, k_folds, draw(st.integers(0, 2**32 - 1))
 
 
+def _report_rows(report):
+    return [
+        (e.spec.kind, dict(e.spec.hyperparams), e.grid_index, e.fold_mses, e.fold_r2s,
+         e.mean_mse, e.mean_r2)
+        for e in report.entries
+    ]
+
+
 @BULK
 @given(_cv_case())
 def test_grid_search_matches_per_point_oracle(case):
     samples, grids, k_folds, seed = case
     rows, failure = cv_grid_per_point(samples, grids, k_folds, seed)
     event(failure[1].split(":")[0] if failure else "scored")
-    with mock.patch.object(thermoreg, "k_fold_cv", wraps=thermoreg.k_fold_cv) as spy:
-        if failure is not None:
-            grid_index, message = failure
-            with pytest.raises(ValueError) as raised:
-                grid_search(samples, grids, k_folds, seed)
-            assert str(raised.value) == message
-            assert spy.call_count == grid_index + 1  # it failed at the same point
-            return
-        report = grid_search(samples, grids, k_folds, seed)
-    got = [
-        (e.spec.kind, dict(e.spec.hyperparams), e.grid_index, e.fold_mses, e.fold_r2s,
-         e.mean_mse, e.mean_r2)
-        for e in report.entries
-    ]
-    assert repr(got) == repr(rows)  # bit for bit, NaN included
+    if failure is not None:
+        grid_index, message = failure
+        with scorers_spied() as called, pytest.raises(ValueError) as raised:
+            grid_search(samples, grids, k_folds, seed)
+        assert str(raised.value) == message
+        assert called == []  # every point is checked before any family is scored
+        # It failed at the same point: the points ahead of it score as the
+        # oracle scored them, in grid order.
+        ahead: dict[str, list] = {}
+        for kind, point in [(kind, p) for kind, points in grids.items() for p in points][:grid_index]:
+            ahead.setdefault(kind, []).append(point)
+        got = _report_rows(grid_search(samples, ahead, k_folds, seed)) if ahead else []
+        assert repr(sorted(got, key=lambda row: row[2])) == repr(rows)
+        return
+    report = grid_search(samples, grids, k_folds, seed)
+    assert repr(_report_rows(report)) == repr(rows)  # bit for bit, NaN included
     all_nan = all(math.isnan(v) for e in report.entries for v in e.fold_r2s)
     event("every fold R2 NaN" if all_nan else "some fold R2 defined")
 

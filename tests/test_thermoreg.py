@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import sys
@@ -43,6 +44,23 @@ def _noisy_line(n=60, b0=20.0, b1=0.1, noise=0.3, seed=9):
     pixels = rng.uniform(20, 240, n)
     temps = b0 + b1 * pixels + rng.normal(0, noise, n)
     return [CalibrationSample(float(p), float(t)) for p, t in zip(pixels, temps)]
+
+
+@contextlib.contextmanager
+def scorers_spied():
+    """Wrap the routine that scores each model family in cross-validation:
+    the forest grower, the kNN predictor and the linear coefficient step.
+    Yields the list of their names, one entry a call, in call order."""
+    called: list[str] = []
+    with contextlib.ExitStack() as stack:
+        for owner, name in ((_forest, "grow_forest"), (thermoreg, "_knn_batch"), (thermoreg, "_linear_coef")):
+
+            def spy(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(owner, name, spy))
+        yield called
 
 
 class TestOls:
@@ -390,24 +408,19 @@ class TestCrossValidation:
 
     def test_tree_underflow_raises_at_first_point_that_needs_it(self):
         # 60 samples in 5 folds leave 48 to train on: min_samples_leaf 40
-        # underflows every fold, 1 none. The forest is grown in the first
-        # tree call and must not raise for the leaf-40 trees then.
+        # underflows every fold, 1 none. Every point is checked before the
+        # forest is grown, so the leaf-40 point raises and no tree is grown.
         leaf_one = [{"max_depth": d, "min_samples_leaf": 1} for d in (3, 0, 2)]
         grids = {"decision_tree": leaf_one + [{"max_depth": 1, "min_samples_leaf": 40}] + leaf_one}
-        scored = []
-
-        def counted(samples, spec, *args, **kwargs):
-            scored.append(spec.hyperparams["min_samples_leaf"])
-            return k_fold_cv(samples, spec, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(thermoreg, "k_fold_cv", counted)
-            with pytest.raises(ValueError) as raised:
-                grid_search(_noisy_line(n=60), grids, k_folds=5, seed=0)
+        with scorers_spied() as called, pytest.raises(ValueError) as raised:
+            grid_search(_noisy_line(n=60), grids, k_folds=5, seed=0)
         assert str(raised.value) == (
             "fold underflow for decision_tree: need at least 80 samples for min_samples_leaf=40"
         )
-        assert scored == [1, 1, 1, 40]
+        assert called == []
+        # The leaf-one points around it score on their own.
+        report = grid_search(_noisy_line(n=60), {"decision_tree": leaf_one}, k_folds=5, seed=0)
+        assert all(math.isfinite(e.mean_mse) for e in report.entries)
 
     def test_bad_fold_counts(self):
         with pytest.raises(ValueError):
@@ -521,21 +534,36 @@ class TestGridSearch:
         ids=["knn-k-too-large", "ridge-lambda-zero-constant-pixels"],
     )
     def test_mixed_grid_fails_at_its_failing_point(self, samples, grids, message):
-        # One kind's points are scored together, but only the point that
-        # cannot be fitted raises, in its own k_fold_cv call.
-        scored = []
-
-        def recorded(samples, spec, *args, **kwargs):
-            entry = k_fold_cv(samples, spec, *args, **kwargs)
-            scored.append(entry.mean_mse)
-            return entry
-
-        with mock.patch.object(thermoreg, "k_fold_cv", wraps=recorded) as spy:
-            with pytest.raises(ValueError) as raised:
-                grid_search(samples, grids, k_folds=5, seed=0)
+        # The point that cannot be fitted raises before its family is
+        # scored; the point ahead of it scores on its own.
+        with scorers_spied() as called, pytest.raises(ValueError) as raised:
+            grid_search(samples, grids, k_folds=5, seed=0)
         assert str(raised.value) == message
-        assert spy.call_count == 2
-        assert len(scored) == 1 and math.isfinite(scored[0])
+        assert called == []
+        (kind, points), = grids.items()
+        report = grid_search(samples, {kind: points[:1]}, k_folds=5, seed=0)
+        assert math.isfinite(report.entries[0].mean_mse)
+
+    def test_failing_point_raises_before_an_earlier_family_is_scored(self):
+        grids = {"decision_tree": [{"max_depth": 2, "min_samples_leaf": 1}], "knn": [{"k": 10**6}]}
+        with scorers_spied() as called, pytest.raises(ValueError) as raised:
+            grid_search(_noisy_line(), grids, k_folds=5, seed=0)
+        assert str(raised.value) == "fold underflow for knn: k must be in [1, 48], got 1000000"
+        assert called == []
+
+    def test_default_grids_check_each_point_once(self, monkeypatch):
+        # Fold 0 trains on the fewest samples, so one check a point covers
+        # every fold: 47 checks, not one per (point, fold).
+        checked = []
+        original = ModelSpec._check_fit
+
+        def counted(spec, n, stats):
+            checked.append(n)
+            return original(spec, n, stats)
+
+        monkeypatch.setattr(ModelSpec, "_check_fit", counted)
+        grid_search(_noisy_line(n=63), DEFAULT_GRIDS, k_folds=5, seed=0)
+        assert checked == [50] * 47  # 63 samples less the largest test fold of 13
 
 
 def _integer_pixel_set():
@@ -576,8 +604,9 @@ class TestGridSearchPins:
 
     @pytest.mark.parametrize("name, make", _PIN_SETS)
     def test_each_point_alone_matches_its_grid_entry(self, name, make):
-        # A standalone k_fold_cv scores its one point from its own fold work;
-        # grid_search scores the point with the rest of its family.
+        # A standalone k_fold_cv is grid_search of its one point, a family
+        # block of one row; the full grid scores the point with the rest of
+        # its family.
         samples = make()
         entries = {e.grid_index: e for e in grid_search(samples, seed=0).entries}
         specs = [ModelSpec(kind, dict(point)) for kind, points in DEFAULT_GRIDS.items() for point in points]
