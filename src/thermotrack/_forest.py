@@ -2,12 +2,18 @@
 
 ``thermoreg`` grows every decision tree here: a cross-validation forest of
 one tree per (fold, ``min_samples_leaf``), and the one tree of a public fit.
-A forest is a list of ``Level`` arrays; ``route`` sends queries down it and
-``tree_dict`` writes one tree in the saved model shape.
+A forest is a list of ``Level`` arrays; ``route`` sends queries down it.
+This module alone knows the saved tree format: ``tree_dict`` writes one tree
+in it and ``tree_levels`` checks and reads one back into ``Level`` arrays,
+so a loaded tree predicts through ``route`` as cross-validation does.
+``is_finite``, the rule for every number a saved model holds, lives here
+because the reader needs it and ``thermoreg`` imports this module.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +23,16 @@ import numpy as np
 # together times the widest of them. Caps each block matrix at 256 KB; at
 # n = 5 000 this was faster than larger blocks, and n = 200 fits in one.
 _SPLIT_BLOCK_CELLS = 1 << 15
+
+
+def is_finite(value) -> bool:
+    """A real number in the float range: NaN, infinities, bools and ints too
+    large for a float fail (the comparisons are exact for an int)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 class Level(NamedTuple):
@@ -202,3 +218,43 @@ def tree_dict(levels: list[Level], node: int, depth: int) -> dict:
         "left": tree_dict(levels[1:], left, depth - 1),
         "right": tree_dict(levels[1:], left + 1, depth - 1),
     }
+
+
+def tree_levels(tree) -> list[Level]:
+    """A saved tree, in ``tree_dict``'s shape, as the ``Level`` arrays of a
+    one-tree forest, read level by level.
+
+    A leaf has threshold +inf and is carried down to the next level as its
+    own child, as ``grow_forest`` carries it, so the last level holds only
+    leaves and ``route``'s last row is the tree's prediction. A split node
+    saves no value and gets NaN. Raises ValueError naming the first
+    unusable node in level order.
+    """
+    nodes, levels = [tree], []
+    while True:
+        value, threshold, below = [], [], []
+        child = np.empty(len(nodes), dtype=np.intp)
+        for i, node in enumerate(nodes):
+            if not isinstance(node, dict):
+                raise ValueError(f"tree nodes must be objects, got {type(node).__name__}")
+            child[i] = len(below)
+            if node.get("kind") == "leaf":
+                if not is_finite(node.get("value")):
+                    raise ValueError(f"tree leaf value must be a finite number, got {node.get('value')!r}")
+                value.append(node["value"])
+                threshold.append(np.inf)
+                below.append(node)
+            elif node.get("kind") != "split":
+                raise ValueError(f"tree node kind must be leaf or split, got {node.get('kind')!r}")
+            elif not is_finite(node.get("threshold")):
+                raise ValueError(
+                    f"tree split threshold must be a finite number, got {node.get('threshold')!r}"
+                )
+            else:
+                value.append(np.nan)
+                threshold.append(node["threshold"])
+                below += [node.get("left"), node.get("right")]
+        levels.append(Level(np.array(value, dtype=np.float64), np.array(threshold, dtype=np.float64), child))
+        if len(below) == len(nodes):  # only leaves: nothing split
+            return levels
+        nodes = below

@@ -14,6 +14,12 @@ cross-validation, ranks by CV error, and then applies a physiological
 plausibility guard: a candidate that predicts above a fever ceiling on a
 known-healthy screening population is rejected and the next-ranked
 candidate is taken.
+
+Every kind's ``predict`` and ``predict_batch`` reject a NaN or infinite
+pixel with ValueError. A tree is grown, saved, read back and routed by
+``_forest``; this module never reads the saved tree's keys. Cross-validation
+builds each fold's training set only where it is used, so its memory grows
+linearly in the sample count for any fold count, leave-one-out included.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -31,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _forest
+from ._forest import is_finite
 from .frameio import atomic_write_text
 
 LINEAR_KINDS = ("linear", "ridge", "lasso", "elastic_net")
@@ -70,21 +75,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number in the float range: NaN, infinities and ints too large
-    for a float fail the comparisons, which are exact for an int."""
-    return _is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
-
-
 # The sample-independent range of each hyperparameter, checked by ModelSpec;
 # the fitters check only what depends on the training samples.
 _HYPERPARAM_RANGES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "lambda": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
-    "mix": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1),
+    "lambda": ("a finite number >= 0", lambda v: is_finite(v) and v >= 0),
+    "mix": ("a number in [0, 1]", lambda v: is_finite(v) and 0 <= v <= 1),
     "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "max_depth": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "min_samples_leaf": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
@@ -130,9 +125,11 @@ class FittedRegressor:
     three; a model built directly leaves them at NaN and "".
 
     ``predict_batch`` works on whole arrays for every kind and agrees bit for
-    bit with ``predict``. knn ranks stored samples by distance, then lower
-    pixel, then insertion order, and sums the k nearest temperatures left to
-    right.
+    bit with ``predict``. Both raise ValueError on a NaN or infinite pixel.
+    knn ranks stored samples by distance, then lower pixel, then insertion
+    order, and sums the k nearest temperatures left to right. A tree is read
+    from its saved dict into ``_forest`` levels on every call and routed
+    there, with no state kept between calls.
     """
 
     kind: str
@@ -144,12 +141,16 @@ class FittedRegressor:
     provenance: dict | None = None
 
     def predict(self, max_pixel: float) -> float:
+        if not math.isfinite(max_pixel):
+            raise ValueError(f"max_pixel must be finite, got {max_pixel!r}")
         if self.kind in LINEAR_KINDS:
             return self.params["intercept"] + self.params["slope"] * max_pixel
         return float(self.predict_batch([max_pixel])[0])
 
     def predict_batch(self, pixels: Iterable[float]) -> np.ndarray:
         q = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.float64)
+        if not np.isfinite(q).all():
+            raise ValueError("pixels must be finite")
         if self.kind in LINEAR_KINDS:
             return self.params["intercept"] + self.params["slope"] * q
         if self.kind == "knn":
@@ -157,7 +158,8 @@ class FittedRegressor:
             temps = np.asarray(self.params["temps"], dtype=np.float64)
             return _knn_batch(pixels, temps, (self.params["k"],), q)[0]
         if self.kind == "decision_tree":
-            return _tree_batch(self.params["tree"], q)
+            levels = _forest.tree_levels(self.params["tree"])
+            return _forest.route(levels, np.zeros(q.size, dtype=np.intp), q)[-1]
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
@@ -165,10 +167,11 @@ class FittedRegressor:
 # searches. A cross-validation call answers every fold's queries, so this
 # keeps its block near one fold's at n = 5 000; n = 200 fits in one block.
 _KNN_BLOCK_CELLS = 1 << 14
-# Stored samples one cross-validation ``_knn_batch`` call holds, its folds'
-# training sets back to back. Five folds of up to 13 000 samples fit in one
-# call; leave-one-out takes several, so its memory stays linear in n.
-_KNN_CALL_SAMPLES = 1 << 16
+# Training samples one cross-validation call holds, its folds' training sets
+# back to back: one ``_knn_batch`` call, or one tree forest grown and routed.
+# Five folds of up to 13 000 samples fit in one call; leave-one-out takes
+# several, so its memory stays linear in n.
+_CV_CALL_SAMPLES = 1 << 16
 
 
 def _knn_batch(
@@ -256,16 +259,6 @@ def _knn_batch(
         at = tied & (q_set == i)
         sums[at] = window_sums(q[at], pos[at], lo[at], hi[at], int(edges[i + 1] - edges[i]))
     return np.stack([sums[:, j - 1] / j for j in ks])
-
-
-def _tree_batch(node: dict, q: np.ndarray) -> np.ndarray:
-    if node["kind"] == "leaf":
-        return np.full(q.size, node["value"], dtype=np.float64)
-    left = q <= node["threshold"]
-    out = np.empty(q.size)
-    out[left] = _tree_batch(node["left"], q[left])
-    out[~left] = _tree_batch(node["right"], q[~left])
-    return out
 
 
 def _as_xy(samples: Sequence[CalibrationSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -458,30 +451,44 @@ def kfold_partition(n_samples: int, n_folds: int, seed: int) -> list[np.ndarray]
 class _FoldWork:
     """The fold work every grid point of one cross-validation shares.
 
-    One partition and train/test split, and each test fold's truth and SST.
-    ``check`` raises what the first failing fold fit of a point raises.
-    ``sses`` predicts every test fold for all points of one model family
-    at once (the four linear kinds are one family): linear, one array
-    soft-threshold step on shared fold statistics; kNN, one ``_knn_batch``
-    call for every fold and every ``k``; trees, one forest of a tree per
-    (``min_samples_leaf``, fold) grown to the deepest ``max_depth``, routed
-    once.
+    One partition; each sample's test fold; the test folds' pixels and
+    truth back to back, with each fold's size and SST. A fold's training
+    set is built only where it is used, as ``p[fold != i]``, so memory stays
+    linear in n for any fold count. ``check`` raises what the first failing
+    fold fit of a point raises. ``sses`` predicts every test fold for all
+    points of one model family at once (the four linear kinds are one
+    family): linear, one array soft-threshold step on shared fold
+    statistics; kNN, one ``_knn_batch`` call for every fold and every ``k``;
+    trees, one forest of a tree per (``min_samples_leaf``, fold) grown to the
+    deepest ``max_depth``, routed once. kNN calls and tree forests take the
+    folds in groups of at most ``_CV_CALL_SAMPLES`` training samples.
     """
 
     def __init__(self, p: np.ndarray, t: np.ndarray, k_folds: int, seed: int) -> None:
         self._p, self._t = p, t
         self._fold = np.empty(p.size, dtype=np.intp)  # each sample's test fold
-        self.folds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = []
-        for i, fold in enumerate(kfold_partition(p.size, k_folds, seed)):
+        partition = kfold_partition(p.size, k_folds, seed)
+        for i, fold in enumerate(partition):
             self._fold[fold] = i
-            train = np.ones(p.size, dtype=bool)
-            train[fold] = False
-            truth = t[fold]
-            sst = float(np.sum((truth - truth.mean()) ** 2))
-            self.folds.append((p[train], t[train], p[fold], truth, sst))
-        self._test_p, self._truth = (np.concatenate([f[i] for f in self.folds]) for i in (2, 3))
-        self._bounds = np.cumsum([0] + [f[2].size for f in self.folds]).tolist()
+        test = np.concatenate(partition)
+        self._test_p, self._truth = p[test], t[test]
+        self.sizes = [fold.size for fold in partition]
+        self._bounds = np.cumsum([0] + self.sizes).tolist()
+        truths = np.split(self._truth, self._bounds[1:-1])
+        self.ssts = [float(np.sum((truth - truth.mean()) ** 2)) for truth in truths]
         self._linear: list[tuple] = []  # each fold's _linear_stats, once a linear point needs them
+
+    def _train(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fold ``i``'s training pixels and temperatures, in sample order."""
+        train = self._fold != i
+        return self._p[train], self._t[train]
+
+    def _groups(self) -> list[tuple[int, int]]:
+        """Folds ``i`` to ``j - 1`` of each (i, j): as many as fit in
+        ``_CV_CALL_SAMPLES`` training samples together, and at least one."""
+        per_call = max(1, _CV_CALL_SAMPLES // self._p.size)
+        k = len(self.sizes)
+        return [(i, min(i + per_call, k)) for i in range(0, k, per_call)]
 
     def check(self, spec: ModelSpec) -> None:
         """Raise the error of ``spec``'s first fold fit that lacks data.
@@ -494,27 +501,24 @@ class _FoldWork:
         try:
             stats = None
             if spec.kind in LINEAR_KINDS:
-                self._linear = self._linear or [_linear_stats(p, t) for p, t, *_ in self.folds]
+                self._linear = self._linear or [_linear_stats(*self._train(i)) for i in range(len(self.sizes))]
                 stats = min(self._linear, key=lambda s: s[4])
-            spec._check_fit(self.folds[0][0].size, stats)
+            spec._check_fit(self._p.size - self.sizes[0], stats)
         except ValueError as exc:
             raise ValueError(f"fold underflow for {spec.kind}: {exc}") from exc
 
     def sses(self, specs: list[ModelSpec]) -> list[tuple[float, ...]]:
         """Squared-error sum of each of ``specs``, checked points of one
         family, on each test fold, in fold order."""
-        fold_sizes = np.diff(self._bounds)
         if specs[0].kind == "knn":
             ks = [spec.hyperparams["k"] for spec in specs]
-            q_folds = np.repeat(np.arange(len(self.folds)), fold_sizes)
-            per_call = max(1, _KNN_CALL_SAMPLES // self._p.size)  # folds one call answers
-            cuts = self._bounds[:-1:per_call] + self._bounds[-1:]
+            q_folds = np.repeat(np.arange(len(self.sizes)), self.sizes)
             preds = np.concatenate([
                 _knn_batch(self._p, self._t, ks, self._test_p[a:b], self._fold, q_folds[a:b])
-                for a, b in zip(cuts, cuts[1:])
+                for a, b in ((self._bounds[i], self._bounds[j]) for i, j in self._groups())
             ], axis=1)
         elif specs[0].kind == "decision_tree":
-            preds = self._tree_preds(specs)
+            preds = np.concatenate([self._tree_preds(specs, i, j) for i, j in self._groups()], axis=1)
         else:
             # Each (point, fold) coefficient once, then spread over the fold's
             # test columns; elementwise, so each equals its own fit's. The
@@ -522,7 +526,7 @@ class _FoldWork:
             # grid, so the predictions and errors are computed in place.
             stats = np.array(self._linear).T
             lam, mix = np.array([spec._penalty() for spec in specs], dtype=np.float64).T[:, :, None]
-            intercept, slope = (np.repeat(c, fold_sizes, axis=1) for c in _linear_coef(stats, lam, mix))
+            intercept, slope = (np.repeat(c, self.sizes, axis=1) for c in _linear_coef(stats, lam, mix))
             preds = np.multiply(slope, self._test_p, out=slope)
             preds += intercept  # intercept + slope * pixel, as FittedRegressor.predict_batch
         # Sum row by row over each fold alone, in C order, as a one-point fold
@@ -531,13 +535,15 @@ class _FoldWork:
         bounds = zip(self._bounds, self._bounds[1:])
         return list(zip(*(np.sum(errors[:, a:b], axis=1).tolist() for a, b in bounds)))
 
-    def _tree_preds(self, specs: list[ModelSpec]) -> np.ndarray:
+    def _tree_preds(self, specs: list[ModelSpec], i: int, j: int) -> np.ndarray:
+        """Each of ``specs``' predictions for the test pixels of folds ``i`` to ``j - 1``."""
         leaves = list(dict.fromkeys(spec.hyperparams["min_samples_leaf"] for spec in specs))
         depth = max(spec.hyperparams["max_depth"] for spec in specs)  # cut at d: the depth-d tree
-        levels = _grow([fold[:2] for fold in self.folds], leaves, depth)
-        n_trees = len(leaves) * len(self.folds)
-        roots = np.repeat(np.arange(n_trees), np.tile(np.diff(self._bounds), len(leaves)))
-        routed = _forest.route(levels, roots, np.tile(self._test_p, len(leaves)))
+        levels = _grow([self._train(fold) for fold in range(i, j)], leaves, depth)
+        sizes = np.tile(self.sizes[i:j], len(leaves))
+        roots = np.repeat(np.arange(sizes.size), sizes)
+        test_p = self._test_p[self._bounds[i] : self._bounds[j]]
+        routed = _forest.route(levels, roots, np.tile(test_p, len(leaves)))
         routed = routed.reshape(len(levels), len(leaves), -1)
         rows = [min(spec.hyperparams["max_depth"], len(levels) - 1) for spec in specs]
         return routed[rows, [leaves.index(spec.hyperparams["min_samples_leaf"]) for spec in specs]]
@@ -591,8 +597,8 @@ def grid_search(
             # Each fold's one squared-error sum gives both its MSE and its R2.
             fold_mses: list[float] = []
             fold_r2s: list[float] = []
-            for sse, (*_, truth, sst) in zip(sses, work.folds):
-                fold_mses.append(sse / truth.size)
+            for sse, size, sst in zip(sses, work.sizes, work.ssts):
+                fold_mses.append(sse / size)
                 fold_r2s.append(float("nan") if sst == 0.0 else 1.0 - sse / sst)  # one sample: sst is 0
             defined = [v for v in fold_r2s if not math.isnan(v)]
             mean_r2 = sum(defined) / len(defined) if defined else float("nan")
@@ -636,7 +642,7 @@ def plausibility_guard(
     known to be afebrile, so any prediction above the ceiling is a model
     artifact, not a detection. A ceiling that is not finite is an error.
     """
-    if not _is_finite(ceiling_c):
+    if not is_finite(ceiling_c):
         raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     pixels = np.asarray(list(screening_pixels), dtype=np.float64)
     if not pixels.size:
@@ -658,7 +664,7 @@ def select_model(
     With ``screening_pixels=None`` the guard is skipped and the top-ranked
     candidate wins. Raises NoViableModelError when no candidate passes.
     """
-    if not _is_finite(ceiling_c):
+    if not is_finite(ceiling_c):
         raise ValueError(f"ceiling_c must be finite, got {ceiling_c}")
     rejected: list[dict] = []
     for rank, entry in enumerate(report.entries):
@@ -723,34 +729,22 @@ def _params_problem(kind: str, params) -> str | None:
         return "params must be an object"
     if kind in LINEAR_KINDS:
         for name in ("intercept", "slope"):
-            if not _is_finite(params.get(name)):
+            if not is_finite(params.get(name)):
                 return f"{name} must be a finite number, got {params.get(name)!r}"
     elif kind == "knn":
         pixels, temps, k = params.get("pixels"), params.get("temps"), params.get("k")
         if not (isinstance(pixels, list) and isinstance(temps, list) and len(pixels) == len(temps)):
             return "knn pixels and temps must be lists of equal length"
-        if not all(_is_finite(v) for v in pixels + temps):
+        if not all(is_finite(v) for v in pixels + temps):
             return "knn pixels and temps must be finite numbers"
         if not _is_int(k) or not 1 <= k <= len(pixels):
             return f"knn k must be an integer in [1, {len(pixels)}], got {k!r}"
     elif kind == "decision_tree":
-        return _tree_problem(params.get("tree"))
+        try:
+            _forest.tree_levels(params.get("tree"))
+        except ValueError as exc:
+            return str(exc)
     return None
-
-
-def _tree_problem(node) -> str | None:
-    """Why ``node`` cannot route a tree prediction, or None."""
-    if not isinstance(node, dict):
-        return f"tree nodes must be objects, got {type(node).__name__}"
-    if node.get("kind") == "leaf":
-        if not _is_finite(node.get("value")):
-            return f"tree leaf value must be a finite number, got {node.get('value')!r}"
-        return None
-    if node.get("kind") != "split":
-        return f"tree node kind must be leaf or split, got {node.get('kind')!r}"
-    if not _is_finite(node.get("threshold")):
-        return f"tree split threshold must be a finite number, got {node.get('threshold')!r}"
-    return _tree_problem(node.get("left")) or _tree_problem(node.get("right"))
 
 
 def load_model(path: str | Path) -> FittedRegressor:

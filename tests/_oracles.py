@@ -231,6 +231,31 @@ def recursive_tree(pixels, temps, max_depth, min_samples_leaf):
     return grow(p[order], t[order], 0)
 
 
+def walk_tree(node, q):
+    """Predictions of a saved tree dict for the pixels ``q``, walked by
+    recursion: ``q <= threshold`` goes left, a leaf answers with its value."""
+    if node["kind"] == "leaf":
+        return np.full(q.size, node["value"], dtype=np.float64)
+    left = q <= node["threshold"]
+    out = np.empty(q.size)
+    out[left] = walk_tree(node["left"], q[left])
+    out[~left] = walk_tree(node["right"], q[~left])
+    return out
+
+
+def label_rect(bbox, text, width, height):
+    """(x1, y1, x2, y2), exclusive, of the cells ``text`` is drawn in for a
+    box: just above it, or below it when the top edge would clip the text,
+    clamped inside a ``width`` x ``height`` frame."""
+    text_w = len(text) * GLYPH_PITCH - 1
+    tx = max(0, min(bbox.x1, width - text_w))
+    ty = bbox.y1 - GLYPH_H - 1
+    if ty < 0:
+        ty = bbox.y2 + 1
+    ty = max(0, min(ty, height - GLYPH_H))
+    return tx, ty, tx + text_w, ty + GLYPH_H
+
+
 def expected_overlay(base_pixels, readings, decimals):
     """Independent rasterization of render_overlay: the library's font table
     and colours, drawn one glyph cell at a time with per-pixel clipping."""
@@ -245,12 +270,7 @@ def expected_overlay(base_pixels, readings, decimals):
             out[y, b.x1] = BOX_COLOR
             out[y, b.x2 - 1] = BOX_COLOR
         text = f"{reading.temperature_c:.{decimals}f}°C"
-        text_w = len(text) * GLYPH_PITCH - 1
-        tx = max(0, min(b.x1, width - text_w))
-        ty = b.y1 - GLYPH_H - 1
-        if ty < 0:
-            ty = b.y2 + 1
-        ty = max(0, min(ty, height - GLYPH_H))
+        tx, ty, _, _ = label_rect(b, text, width, height)
         for pos, char in enumerate(text):
             for row, bits in enumerate(GLYPHS[char]):
                 for col, bit in enumerate(bits):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import expected_overlay, max_pixel_scan
+from _oracles import expected_overlay, label_rect, max_pixel_scan
 from conftest import gray_frame, peak_traced_bytes
 from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
 from thermotrack.detectors import (
@@ -254,19 +254,38 @@ class TestRenderOverlay:
 
 
 class TestOutputPins:
-    """sha256 of the annotated frames and of the reading log for two seeded
+    """sha256 of the annotated frames and of the reading log for three seeded
     synthscene streams, recorded from the per-pixel glyph renderer and the
     np.repeat gray-to-BGR path; the array paths must reproduce them byte for
-    byte."""
+    byte. The crowd stream puts 60 faces in each 320x240 frame, where a later
+    reading's box crosses an earlier reading's label, so it pins the draw
+    order too."""
 
     PINS = json.loads((Path(__file__).parent / "data" / "render_pins.json").read_text())
 
-    @pytest.mark.parametrize("layout, decimals, seed", [("dense", 1, 41), ("sparse", 3, 42)])
-    def test_annotated_frames_and_log_unchanged(self, tmp_path, layout, decimals, seed):
+    @pytest.mark.parametrize(
+        "layout, decimals, seq, min_bbox_area",
+        [
+            ("dense", 1, SequenceSpec(frames=40, layout="dense", seed=41), 100.0),
+            ("sparse", 3, SequenceSpec(frames=40, layout="sparse", seed=42), 100.0),
+            (
+                "crowd",
+                1,
+                SequenceSpec(
+                    frames=10, layout="dense", dense_min=60, dense_max=60, width=320, height=240, seed=43
+                ),
+                1,
+            ),
+        ],
+        ids=["dense-1-41", "sparse-3-42", "crowd"],
+    )
+    def test_annotated_frames_and_log_unchanged(self, tmp_path, layout, decimals, seq, min_bbox_area):
         cfg = PipelineConfig(
-            overlay_decimals=decimals, log_path=tmp_path / "log.csv", output_dir=tmp_path / "out"
+            min_bbox_area=min_bbox_area,
+            overlay_decimals=decimals,
+            log_path=tmp_path / "log.csv",
+            output_dir=tmp_path / "out",
         )
-        seq = SequenceSpec(frames=40, layout=layout, seed=seed)
         frames = [frame for frame, _, _ in generate_sequence(seq)]
         summary = run_stream(frames, BlobDetector(BLOB_CFG), LAW, cfg)
         annotated = hashlib.sha256()
@@ -277,6 +296,26 @@ class TestOutputPins:
             "annotated_frames": annotated.hexdigest(),
             "reading_log_csv": hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest(),
         } == self.PINS[layout]
+        if layout == "crowd":
+            assert _label_crossings(tmp_path / "log.csv", decimals, seq.width, seq.height) > 0
+
+
+def _label_crossings(log_path, decimals, width, height):
+    """How many (earlier, later) reading pairs of one frame in a reading log
+    have the later box overlapping the earlier reading's label cells."""
+    with open(log_path) as handle:
+        rows = list(csv.reader(handle))[1:]
+    frames = {}
+    for row in rows:
+        box = PixelBBox(*map(int, row[1:5]))
+        label = label_rect(box, format_temperature(float(row[6]), decimals), width, height)
+        frames.setdefault(row[0], []).append((box, label))
+    crossings = 0
+    for readings in frames.values():
+        for later, (box, _) in enumerate(readings):
+            for _, (x1, y1, x2, y2) in readings[:later]:
+                crossings += box.x1 < x2 and x1 < box.x2 and box.y1 < y2 and y1 < box.y2
+    return crossings
 
 
 class TestRunStream:

@@ -39,6 +39,7 @@ from _oracles import (
     expected_overlay,
     knn_sorted_mean,
     recursive_tree,
+    walk_tree,
 )
 from test_detectors import ALL_BLOBS, assert_blobs_match
 from test_thermoreg import scorers_spied
@@ -366,7 +367,7 @@ def test_forest_matches_recursive_oracle(case):
             oracle = recursive_tree(*sets[i], depth, leaf)
             assert repr(_forest.tree_dict(levels, tree, depth)) == repr(oracle)
             preds = routed[min(depth, len(levels) - 1), at : at + q.size]
-            assert np.array_equal(preds, thermoreg._tree_batch(oracle, q))
+            assert np.array_equal(preds, walk_tree(oracle, q))
         at += q.size
     event(f"{len(levels) - 1} levels split")
     # Trees of one set with different leaf sizes search one root segment.

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import sys
@@ -8,11 +9,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from _oracles import walk_tree
+from conftest import traced_call
 from thermotrack import _forest, thermoreg
 from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
     DEFAULT_GRIDS,
     LINEAR_KINDS,
+    MODEL_KINDS,
     CalibrationSample,
     CrossValReport,
     ModelSpec,
@@ -511,11 +515,38 @@ class TestGridSearch:
         whole = grid_search(samples, grids, k_folds=60, seed=0)
         calls = []
         original = thermoreg._knn_batch
-        monkeypatch.setattr(thermoreg, "_KNN_CALL_SAMPLES", 150)
+        monkeypatch.setattr(thermoreg, "_CV_CALL_SAMPLES", 150)
         monkeypatch.setattr(thermoreg, "_knn_batch", lambda *a: calls.append(a[3].size) or original(*a))
         split = grid_search(samples, grids, k_folds=60, seed=0)
         assert calls == [2] * 30
         assert repr(split.entries) == repr(whole.entries)
+
+    def test_tree_folds_over_several_forests_score_as_one_forest(self, monkeypatch):
+        # Leave-one-out on 60 samples trains on 60 x 59 samples: one forest
+        # under the default cap, 30 forests of 2 folds (times 3 leaf sizes)
+        # under a cap of 150, with the same scores.
+        samples = _noisy_line()
+        grids = {"decision_tree": DEFAULT_GRIDS["decision_tree"]}
+        forests = []
+        original = _forest.grow_forest
+        monkeypatch.setattr(_forest, "grow_forest", lambda *a: forests.append(a[2].size) or original(*a))
+        whole = grid_search(samples, grids, k_folds=60, seed=0)
+        assert forests == [60 * 3]
+        forests.clear()
+        monkeypatch.setattr(thermoreg, "_CV_CALL_SAMPLES", 150)
+        split = grid_search(samples, grids, k_folds=60, seed=0)
+        assert forests == [2 * 3] * 30
+        assert repr(split.entries) == repr(whole.entries)
+
+    def test_leave_one_out_memory_is_linear_in_n(self):
+        # 1 000 folds of 999 training samples. Keeping every fold's training
+        # copy peaked at 54 MiB; the entries' repr digest was recorded then.
+        samples = generate_calibration_set(1000, 20.0, 0.1, seed=5)
+        report, peak = traced_call(grid_search, samples, DEFAULT_GRIDS, 1000, 5)
+        assert peak < 16 * 2**20
+        assert hashlib.sha256(repr(report.entries).encode()).hexdigest() == (
+            "63e1aab2c5e5ef6842632a08ed32853f1e561aa9660c366bfe3f1dbeb85c43f4"
+        )
 
     @pytest.mark.parametrize(
         "samples, grids, message",
@@ -668,6 +699,77 @@ class TestLinearKnnPins:
     @pytest.mark.parametrize("name, make", _PIN_SETS)
     def test_model_json_unchanged(self, name, make, kind, tmp_path):
         assert _grid_model_docs(make(), kind, tmp_path) == self.PINS[name][kind]
+
+
+def _pinned_models(tmp_path, name):
+    """Every model document of pin set ``name`` in the linear/kNN and tree
+    model pin files, loaded through ``load_model``, trees last."""
+    data = Path(__file__).parent / "data"
+    linear_knn = json.loads((data / "linear_knn_model_pins.json").read_text())[name]
+    trees = json.loads((data / "tree_model_pins.json").read_text())[name]
+    texts = [text for docs in linear_knn.values() for text in docs.values()] + list(trees.values())
+    models = []
+    for text in texts:
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        models.append(load_model(path))
+    return models
+
+
+def _thresholds(node):
+    return [] if node["kind"] == "leaf" else [
+        node["threshold"], *_thresholds(node["left"]), *_thresholds(node["right"])
+    ]
+
+
+class TestAllPixels:
+    """Every pinned model answers all 256 pixels of a uint8 frame from one
+    ``predict_batch`` call as ``predict`` answers them one at a time; a tree
+    routes as the recursive walker of its saved dict."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in _PIN_SETS])
+    def test_batch_equals_scalar_predict(self, name, tmp_path):
+        models = _pinned_models(tmp_path, name)
+        assert {model.kind for model in models} == set(MODEL_KINDS)
+        for model in models:
+            table = model.predict_batch(np.arange(256.0)).tolist()
+            assert repr(table) == repr([model.predict(p) for p in range(256)])
+
+    @pytest.mark.parametrize("name", [name for name, _ in _PIN_SETS])
+    def test_tree_routes_as_dict_walker(self, name, tmp_path):
+        for model in _pinned_models(tmp_path, name):
+            if model.kind != "decision_tree":
+                continue
+            tree = model.params["tree"]
+            cuts = np.array(_thresholds(tree))
+            q = np.concatenate([np.arange(256.0), cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+            assert repr(model.predict_batch(q).tolist()) == repr(walk_tree(tree, q).tolist())
+
+
+class TestNonFinitePixels:
+    SAMPLES = generate_calibration_set(200, 20.0, 0.1, seed=5)
+    POINTS = {
+        "linear": {},
+        "ridge": {"lambda": 1.0},
+        "lasso": {"lambda": 1.0},
+        "elastic_net": {"lambda": 1.0, "mix": 0.5},
+        "knn": {"k": 3},
+        "decision_tree": {"max_depth": 4, "min_samples_leaf": 5},
+    }
+
+    @pytest.mark.parametrize("pixel", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_value_error_for_every_kind(self, kind, pixel):
+        # No kind has a meaningful answer here: kNN would average the lowest
+        # pixels' neighbours for +inf, and a tree would route NaN by whichever
+        # way its comparison fails.
+        model = ModelSpec(kind, self.POINTS[kind]).fit(self.SAMPLES)
+        with pytest.raises(ValueError, match="max_pixel must be finite"):
+            model.predict(pixel)
+        for pixels in ([100.0, pixel], np.array([pixel, 100.0])):
+            with pytest.raises(ValueError, match="pixels must be finite"):
+                model.predict_batch(pixels)
+        assert math.isfinite(model.predict(300.0))
 
 
 class TestGuardAndSelection:
