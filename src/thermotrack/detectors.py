@@ -1,7 +1,9 @@
 """Face-region detectors behind one contract.
 
 ``Detector.detect`` always returns detections sorted by descending
-confidence, thresholded, and non-maximum-suppressed. Three implementations:
+confidence, thresholded, and non-maximum-suppressed; under it a frame's
+boxes stay arrays, and only ``detect``, ``nms`` and ``blob_detect`` hand
+out ``Detection`` objects. Three implementations:
 
 * ``ReplayDetector`` replays ground-truth labels (the evaluation baseline
   and the fixture for metric self-consistency checks);
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +66,8 @@ PROTOCOL_VERSION = 1
 # NMS threshold just under 1.0: replay must keep overlapping ground-truth
 # boxes; only exact duplicates are suppressed.
 REPLAY_NMS_IOU = 1.0 - 1e-9
+
+MAX_LINE_BYTES = 1 << 16  # longest adapter line read; a v1 line is under 100 bytes
 
 
 class AdapterError(RuntimeError):
@@ -93,6 +97,24 @@ class Detection:
     def __post_init__(self) -> None:
         if not math.isfinite(self.confidence) or not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence!r} outside [0, 1]")
+
+
+class _Boxes(NamedTuple):
+    """One frame's detections as arrays: int64 (N, 4) corners x1, y1, x2, y2,
+    float64 confidences, and class ids (converted ones kept as given)."""
+
+    corners: np.ndarray
+    confidence: np.ndarray
+    class_id: np.ndarray
+
+    @classmethod
+    def of(cls, dets: Sequence[Detection]) -> "_Boxes":
+        corners = np.array([(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in dets], dtype=np.int64)
+        confidence = np.array([d.confidence for d in dets], dtype=np.float64)
+        return cls(corners.reshape(-1, 4), confidence, np.array([d.class_id for d in dets], dtype=object))
+
+    def detections(self) -> list[Detection]:
+        return [Detection(PixelBBox(*box), conf, class_id) for box, conf, class_id in zip(*(a.tolist() for a in self))]
 
 
 @dataclass
@@ -131,19 +153,22 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     conflicts with. IoU is symmetric, so its row lists earlier boxes too;
     each of those is already dropped, or it would have dropped this one.
     """
+    return [dets[i] for i in _nms_keep(*_Boxes.of(dets)[:2], iou_threshold).tolist()]
+
+
+def _nms_keep(corners: np.ndarray, confidence: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Indices of the boxes ``nms`` keeps, best first."""
     _check_threshold(iou_threshold)
-    ordered = sorted(dets, key=lambda d: -d.confidence)
-    corners = np.array(
-        [(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in ordered], dtype=np.int64
-    ).reshape(1, -1, 4)
-    conflict = ~(_iou_tensor(corners, corners)[0] < iou_threshold)
+    order = np.argsort(-confidence, kind="stable")
+    ordered = corners[order][None]
+    conflict = ~(_iou_tensor(ordered, ordered)[0] < iou_threshold)
     # A box never drops itself; clearing the diagonal costs less than np.triu.
     np.fill_diagonal(conflict, False)
-    keep = np.ones(len(ordered), dtype=bool)
+    keep = np.ones(order.size, dtype=bool)
     for row in np.flatnonzero(conflict.any(axis=1)).tolist():
         if keep[row]:
             keep[conflict[row]] = False
-    return [det for det, kept in zip(ordered, keep.tolist()) if kept]
+    return order[keep]
 
 
 def _join_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
@@ -196,6 +221,11 @@ def blob_detect(frame: ThermalFrame, cfg: DetectorConfig) -> list[Detection]:
     pixel sum are reduced per component without a per-component pass over
     the frame.
     """
+    return _blob_boxes(frame, cfg).detections()
+
+
+def _blob_boxes(frame: ThermalFrame, cfg: DetectorConfig) -> _Boxes:
+    """``blob_detect`` as arrays."""
     if frame.channels != 1:
         raise ValueError("blob detection needs a single-channel frame")
     mask = frame.pixels >= cfg.intensity_threshold
@@ -205,8 +235,6 @@ def blob_detect(frame: ThermalFrame, cfg: DetectorConfig) -> list[Detection]:
     padded[:, 1:-1] = mask
     flat = padded.ravel()
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    if edges.size == 0:
-        return []
     starts, ends = edges[0::2], edges[1::2]
     parent = _join_runs(starts, ends, stride)
     roots = np.flatnonzero(parent == np.arange(parent.size))
@@ -222,19 +250,11 @@ def blob_detect(frame: ThermalFrame, cfg: DetectorConfig) -> list[Detection]:
     np.maximum.at(right, comp, ends - row_offset)
     bottom = np.zeros(roots.size, dtype=np.intp)
     np.maximum.at(bottom, comp, rows)
-    detections: list[Detection] = []
-    for x1, y1, x2, y2, n, pixel_sum in zip(
-        left.tolist(), rows[roots].tolist(), right.tolist(), (bottom + 1).tolist(),
-        area.tolist(), total.tolist(),
-    ):
-        if n < cfg.min_blob_area:
-            continue
-        w, h = x2 - x1, y2 - y1
-        if max(w, h) / min(w, h) > cfg.max_aspect_ratio:
-            continue
-        # pixel_sum is an exact integer in float64, so this is numpy's mean.
-        detections.append(Detection(PixelBBox(x1, y1, x2, y2), confidence=pixel_sum / n / 255.0))
-    return detections
+    corners = np.stack((left, rows[roots], right, bottom + 1), axis=1)
+    sides = corners[:, 2:] - corners[:, :2]
+    kept = (area >= cfg.min_blob_area) & ~(sides.max(axis=1) / sides.min(axis=1) > cfg.max_aspect_ratio)
+    # total is an exact integer sum in float64, so this is numpy's mean.
+    return _Boxes(corners[kept], total[kept] / area[kept] / 255.0, np.zeros(int(kept.sum()), dtype=np.int64))
 
 
 class Detector:
@@ -244,11 +264,17 @@ class Detector:
         self.config = config
 
     def detect(self, frame: ThermalFrame) -> list[Detection]:
-        raw = self._detect_raw(frame)
-        kept = [d for d in raw if d.confidence >= self.config.confidence_threshold]
-        return nms(kept, self.config.nms_iou_threshold)
+        return self._boxes(frame).detections()
 
-    def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
+    def _boxes(self, frame: ThermalFrame) -> _Boxes:
+        """``detect`` as arrays."""
+        raw = self._detect_raw(frame)
+        raw = raw if isinstance(raw, _Boxes) else _Boxes.of(raw)
+        passed = np.flatnonzero(raw.confidence >= self.config.confidence_threshold)
+        kept = passed[_nms_keep(raw.corners[passed], raw.confidence[passed], self.config.nms_iou_threshold)]
+        return _Boxes(*(a[kept] for a in raw))
+
+    def _detect_raw(self, frame: ThermalFrame) -> Sequence[Detection] | _Boxes:
         raise NotImplementedError
 
 
@@ -278,8 +304,8 @@ class BlobDetector(Detector):
     def __init__(self, config: DetectorConfig | None = None):
         super().__init__(config or DetectorConfig())
 
-    def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
-        return blob_detect(frame, self.config)
+    def _detect_raw(self, frame: ThermalFrame) -> _Boxes:
+        return _blob_boxes(frame, self.config)
 
 
 class ExternalAdapter:
@@ -321,13 +347,18 @@ class ExternalAdapter:
         """One line, read before ``deadline`` (a ``time.monotonic`` value)."""
         # Reads go to the raw descriptor, never stdout's buffer, so select sees every unread byte.
         fd = self._proc.stdout.fileno()
-        while (end := self._unread.find(b"\n")) < 0:
+        scanned = 0  # bytes of _unread already searched for LF
+        while (end := self._unread.find(b"\n", scanned)) < 0:
+            scanned = len(self._unread)
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                # A v1 reply carries no request id, so a late reply would be
-                # read as the next frame's answer: stop the adapter instead.
+            if scanned > MAX_LINE_BYTES or remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                # A v1 reply carries no request id: a late reply, or the rest of
+                # an overlong line, would be read as the next answer. Stop instead.
                 self._proc.kill()
                 self._proc.wait()
+                self._unread.clear()
+                if scanned > MAX_LINE_BYTES:
+                    raise AdapterProtocolError(f"no line end within {MAX_LINE_BYTES} bytes from {self.command}")
                 raise AdapterTimeoutError(f"no complete response within {self.response_timeout_s} s from {self.command}")
             chunk = os.read(fd, 65536)
             if not chunk:  # EOF: a last line without LF is still handed out

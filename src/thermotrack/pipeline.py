@@ -1,9 +1,11 @@
 """The per-frame temperature-monitoring loop.
 
 For every frame: detect face regions, drop boxes below a minimum area, take
-the maximum intensity inside each surviving region, map it through the
-calibration model, draw the box and temperature onto a copy of the frame,
-and append a log row. A stream processes frames strictly in order and keeps
+the maximum intensity inside each surviving region, look it up in the
+model's temperatures for all 256 pixel values (read once a stream), draw the
+box and temperature onto a copy of the frame, and append a log row. Boxes
+stay arrays from detector to log and overlay; only ``process_frame`` builds
+``TempReading``s. A stream processes frames strictly in order and keeps
 going when a single frame fails: one corrupt frame must not take down a
 monitoring session.
 """
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .annotations import PixelBBox
-from .detectors import Detection, Detector
+from .detectors import Detection, Detector, _Boxes
 from .frameio import (
     NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame, bgr_to_grayscale, gray_to_bgr, load_frame, save_frame
 )
@@ -55,12 +57,11 @@ GLYPHS: dict[str, tuple[str, ...]] = {
 }
 GLYPH_W, GLYPH_H = 5, 7
 GLYPH_PITCH = GLYPH_W + 1
-# Each glyph as a boolean mask followed by its blank spacing column, with a
-# trailing axis that broadcasts over the BGR channels.
-GLYPH_CELLS = {
-    char: np.array([[[bit == "X"] for bit in row + "."] for row in rows])
-    for char, rows in GLYPHS.items()
-}
+# Each glyph as a boolean mask followed by its blank spacing column.
+GLYPH_CELLS = {char: np.array([[bit == "X" for bit in row + "."] for row in rows]) for char, rows in GLYPHS.items()}
+# The colours as single 3-byte cells of a BGR frame.
+_BOX_CELL = np.array(BOX_COLOR, dtype=np.uint8).view("V3")[0]
+_TEXT_CELL = np.array(TEXT_COLOR, dtype=np.uint8).view("V3")[0]
 
 
 class PipelineFrameError(RuntimeError):
@@ -92,8 +93,9 @@ class PipelineConfig:
             raise ValueError(f"min_bbox_area must be finite and >= 1, got {self.min_bbox_area}")
         if not -sys.float_info.max <= self.fever_threshold_c <= sys.float_info.max:
             raise ValueError(f"fever_threshold_c must be finite, got {self.fever_threshold_c}")
-        if self.overlay_decimals < 0:
-            raise ValueError("overlay_decimals must be >= 0")
+        decimals = self.overlay_decimals
+        if not isinstance(decimals, int) or isinstance(decimals, bool) or decimals < 0:
+            raise ValueError(f"overlay_decimals must be an int >= 0, got {decimals!r}")
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,14 @@ def extract_max_pixel(frame: ThermalFrame, roi: PixelBBox) -> int:
     """Maximum intensity over x in [x1, x2), y in [y1, y2) of a gray frame."""
     if frame.channels != 1:
         raise ValueError("max-pixel extraction needs a single-channel frame")
-    if roi.x2 > frame.width or roi.y2 > frame.height:
-        raise ValueError(
-            f"roi ({roi.x1}, {roi.y1}, {roi.x2}, {roi.y2}) outside "
-            f"{frame.width}x{frame.height} frame"
-        )
-    return int(frame.pixels[roi.y1 : roi.y2, roi.x1 : roi.x2].max())
+    return _roi_max(frame.pixels, roi.x1, roi.y1, roi.x2, roi.y2)
+
+
+def _roi_max(gray: np.ndarray, x1: int, y1: int, x2: int, y2: int) -> int:
+    height, width = gray.shape
+    if x2 > width or y2 > height:
+        raise ValueError(f"roi ({x1}, {y1}, {x2}, {y2}) outside {width}x{height} frame")
+    return int(gray[y1:y2, x1:x2].max())
 
 
 def scaled_min_area(min_bbox_area: float, frame_w: int, frame_h: int) -> float:
@@ -158,31 +162,56 @@ def scaled_min_area(min_bbox_area: float, frame_w: int, frame_h: int) -> float:
 
 def filter_min_area(dets: Sequence[Detection], min_area: float) -> list[Detection]:
     """Drop excessively small boxes; order is preserved."""
-    return [d for d in dets if d.bbox.area() >= min_area]
+    return [dets[i] for i in np.flatnonzero(_large_enough(_Boxes.of(dets).corners, min_area)).tolist()]
+
+
+def _large_enough(corners: np.ndarray, min_area: float) -> np.ndarray:
+    return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1]) >= min_area
 
 
 def format_temperature(temperature_c: float, decimals: int = 1) -> str:
     return f"{temperature_c:.{decimals}f}°C"
 
 
-def _draw_box(pixels: np.ndarray, box: PixelBBox, color: np.ndarray) -> None:
-    pixels[box.y1, box.x1 : box.x2] = color
-    pixels[box.y2 - 1, box.x1 : box.x2] = color
-    pixels[box.y1 : box.y2, box.x1] = color
-    pixels[box.y1 : box.y2, box.x2 - 1] = color
-
-
-def _draw_text(pixels: np.ndarray, x: int, y: int, text: str, color: np.ndarray) -> None:
+def _label(text: str, shape: tuple[int, int]) -> tuple[tuple[int, int], np.ndarray, int]:
+    """``shape``, the flat offsets in a frame of that shape of the lit pixels
+    of ``text`` from its top-left corner, and its width. A frame too small
+    for it puts it at row or column 0, so what lies past the edge is cut."""
     try:
         cells = [GLYPH_CELLS[char] for char in text]
     except KeyError as err:
         raise ValueError(f"no glyph for character {err.args[0]!r}") from None
-    mask = np.concatenate(cells, axis=1)[:, :-1]
-    height, width = pixels.shape[:2]
-    x0, y0 = max(x, 0), max(y, 0)
-    x1, y1 = min(x + mask.shape[1], width), min(y + GLYPH_H, height)
-    if x0 < x1 and y0 < y1:
-        np.copyto(pixels[y0:y1, x0:x1], color, where=mask[y0 - y : y1 - y, x0 - x : x1 - x])
+    rows, cols = np.nonzero(np.concatenate(cells, axis=1))
+    inside = (rows < shape[0]) & (cols < shape[1])
+    return shape, rows[inside] * shape[1] + cols[inside], len(text) * GLYPH_PITCH - 1
+
+
+def _model_table(model: FittedRegressor) -> tuple[list[float], list]:
+    """A model's temperature at each of the 256 uint8 pixel values, as Python
+    floats (the log writes their ``repr``, and a numpy float64 reprs as
+    ``np.float64(...)``), and an empty memo of each value's label."""
+    return model.predict_batch(np.arange(256.0)).tolist(), [None] * 256
+
+
+def _annotate(frame: ThermalFrame, boxes: Sequence[Sequence[int]], labels: Sequence[tuple]) -> ThermalFrame:
+    """A BGR copy of a frame with each box's outline and then its label drawn,
+    box by box: a later box is drawn over an earlier label. A pixel is one
+    3-byte cell, so a label is one fancy-index write of its lit cells."""
+    pixels = gray_to_bgr(frame).pixels if frame.channels == 1 else frame.pixels.copy()
+    cells = pixels.view("V3")[..., 0]
+    flat = cells.reshape(-1)  # a view: the copy is C-contiguous
+    height, width = cells.shape
+    for (x1, y1, x2, y2), (_, offsets, text_w) in zip(boxes, labels):
+        # Rows y1 and y2 - 1, then columns x1 and x2 - 1 (one of each for a 1-pixel side).
+        cells[y1:y2:max(y2 - 1 - y1, 1), x1:x2] = _BOX_CELL
+        cells[y1:y2, x1:x2:max(x2 - 1 - x1, 1)] = _BOX_CELL
+        tx = max(0, min(x1, width - text_w))
+        ty = y1 - GLYPH_H - 1
+        if ty < 0:
+            ty = y2 + 1
+        ty = max(0, min(ty, height - GLYPH_H))
+        flat[offsets + (ty * width + tx)] = _TEXT_CELL
+    return replace(frame, pixels=pixels)
 
 
 def render_overlay(
@@ -196,23 +225,31 @@ def render_overlay(
     would clip it, and is always clamped inside the frame. Identical inputs
     render identically.
     """
-    pixels = gray_to_bgr(frame).pixels if frame.channels == 1 else frame.pixels.copy()
-    # uint8 colours once per frame, not a tuple conversion per write.
-    box_color = np.array(BOX_COLOR, dtype=np.uint8)
-    text_color = np.array(TEXT_COLOR, dtype=np.uint8)
-    for reading in readings:
-        if reading.bbox.x2 > frame.width or reading.bbox.y2 > frame.height:
-            raise ValueError("reading bbox outside frame")
-        _draw_box(pixels, reading.bbox, box_color)
-        text = format_temperature(reading.temperature_c, decimals)
-        text_w = len(text) * GLYPH_PITCH - 1
-        tx = max(0, min(reading.bbox.x1, frame.width - text_w))
-        ty = reading.bbox.y1 - GLYPH_H - 1
-        if ty < 0:
-            ty = reading.bbox.y2 + 1
-        ty = max(0, min(ty, frame.height - GLYPH_H))
-        _draw_text(pixels, tx, ty, text, text_color)
-    return replace(frame, pixels=pixels)
+    boxes = [(r.bbox.x1, r.bbox.y1, r.bbox.x2, r.bbox.y2) for r in readings]
+    if any(x2 > frame.width or y2 > frame.height for _, _, x2, y2 in boxes):
+        raise ValueError("reading bbox outside frame")
+    shape = frame.pixels.shape[:2]
+    return _annotate(frame, boxes, [_label(format_temperature(r.temperature_c, decimals), shape) for r in readings])
+
+
+def _read_frame(frame: ThermalFrame, cfg: PipelineConfig, detector: Detector, temps: list, labels: list) -> tuple:
+    """``process_frame`` on arrays, with ``_model_table``'s two lists: the
+    annotated frame and, in detection order, each reading's box
+    ``[x1, y1, x2, y2]``, max pixel, temperature and fever flag."""
+    gray = frame if frame.channels == 1 else bgr_to_grayscale(frame)
+    try:
+        corners = detector._boxes(gray).corners
+    except Exception as exc:
+        raise PipelineFrameError(frame.frame_index, f"detector failed: {exc}") from exc
+    boxes = corners[_large_enough(corners, scaled_min_area(cfg.min_bbox_area, frame.width, frame.height))].tolist()
+    peaks = [_roi_max(gray.pixels, *box) for box in boxes]
+    rows = [(box, peak, temps[peak], temps[peak] > cfg.fever_threshold_c) for box, peak in zip(boxes, peaks)]
+    if not cfg.overlay_enabled:
+        return _annotate(frame, [], []), rows
+    for peak in peaks:
+        if labels[peak] is None or labels[peak][0] != gray.pixels.shape:
+            labels[peak] = _label(format_temperature(temps[peak], cfg.overlay_decimals), gray.pixels.shape)
+    return _annotate(frame, boxes, [labels[peak] for peak in peaks]), rows
 
 
 def process_frame(
@@ -228,37 +265,8 @@ def process_frame(
     failures are re-raised with the frame index attached so a stream can
     log and move on.
     """
-    gray = frame if frame.channels == 1 else bgr_to_grayscale(frame)
-    try:
-        detections = detector.detect(gray)
-    except Exception as exc:
-        raise PipelineFrameError(frame.frame_index, f"detector failed: {exc}") from exc
-    detections = filter_min_area(
-        detections, scaled_min_area(cfg.min_bbox_area, frame.width, frame.height)
-    )
-    readings = []
-    for det in detections:
-        max_pixel = extract_max_pixel(gray, det.bbox)
-        temperature = model.predict(max_pixel)
-        readings.append(
-            TempReading(
-                frame_index=frame.frame_index,
-                bbox=det.bbox,
-                max_pixel=max_pixel,
-                temperature_c=temperature,
-                flagged=temperature > cfg.fever_threshold_c,
-            )
-        )
-    drawn = readings if cfg.overlay_enabled else []
-    return render_overlay(frame, drawn, cfg.overlay_decimals), readings
-
-
-def _log_row(reading: TempReading) -> str:
-    b = reading.bbox
-    return (
-        f"{reading.frame_index},{b.x1},{b.y1},{b.x2},{b.y2},"
-        f"{reading.max_pixel},{reading.temperature_c!r},{int(reading.flagged)}"
-    )
+    annotated, rows = _read_frame(frame, cfg, detector, *_model_table(model))
+    return annotated, [TempReading(frame.frame_index, PixelBBox(*box), *reading) for box, *reading in rows]
 
 
 def run_stream(
@@ -276,6 +284,7 @@ def run_stream(
     process is counted, logged, and skipped; log/output I/O errors abort
     the stream.
     """
+    table = _model_table(model)
     summary = StreamSummary()
     log_handle = None
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
@@ -292,21 +301,21 @@ def run_stream(
             try:
                 frame = item if isinstance(item, ThermalFrame) else load_frame(item)
                 frame = replace(frame, frame_index=position)
-                annotated, readings = process_frame(frame, cfg, detector, model)
+                annotated, rows = _read_frame(frame, cfg, detector, *table)
             except (PipelineFrameError, ValueError, OSError) as exc:
                 summary.errors += 1
                 logger.warning("skipping frame %d: %s", position, exc)
                 summary.record_latency((time.perf_counter() - start) * 1000.0)
                 continue
             if log_handle is not None:
-                for reading in readings:
-                    log_handle.write(_log_row(reading) + "\n")
+                for (x1, y1, x2, y2), peak, temperature, flagged in rows:
+                    log_handle.write(f"{position},{x1},{y1},{x2},{y2},{peak},{temperature!r},{int(flagged)}\n")
                 log_handle.flush()
             if out_dir is not None:
                 save_frame(annotated, out_dir / f"out_{position:06d}.ppm")
             summary.frames += 1
-            summary.readings += len(readings)
-            summary.flagged += sum(r.flagged for r in readings)
+            summary.readings += len(rows)
+            summary.flagged += sum(flagged for *_, flagged in rows)
             summary.record_latency((time.perf_counter() - start) * 1000.0)
     finally:
         if log_handle is not None:

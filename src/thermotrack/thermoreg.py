@@ -144,7 +144,7 @@ class FittedRegressor:
         if not math.isfinite(max_pixel):
             raise ValueError(f"max_pixel must be finite, got {max_pixel!r}")
         if self.kind in LINEAR_KINDS:
-            return self.params["intercept"] + self.params["slope"] * max_pixel
+            return self.params["intercept"] + self.params["slope"] * float(max_pixel)
         return float(self.predict_batch([max_pixel])[0])
 
     def predict_batch(self, pixels: Iterable[float]) -> np.ndarray:

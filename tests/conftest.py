@@ -1,10 +1,15 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermotrack.annotations import NormBBox
 from thermotrack.frameio import ThermalFrame
+from thermotrack.thermoreg import load_model
+
+DATA = Path(__file__).parent / "data"
 
 
 def gray_frame(width, height, value=0, frame_index=0, source_id="frame"):
@@ -42,3 +47,17 @@ def grid_box(class_id, cx_u, cy_u, w_u, h_u):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pinned_models(tmp_path, name):
+    """Every model document of pin set ``name`` in the linear/kNN and tree
+    model pin files, loaded through ``load_model``, trees last."""
+    linear_knn = json.loads((DATA / "linear_knn_model_pins.json").read_text())[name]
+    trees = json.loads((DATA / "tree_model_pins.json").read_text())[name]
+    texts = [text for docs in linear_knn.values() for text in docs.values()] + list(trees.values())
+    models = []
+    for text in texts:
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        models.append(load_model(path))
+    return models

@@ -19,6 +19,7 @@ selects a behavior:
   die-mid                answer OK 2 and one DET line, then exit
   oversized              answer OK 1000000000 and no DET line, then sleep
   trickle                answer OK 1000000000, then one DET line every 10 ms
+  flood                  answer with an endless run of bytes and no LF
   crlf                   handshake and answer with CRLF line ends; every
                          frame is answered with one DET line
   die                    handshake, then exit on the first request
@@ -83,6 +84,10 @@ def main() -> int:
             while True:
                 time.sleep(0.01)
                 print(DET_LINE, flush=True)
+        elif mode == "flood":
+            while True:
+                sys.stdout.buffer.write(b"x" * 65536)
+                sys.stdout.buffer.flush()
         elif mode == "die-mid":
             print(f"OK 2\n{DET_LINE}", flush=True)
             return 0

@@ -4,6 +4,8 @@ uninstalling it here makes such a rename fail the test suite instead."""
 
 from pathlib import Path
 
+from thermotrack import detectors, frameio, pipeline, synthscene, thermoreg
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -22,3 +24,36 @@ def test_tracer_hooks_exist_and_are_restored(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in hooks:
         assert getattr(owner, attr) is original, f"{attr} was not restored"
+
+
+def test_traced_stream_reaches_these_hooks(monkeypatch, tmp_path):
+    """The hooks a traced three-frame blob stream reaches, by name: a change
+    that stops a stream from reaching a wrapped name shows up here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    paths = []
+    for frame, _, _ in synthscene.generate_sequence(synthscene.SequenceSpec(frames=3, layout="dense", seed=41)):
+        paths.append(tmp_path / f"frame_{frame.frame_index}.pgm")
+        frameio.save_frame(frame, paths[-1])
+    detector = detectors.BlobDetector(
+        detectors.DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
+    )
+    law = thermoreg.FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
+    cfg = pipeline.PipelineConfig(log_path=tmp_path / "log.csv", output_dir=tmp_path / "out")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        summary = pipeline.run_stream(paths, detector, law, cfg)
+    finally:
+        tracer.uninstall()
+    assert (summary.frames, summary.errors) == (3, 0) and summary.readings > 0
+    reached = {span[0] for span in tracer.spans} | {name for name, count in tracer.counts.items() if count}
+    assert reached == {
+        "pipeline.run_stream",
+        "frameio.load_frame",
+        "frameio.load_frame.bytes",
+        "frameio.gray_to_bgr",
+        "frameio.save_frame",
+        "frameio.save_frame.bytes",
+    }

@@ -1,4 +1,5 @@
 import gc
+import os
 import subprocess
 import sys
 import tempfile
@@ -449,6 +450,15 @@ class TestReplayDetector:
         assert len(dets) == 2
         assert all(d.confidence == 1.0 for d in dets)
 
+    def test_class_ids_pass_through_the_arrays(self):
+        # One id past the int64 range: detections carry each id as given.
+        labels = [
+            GroundTruthLabel(NormBBox(7, 0.25, 0.25, 0.2, 0.2)),
+            GroundTruthLabel(NormBBox(2**70, 0.7, 0.6, 0.2, 0.2)),
+        ]
+        dets = ReplayDetector({"f": labels}).detect(gray_frame(100, 100, source_id="f"))
+        assert [d.class_id for d in dets] == [7, 2**70]
+
     def test_unknown_source_is_empty(self):
         detector = ReplayDetector({})
         assert detector.detect(gray_frame(20, 20, source_id="other")) == []
@@ -567,6 +577,29 @@ class TestExternalAdapter:
             with pytest.raises(AdapterTimeoutError):
                 adapter.request(gray_frame(32, 32))
             assert time.perf_counter() - start < timeout + 1.0
+            with pytest.raises(AdapterExitedError):
+                adapter.request(gray_frame(32, 32))
+
+    def test_flood_without_line_end_is_protocol_error(self, monkeypatch):
+        # The buffer stops at one line cap plus one read, and is dropped with
+        # the adapter, since the rest of the line cannot be told from a reply.
+        timeout = 2.0
+        with ExternalAdapter(stub_command("flood"), response_timeout_s=timeout) as adapter:
+            buffered = []
+            real_read = os.read
+
+            def read(fd, n):
+                buffered.append(len(adapter._unread))
+                return real_read(fd, n)
+
+            monkeypatch.setattr(os, "read", read)
+            start = time.perf_counter()
+            with pytest.raises(AdapterProtocolError, match="no line end"):
+                adapter.request(gray_frame(32, 32))
+            assert time.perf_counter() - start < timeout
+            monkeypatch.undo()
+            assert buffered and max(buffered) <= detectors.MAX_LINE_BYTES
+            assert adapter._unread == b""
             with pytest.raises(AdapterExitedError):
                 adapter.request(gray_frame(32, 32))
 

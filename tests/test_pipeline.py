@@ -3,20 +3,20 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import expected_overlay, label_rect, max_pixel_scan
-from conftest import gray_frame, peak_traced_bytes
+from conftest import gray_frame, peak_traced_bytes, pinned_models
 from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
 from thermotrack.detectors import (
     BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector, ReplayDetector
 )
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
-    TEXT_COLOR,
     PipelineConfig,
     StreamSummary,
     TempReading,
@@ -34,6 +34,8 @@ from thermotrack.thermoreg import FittedRegressor
 BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
 LAW = FittedRegressor("ridge", {"intercept": 20.0, "slope": 0.1}, {"lambda": 0.0})
 STUB = Path(__file__).parent / "stub_adapter.py"
+# 60 faces in each 320x240 frame: later boxes cross earlier labels.
+CROWD = SequenceSpec(frames=10, layout="dense", dense_min=60, dense_max=60, width=320, height=240, seed=43)
 
 
 def _scene_frame(temp=35.0, seed=2):
@@ -111,6 +113,12 @@ class TestPipelineConfig:
     def test_value_outside_float_range_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("decimals", [1.5, True, "1", -1])
+    def test_overlay_decimals_must_be_an_int(self, decimals):
+        # 1.5 would fail every frame later with "Invalid format specifier".
+        with pytest.raises(ValueError, match="overlay_decimals"):
+            PipelineConfig(overlay_decimals=decimals)
 
 
 class TestProcessFrame:
@@ -242,10 +250,9 @@ class TestRenderOverlay:
 
     def test_unknown_glyph_raises(self):
         frame = gray_to_bgr(gray_frame(30, 22))
-        from thermotrack.pipeline import _draw_text
-
-        with pytest.raises(ValueError):
-            _draw_text(frame.pixels, 0, 0, "35K", TEXT_COLOR)
+        readings = [TempReading(0, PixelBBox(0, 0, 10, 10), 150, math.nan, False)]  # "nan°C"
+        with pytest.raises(ValueError, match="no glyph for character 'n'"):
+            render_overlay(frame, readings)
 
     def test_format_temperature(self):
         assert format_temperature(36.58, 1) == "36.6°C"
@@ -268,14 +275,7 @@ class TestOutputPins:
         [
             ("dense", 1, SequenceSpec(frames=40, layout="dense", seed=41), 100.0),
             ("sparse", 3, SequenceSpec(frames=40, layout="sparse", seed=42), 100.0),
-            (
-                "crowd",
-                1,
-                SequenceSpec(
-                    frames=10, layout="dense", dense_min=60, dense_max=60, width=320, height=240, seed=43
-                ),
-                1,
-            ),
+            ("crowd", 1, CROWD, 1),
         ],
         ids=["dense-1-41", "sparse-3-42", "crowd"],
     )
@@ -298,6 +298,60 @@ class TestOutputPins:
         } == self.PINS[layout]
         if layout == "crowd":
             assert _label_crossings(tmp_path / "log.csv", decimals, seq.width, seq.height) > 0
+
+
+@pytest.mark.parametrize("name", ["n200", "integer_dups"])
+def test_crowd_readings_follow_each_pinned_model(tmp_path, name):
+    """Every kind of model: each logged temperature is the model's own
+    ``predict`` of the logged max pixel, and ``process_frame`` reads each
+    frame as the stream logs it."""
+    frames = [frame for frame, _, _ in generate_sequence(CROWD)]
+    detector = BlobDetector(BLOB_CFG)
+    for model in pinned_models(tmp_path, name):
+        cfg = PipelineConfig(min_bbox_area=1, log_path=tmp_path / "log.csv")
+        assert run_stream(frames, detector, model, cfg).readings == 600
+        rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == [repr(model.predict(int(row.split(",")[5]))) for row in rows]
+        read = [
+            f"{r.frame_index},{r.bbox.x1},{r.bbox.y1},{r.bbox.x2},{r.bbox.y2},"
+            f"{r.max_pixel},{r.temperature_c!r},{int(r.flagged)}"
+            for index, frame in enumerate(frames)
+            for r in process_frame(replace(frame, frame_index=index), cfg, detector, model)[1]
+        ]
+        assert read == rows
+
+
+def test_stream_reads_the_model_once_and_builds_no_objects(monkeypatch, tmp_path):
+    """The stream path asks the model for one 256-pixel table per session and
+    carries detections as arrays, from the detector to the log and overlay."""
+    frames = [frame for frame, _, _ in generate_sequence(SequenceSpec(frames=3, layout="dense", seed=41))]
+    batches = []
+    predict_batch = FittedRegressor.predict_batch
+
+    def counted(model, pixels):
+        batches.append(len(pixels))
+        return predict_batch(model, pixels)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the stream path")
+
+    monkeypatch.setattr(FittedRegressor, "predict_batch", counted)
+    monkeypatch.setattr(FittedRegressor, "predict", forbidden)
+    for cls in (Detection, PixelBBox, TempReading):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    cfg = PipelineConfig(log_path=tmp_path / "log.csv", output_dir=tmp_path / "out")
+    summary = run_stream(frames, BlobDetector(BLOB_CFG), LAW, cfg)
+    assert (summary.frames, summary.errors) == (3, 0) and summary.readings > 0
+    assert batches == [256]
+
+
+def test_unusable_model_fails_before_the_first_frame(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text("kept\n")
+    bogus = FittedRegressor("bogus", {})
+    with pytest.raises(ValueError, match="unknown model kind"):
+        run_stream([gray_frame(32, 32)], BlobDetector(BLOB_CFG), bogus, PipelineConfig(log_path=log))
+    assert log.read_text() == "kept\n"
 
 
 def _label_crossings(log_path, decimals, width, height):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from _oracles import walk_tree
-from conftest import traced_call
+from conftest import pinned_models, traced_call
 from thermotrack import _forest, thermoreg
 from thermotrack.synthscene import generate_calibration_set
 from thermotrack.thermoreg import (
@@ -19,6 +19,7 @@ from thermotrack.thermoreg import (
     MODEL_KINDS,
     CalibrationSample,
     CrossValReport,
+    FittedRegressor,
     ModelSpec,
     NoViableModelError,
     grid_search,
@@ -701,21 +702,6 @@ class TestLinearKnnPins:
         assert _grid_model_docs(make(), kind, tmp_path) == self.PINS[name][kind]
 
 
-def _pinned_models(tmp_path, name):
-    """Every model document of pin set ``name`` in the linear/kNN and tree
-    model pin files, loaded through ``load_model``, trees last."""
-    data = Path(__file__).parent / "data"
-    linear_knn = json.loads((data / "linear_knn_model_pins.json").read_text())[name]
-    trees = json.loads((data / "tree_model_pins.json").read_text())[name]
-    texts = [text for docs in linear_knn.values() for text in docs.values()] + list(trees.values())
-    models = []
-    for text in texts:
-        path = tmp_path / "model.json"
-        path.write_text(text)
-        models.append(load_model(path))
-    return models
-
-
 def _thresholds(node):
     return [] if node["kind"] == "leaf" else [
         node["threshold"], *_thresholds(node["left"]), *_thresholds(node["right"])
@@ -729,7 +715,7 @@ class TestAllPixels:
 
     @pytest.mark.parametrize("name", [name for name, _ in _PIN_SETS])
     def test_batch_equals_scalar_predict(self, name, tmp_path):
-        models = _pinned_models(tmp_path, name)
+        models = pinned_models(tmp_path, name)
         assert {model.kind for model in models} == set(MODEL_KINDS)
         for model in models:
             table = model.predict_batch(np.arange(256.0)).tolist()
@@ -737,7 +723,7 @@ class TestAllPixels:
 
     @pytest.mark.parametrize("name", [name for name, _ in _PIN_SETS])
     def test_tree_routes_as_dict_walker(self, name, tmp_path):
-        for model in _pinned_models(tmp_path, name):
+        for model in pinned_models(tmp_path, name):
             if model.kind != "decision_tree":
                 continue
             tree = model.params["tree"]
@@ -879,6 +865,18 @@ class TestPersistence:
             pixels = rng.uniform(0, 255, 1000)
             for p in pixels:
                 assert loaded.predict(float(p)) == model.predict(float(p))
+
+    @pytest.mark.parametrize("kind", sorted(LINEAR_KINDS))
+    def test_integer_params_predict_floats(self, tmp_path, kind):
+        # A hand-written model file may hold JSON integers; the reading log
+        # writes repr(temperature), so predict must not answer 220 where
+        # predict_batch answers 220.0.
+        path = tmp_path / "model.json"
+        save_model(FittedRegressor(kind, {"intercept": 20, "slope": 1}), path)
+        loaded = load_model(path)
+        assert repr(loaded.predict(200)) == repr(loaded.predict_batch([200]).tolist()[0]) == "220.0"
+        table = loaded.predict_batch(np.arange(256.0)).tolist()
+        assert repr([loaded.predict(p) for p in range(256)]) == repr(table)
 
     def test_knn_and_tree_round_trip(self, tmp_path, rng):
         samples = _noisy_line(n=25)
