@@ -2,12 +2,12 @@
 
 For every frame: detect face regions, drop boxes below a minimum area, take
 the maximum intensity inside each surviving region, look it up in the
-model's temperatures for all 256 pixel values (read once a stream), draw the
-box and temperature onto a copy of the frame, and append a log row. Boxes
-stay arrays from detector to log and overlay; only ``process_frame`` builds
-``TempReading``s. A stream processes frames strictly in order and keeps
-going when a single frame fails: one corrupt frame must not take down a
-monitoring session.
+model's temperatures for all 256 pixel values (read once a stream), and
+append a log row. Only a frame that is returned or saved is drawn, as a copy
+with each box and temperature. Boxes stay arrays from detector to log and
+overlay; only ``process_frame`` builds ``TempReading``s. A stream processes
+frames strictly in order and keeps going when a single frame fails: one
+corrupt frame must not take down a monitoring session.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .annotations import PixelBBox
-from .detectors import Detection, Detector, _Boxes
+from .detectors import Detector
 from .frameio import (
     NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame, bgr_to_grayscale, gray_to_bgr, load_frame, save_frame
 )
@@ -160,11 +160,6 @@ def scaled_min_area(min_bbox_area: float, frame_w: int, frame_h: int) -> float:
     return float(min_bbox_area) * (frame_w * frame_h) / NATIVE_FRAME_AREA
 
 
-def filter_min_area(dets: Sequence[Detection], min_area: float) -> list[Detection]:
-    """Drop excessively small boxes; order is preserved."""
-    return [dets[i] for i in np.flatnonzero(_large_enough(_Boxes.of(dets).corners, min_area)).tolist()]
-
-
 def _large_enough(corners: np.ndarray, min_area: float) -> np.ndarray:
     return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1]) >= min_area
 
@@ -186,11 +181,16 @@ def _label(text: str, shape: tuple[int, int]) -> tuple[tuple[int, int], np.ndarr
     return shape, rows[inside] * shape[1] + cols[inside], len(text) * GLYPH_PITCH - 1
 
 
-def _model_table(model: FittedRegressor) -> tuple[list[float], list]:
+def _model_table(model: FittedRegressor) -> list[float]:
     """A model's temperature at each of the 256 uint8 pixel values, as Python
     floats (the log writes their ``repr``, and a numpy float64 reprs as
-    ``np.float64(...)``), and an empty memo of each value's label."""
-    return model.predict_batch(np.arange(256.0)).tolist(), [None] * 256
+    ``np.float64(...)``). Each must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        temps = model.predict_batch(np.arange(256.0))
+    bad = np.flatnonzero(~np.isfinite(temps))
+    if bad.size:
+        raise ValueError(f"model temperature at pixel value {bad[0]} is not finite: {temps[bad[0]]}")
+    return temps.tolist()
 
 
 def _annotate(frame: ThermalFrame, boxes: Sequence[Sequence[int]], labels: Sequence[tuple]) -> ThermalFrame:
@@ -232,10 +232,10 @@ def render_overlay(
     return _annotate(frame, boxes, [_label(format_temperature(r.temperature_c, decimals), shape) for r in readings])
 
 
-def _read_frame(frame: ThermalFrame, cfg: PipelineConfig, detector: Detector, temps: list, labels: list) -> tuple:
-    """``process_frame`` on arrays, with ``_model_table``'s two lists: the
-    annotated frame and, in detection order, each reading's box
-    ``[x1, y1, x2, y2]``, max pixel, temperature and fever flag."""
+def _measure(frame: ThermalFrame, cfg: PipelineConfig, detector: Detector, temps: list) -> list:
+    """``process_frame``'s readings on arrays, with ``_model_table``'s
+    temperatures: in detection order, each reading's box ``[x1, y1, x2, y2]``,
+    max pixel, temperature and fever flag."""
     gray = frame if frame.channels == 1 else bgr_to_grayscale(frame)
     try:
         corners = detector._boxes(gray).corners
@@ -243,13 +243,17 @@ def _read_frame(frame: ThermalFrame, cfg: PipelineConfig, detector: Detector, te
         raise PipelineFrameError(frame.frame_index, f"detector failed: {exc}") from exc
     boxes = corners[_large_enough(corners, scaled_min_area(cfg.min_bbox_area, frame.width, frame.height))].tolist()
     peaks = [_roi_max(gray.pixels, *box) for box in boxes]
-    rows = [(box, peak, temps[peak], temps[peak] > cfg.fever_threshold_c) for box, peak in zip(boxes, peaks)]
-    if not cfg.overlay_enabled:
-        return _annotate(frame, [], []), rows
-    for peak in peaks:
-        if labels[peak] is None or labels[peak][0] != gray.pixels.shape:
-            labels[peak] = _label(format_temperature(temps[peak], cfg.overlay_decimals), gray.pixels.shape)
-    return _annotate(frame, boxes, [labels[peak] for peak in peaks]), rows
+    return [(box, peak, temps[peak], temps[peak] > cfg.fever_threshold_c) for box, peak in zip(boxes, peaks)]
+
+
+def _draw(frame: ThermalFrame, rows: list, cfg: PipelineConfig, labels: list) -> ThermalFrame:
+    """``_measure``'s rows drawn on a copy of a frame; ``labels`` memoises each max pixel's label."""
+    rows = rows if cfg.overlay_enabled else []
+    shape = frame.pixels.shape[:2]
+    for _, peak, temperature, _ in rows:
+        if labels[peak] is None or labels[peak][0] != shape:
+            labels[peak] = _label(format_temperature(temperature, cfg.overlay_decimals), shape)
+    return _annotate(frame, [row[0] for row in rows], [labels[row[1]] for row in rows])
 
 
 def process_frame(
@@ -258,15 +262,15 @@ def process_frame(
     detector: Detector,
     model: FittedRegressor,
 ) -> tuple[ThermalFrame, list[TempReading]]:
-    """Run one frame through detect -> area filter -> max pixel -> predict ->
-    annotate.
+    """Run one frame through detect -> area filter -> max pixel -> predict,
+    then annotate a copy of it.
 
     Returns the annotated 3-channel frame and the readings. Detector
     failures are re-raised with the frame index attached so a stream can
     log and move on.
     """
-    annotated, rows = _read_frame(frame, cfg, detector, *_model_table(model))
-    return annotated, [TempReading(frame.frame_index, PixelBBox(*box), *reading) for box, *reading in rows]
+    rows = _measure(frame, cfg, detector, _model_table(model))
+    return _draw(frame, rows, cfg, [None] * 256), [TempReading(frame.frame_index, PixelBBox(*b), *r) for b, *r in rows]
 
 
 def run_stream(
@@ -280,11 +284,11 @@ def run_stream(
     Source items may be frames or paths (paths are loaded lazily). Frames
     are processed strictly in source order and stamped with their stream
     position as frame_index. Log rows are appended and flushed per frame,
-    so a crash leaves a usable partial log. A frame that fails to load or
-    process is counted, logged, and skipped; log/output I/O errors abort
-    the stream.
+    so a crash leaves a usable partial log. A frame is drawn only to be
+    saved. A frame that fails to load, process or draw is counted, logged
+    and skipped; log/output I/O errors abort the stream.
     """
-    table = _model_table(model)
+    temps, labels = _model_table(model), [None] * 256
     summary = StreamSummary()
     log_handle = None
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
@@ -301,7 +305,8 @@ def run_stream(
             try:
                 frame = item if isinstance(item, ThermalFrame) else load_frame(item)
                 frame = replace(frame, frame_index=position)
-                annotated, rows = _read_frame(frame, cfg, detector, *table)
+                rows = _measure(frame, cfg, detector, temps)
+                annotated = _draw(frame, rows, cfg, labels) if out_dir is not None else None
             except (PipelineFrameError, ValueError, OSError) as exc:
                 summary.errors += 1
                 logger.warning("skipping frame %d: %s", position, exc)

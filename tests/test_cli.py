@@ -711,13 +711,18 @@ class TestRun:
     def test_model_number_beyond_float_is_data_error(self, tmp_path, capsys):
         ds = self._dataset(tmp_path, frames=2)
         model = tmp_path / "huge.json"
-        params = {"intercept": 10**400, "slope": 0.1}
-        model.write_text(json.dumps({"format": "thermotrack-model", "version": 1, "kind": "ridge", "params": params}))
-        code = run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "intercept" in err
-        assert "Traceback" not in err
+        # A number past the float range, and finite params whose temperatures overflow.
+        for params, named in [
+            ({"intercept": 10**400, "slope": 0.1}, "intercept"),
+            ({"intercept": 1e308, "slope": 1e308}, "pixel value 1 is not finite"),
+        ]:
+            document = {"format": "thermotrack-model", "version": 1, "kind": "ridge", "params": params}
+            model.write_text(json.dumps(document))
+            code = run_cli("run", str(ds), "--model", str(model), *BLOB_FLAGS)
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+            assert "Traceback" not in err
 
     def test_frameless_directory_replay_is_data_error(self, tmp_path, capsys):
         png = _png_dataset(tmp_path)

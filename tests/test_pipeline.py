@@ -11,17 +11,18 @@ import pytest
 
 from _oracles import expected_overlay, label_rect, max_pixel_scan
 from conftest import gray_frame, peak_traced_bytes, pinned_models
+from thermotrack import pipeline
 from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
 from thermotrack.detectors import (
     BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector, ReplayDetector
 )
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
+    LOG_CSV_HEADER,
     PipelineConfig,
     StreamSummary,
     TempReading,
     extract_max_pixel,
-    filter_min_area,
     format_temperature,
     process_frame,
     render_overlay,
@@ -80,20 +81,24 @@ class TestExtractMaxPixel:
 
 
 class TestAreaFilter:
-    def test_small_box_removed(self):
-        dets = [Detection(PixelBBox(0, 0, 5, 5), 0.9)]
-        assert filter_min_area(dets, 100) == []
-
-    def test_large_box_kept(self):
-        dets = [Detection(PixelBBox(0, 0, 20, 20), 0.9)]
-        assert filter_min_area(dets, 100) == dets
-
-    def test_min_area_one_is_identity(self):
-        dets = [
-            Detection(PixelBBox(0, 0, 1, 1), 0.5),
-            Detection(PixelBBox(3, 3, 30, 30), 0.4),
+    @pytest.mark.parametrize("width, height, side", [(160, 120, 10), (320, 240, 20)])
+    def test_frame_reads_boxes_that_reach_the_scaled_area(self, width, height, side):
+        """min_bbox_area=100 scales to side * side: a box of that area is read
+        and one a pixel short of it is not; readings keep detection order."""
+        boxes = [
+            PixelBBox(60, 40, 60 + side, 40 + side),
+            PixelBBox(100, 5, 100 + side - 1, 5 + side + 1),
+            PixelBBox(5, 60, 5 + side, 60 + side),
         ]
-        assert filter_min_area(dets, 1) == dets
+
+        class Fixed(Detector):
+            def _detect_raw(self, frame):
+                return [Detection(box, 0.9) for box in boxes]
+
+        assert scaled_min_area(100.0, width, height) == side * side
+        frame = gray_frame(width, height, value=50)
+        _, readings = process_frame(frame, PipelineConfig(min_bbox_area=100), Fixed(DetectorConfig()), LAW)
+        assert [r.bbox for r in readings] == [boxes[0], boxes[2]]
 
     def test_scaling_rule(self):
         assert scaled_min_area(100.0, 160, 120) == 100.0
@@ -349,9 +354,14 @@ def test_unusable_model_fails_before_the_first_frame(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("kept\n")
     bogus = FittedRegressor("bogus", {})
-    with pytest.raises(ValueError, match="unknown model kind"):
-        run_stream([gray_frame(32, 32)], BlobDetector(BLOB_CFG), bogus, PipelineConfig(log_path=log))
-    assert log.read_text() == "kept\n"
+    # Finite params, so load_model accepts it, but 1e308 + 1e308 * 1 overflows.
+    overflowing = FittedRegressor("ridge", {"intercept": 1e308, "slope": 1e308}, {"lambda": 0.0})
+    for model, message in [(bogus, "unknown model kind"), (overflowing, "pixel value 1 is not finite")]:
+        with pytest.raises(ValueError, match=message):
+            run_stream([gray_frame(32, 32)], BlobDetector(BLOB_CFG), model, PipelineConfig(log_path=log))
+        assert log.read_text() == "kept\n"
+        with pytest.raises(ValueError, match=message):
+            process_frame(gray_frame(32, 32), PipelineConfig(), BlobDetector(BLOB_CFG), model)
 
 
 def _label_crossings(log_path, decimals, width, height):
@@ -397,6 +407,21 @@ class TestRunStream:
         indices = [int(r[0]) for r in rows[1:]]
         assert indices == sorted(indices)
         assert len(rows) - 1 == summary.readings
+
+    def test_frame_that_cannot_be_drawn_is_skipped_unlogged(self, tmp_path, monkeypatch):
+        def no_glyph(text, shape):
+            raise ValueError(f"no glyph for {text!r}")
+
+        monkeypatch.setattr(pipeline, "_label", no_glyph)
+        paths = self._sequence_paths(tmp_path, frames=3)
+        saving = PipelineConfig(log_path=tmp_path / "saving.csv", output_dir=tmp_path / "out")
+        summary = run_stream(paths, BlobDetector(BLOB_CFG), LAW, saving)
+        assert (summary.frames, summary.errors, summary.readings) == (0, 3, 0)
+        assert (tmp_path / "saving.csv").read_text() == LOG_CSV_HEADER + "\n"
+        assert not list((tmp_path / "out").iterdir())
+        # A session that saves no frames draws none, so it reads every frame.
+        summary = run_stream(paths, BlobDetector(BLOB_CFG), LAW, PipelineConfig(log_path=tmp_path / "log.csv"))
+        assert (summary.frames, summary.errors, summary.readings) == (3, 0, 6)
 
     def test_corrupt_frame_skipped(self, tmp_path):
         paths = self._sequence_paths(tmp_path)
