@@ -1,9 +1,11 @@
 """Face-region detectors behind one contract.
 
 ``Detector.detect`` always returns detections sorted by descending
-confidence, thresholded, and non-maximum-suppressed; under it a frame's
-boxes stay arrays, and only ``detect``, ``nms`` and ``blob_detect`` hand
-out ``Detection`` objects. Three implementations:
+confidence, thresholded, and non-maximum-suppressed. Under it a frame's
+boxes stay one ``_Boxes`` record of arrays, which every ``_detect_raw``
+returns (replay, external and plug-in ones built by ``_Boxes.of`` from
+pixel boxes); only ``detect``, ``nms`` and ``blob_detect`` hand out
+``Detection`` objects. Three implementations:
 
 * ``ReplayDetector`` replays ground-truth labels (the evaluation baseline
   and the fixture for metric self-consistency checks);
@@ -26,8 +28,8 @@ lines end with LF, and a CR before the LF is ignored):
 The timeout bounds the handshake and each whole response, however many
 lines it has. A response is read in full before its lines are checked, so
 a bad ``DET`` line fails only its own frame. A v1 response carries no
-request id, so an adapter that times out is stopped and a stream skips its
-later frames.
+request id, so an adapter that times out or sends a header it cannot read
+is stopped, and a stream skips its later frames.
 Pipe reads use POSIX ``select``, which is fine: Linux is the deployment target.
 """
 
@@ -101,17 +103,16 @@ class Detection:
 
 class _Boxes(NamedTuple):
     """One frame's detections as arrays: int64 (N, 4) corners x1, y1, x2, y2,
-    float64 confidences, and class ids (converted ones kept as given)."""
+    float64 confidences, and class ids (those passed to ``of`` kept as given)."""
 
     corners: np.ndarray
     confidence: np.ndarray
     class_id: np.ndarray
 
     @classmethod
-    def of(cls, dets: Sequence[Detection]) -> "_Boxes":
-        corners = np.array([(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) for d in dets], dtype=np.int64)
-        confidence = np.array([d.confidence for d in dets], dtype=np.float64)
-        return cls(corners.reshape(-1, 4), confidence, np.array([d.class_id for d in dets], dtype=object))
+    def of(cls, boxes: Sequence[PixelBBox], confidences: Sequence[float], class_ids: Sequence[int]) -> "_Boxes":
+        corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.int64).reshape(-1, 4)
+        return cls(corners, np.array(confidences, dtype=np.float64), np.array(class_ids, dtype=object))
 
     def detections(self) -> list[Detection]:
         return [Detection(PixelBBox(*box), conf, class_id) for box, conf, class_id in zip(*(a.tolist() for a in self))]
@@ -133,7 +134,7 @@ class DetectorConfig:
             raise ValueError(f"nms_iou_threshold {self.nms_iou_threshold} outside (0, 1)")
         if not 0 <= self.intensity_threshold <= 255:
             raise ValueError(f"intensity_threshold {self.intensity_threshold} outside [0, 255]")
-        if self.min_blob_area < 0:
+        if not self.min_blob_area >= 0:
             raise ValueError(f"min_blob_area {self.min_blob_area} must be >= 0")
         if not self.max_aspect_ratio >= 1.0:
             raise ValueError(f"max_aspect_ratio {self.max_aspect_ratio} must be >= 1")
@@ -153,7 +154,8 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     conflicts with. IoU is symmetric, so its row lists earlier boxes too;
     each of those is already dropped, or it would have dropped this one.
     """
-    return [dets[i] for i in _nms_keep(*_Boxes.of(dets)[:2], iou_threshold).tolist()]
+    boxes = _Boxes.of([d.bbox for d in dets], [d.confidence for d in dets], [d.class_id for d in dets])
+    return [dets[i] for i in _nms_keep(boxes.corners, boxes.confidence, iou_threshold).tolist()]
 
 
 def _nms_keep(corners: np.ndarray, confidence: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -269,12 +271,12 @@ class Detector:
     def _boxes(self, frame: ThermalFrame) -> _Boxes:
         """``detect`` as arrays."""
         raw = self._detect_raw(frame)
-        raw = raw if isinstance(raw, _Boxes) else _Boxes.of(raw)
         passed = np.flatnonzero(raw.confidence >= self.config.confidence_threshold)
         kept = passed[_nms_keep(raw.corners[passed], raw.confidence[passed], self.config.nms_iou_threshold)]
         return _Boxes(*(a[kept] for a in raw))
 
-    def _detect_raw(self, frame: ThermalFrame) -> Sequence[Detection] | _Boxes:
+    def _detect_raw(self, frame: ThermalFrame) -> _Boxes:
+        """A frame's unfiltered proposals, as ``_Boxes.of(boxes, confidences, class_ids)``."""
         raise NotImplementedError
 
 
@@ -290,12 +292,10 @@ class ReplayDetector(Detector):
         super().__init__(config or DetectorConfig(nms_iou_threshold=REPLAY_NMS_IOU))
         self._labels = {key: list(value) for key, value in labels_by_source.items()}
 
-    def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
+    def _detect_raw(self, frame: ThermalFrame) -> _Boxes:
         labels = self._labels.get(frame.source_id, [])
-        return [
-            Detection(denormalize(lab.bbox, frame.width, frame.height), 1.0, lab.bbox.class_id)
-            for lab in labels
-        ]
+        boxes = [denormalize(lab.bbox, frame.width, frame.height) for lab in labels]
+        return _Boxes.of(boxes, [1.0] * len(labels), [lab.bbox.class_id for lab in labels])
 
 
 class BlobDetector(Detector):
@@ -352,11 +352,7 @@ class ExternalAdapter:
             scanned = len(self._unread)
             remaining = deadline - time.monotonic()
             if scanned > MAX_LINE_BYTES or remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                # A v1 reply carries no request id: a late reply, or the rest of
-                # an overlong line, would be read as the next answer. Stop instead.
-                self._proc.kill()
-                self._proc.wait()
-                self._unread.clear()
+                self._stop()
                 if scanned > MAX_LINE_BYTES:
                     raise AdapterProtocolError(f"no line end within {MAX_LINE_BYTES} bytes from {self.command}")
                 raise AdapterTimeoutError(f"no complete response within {self.response_timeout_s} s from {self.command}")
@@ -371,6 +367,13 @@ class ExternalAdapter:
         del self._unread[: end + 1]
         # Undecodable bytes become U+FFFD and fail the protocol check.
         return line.decode("utf-8", errors="replace")
+
+    def _stop(self) -> None:
+        """Kill the adapter and drop what it sent: a v1 reply carries no request
+        id, so a late reply or the rest of a broken one would answer the next frame."""
+        self._proc.kill()
+        self._proc.wait()
+        self._unread.clear()
 
     def _handshake(self) -> None:
         line = self._read_line(time.monotonic() + self.response_timeout_s)
@@ -413,7 +416,8 @@ class ExternalAdapter:
         header = self._read_line(deadline).split()
         if header and header[0] == "ERR":
             raise AdapterError("adapter reported: " + " ".join(header[1:]))
-        if len(header) != 2 or header[0] != "OK" or not header[1].isdigit():
+        if len(header) != 2 or header[0] != "OK" or not (header[1].isascii() and header[1].isdigit()):
+            self._stop()
             raise AdapterProtocolError(f"bad response header {' '.join(header)!r}")
         # Read the whole reply first: a bad line must not leave the rest for the next frame.
         replies = [self._read_line(deadline).split() for _ in range(int(header[1]))]
@@ -460,12 +464,10 @@ class ExternalDetector(Detector):
         super().__init__(config or DetectorConfig())
         self.adapter = adapter
 
-    def _detect_raw(self, frame: ThermalFrame) -> list[Detection]:
-        detections = []
-        for class_id, conf, box in self.adapter.request(frame):
-            try:
-                pixel_box = denormalize(box, frame.width, frame.height)
-            except DegenerateBoxError as exc:
-                raise AdapterProtocolError(f"degenerate detection: {exc}") from None
-            detections.append(Detection(pixel_box, conf, class_id))
-        return detections
+    def _detect_raw(self, frame: ThermalFrame) -> _Boxes:
+        replies = self.adapter.request(frame)
+        try:
+            boxes = [denormalize(box, frame.width, frame.height) for _, _, box in replies]
+        except DegenerateBoxError as exc:
+            raise AdapterProtocolError(f"degenerate detection: {exc}") from None
+        return _Boxes.of(boxes, [conf for _, conf, _ in replies], [class_id for class_id, _, _ in replies])

@@ -267,7 +267,9 @@ def process_frame(
 
     Returns the annotated 3-channel frame and the readings. Detector
     failures are re-raised with the frame index attached so a stream can
-    log and move on.
+    log and move on. Every call builds the model's 256-pixel table and a
+    fresh label memo; for a stream, ``run_stream`` builds each once per
+    session.
     """
     rows = _measure(frame, cfg, detector, _model_table(model))
     return _draw(frame, rows, cfg, [None] * 256), [TempReading(frame.frame_index, PixelBBox(*b), *r) for b, *r in rows]

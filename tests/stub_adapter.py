@@ -10,6 +10,9 @@ selects a behavior:
                          k-th .txt file sorted by stem)
   garbage                handshake, then answer with a nonsense token
   non-utf8               handshake, then answer with a header that is not UTF-8
+  superscript            handshake, then answer with the header OK ² (not ASCII)
+  extra-line             answer frame 1 with one DET line past its count,
+                         frame 2 with another box, later frames with OK 0
   err                    handshake, then answer ERR to every frame
   slow <seconds>         handshake, then sleep before each answer; every
                          frame is answered with one DET line
@@ -32,6 +35,7 @@ import time
 from pathlib import Path
 
 DET_LINE = "DET 0 0.90 0.5 0.5 0.25 0.25"
+OTHER_DET_LINE = "DET 0 0.40 0.25 0.25 0.125 0.125"
 
 
 def main() -> int:
@@ -67,6 +71,12 @@ def main() -> int:
         elif mode == "non-utf8":
             sys.stdout.buffer.write(b"OK \xff\n")
             sys.stdout.buffer.flush()
+        elif mode == "superscript":
+            sys.stdout.buffer.write("OK \u00b2\n".encode())
+            sys.stdout.buffer.flush()
+        elif mode == "extra-line":
+            replies = {1: f"OK 1\n{DET_LINE}\n{DET_LINE}", 2: f"OK 1\n{OTHER_DET_LINE}"}
+            print(replies.get(request_count, "OK 0"), flush=True)
         elif mode == "err":
             print("ERR detector exploded", flush=True)
         elif mode in ("slow", "slow-once", "crlf"):

@@ -62,6 +62,8 @@ class TestDetectionTypes:
             DetectorConfig(nms_iou_threshold=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(intensity_threshold=300)
+        with pytest.raises(ValueError, match="min_blob_area"):
+            DetectorConfig(min_blob_area=float("nan"))
 
 
 class TestNms:
@@ -516,14 +518,30 @@ class TestExternalAdapter:
                 ExternalDetector(adapter).detect(gray_frame(32, 32))
 
     def test_non_utf8_response_fails_at_once(self):
-        # The bad byte must fail the header check at once, not leave every
-        # request to wait out the timeout.
+        # The bad byte must fail the header check at once, not leave the
+        # request to wait out the timeout; the adapter is then stopped.
         with ExternalAdapter(stub_command("non-utf8"), response_timeout_s=10.0) as adapter:
-            for _ in range(2):
+            for error, message in [(AdapterProtocolError, "bad response header"), (AdapterExitedError, "has exited")]:
                 start = time.perf_counter()
-                with pytest.raises(AdapterProtocolError, match="bad response header"):
+                with pytest.raises(error, match=message):
                     ExternalDetector(adapter).detect(gray_frame(32, 32))
                 assert time.perf_counter() - start < 2.0
+
+    def test_non_ascii_count_is_protocol_violation(self):
+        with ExternalAdapter(stub_command("superscript")) as adapter:
+            with pytest.raises(AdapterProtocolError, match="bad response header"):
+                adapter.request(gray_frame(32, 32))
+
+    def test_reply_past_its_count_answers_no_later_request(self):
+        # Reply 1 sends one DET line more than its header counts. Request 2
+        # reads that line as its header; the rest of reply 2 must not answer
+        # request 3.
+        with ExternalAdapter(stub_command("extra-line")) as adapter:
+            assert adapter.request(gray_frame(32, 32)) == [STUB_DET]
+            with pytest.raises(AdapterProtocolError, match="bad response header"):
+                adapter.request(gray_frame(32, 32))
+            with pytest.raises(AdapterExitedError):
+                adapter.request(gray_frame(32, 32))
 
     def test_err_response_is_reported(self):
         with ExternalAdapter(stub_command("err")) as adapter:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -12,9 +13,9 @@ import pytest
 from _oracles import expected_overlay, label_rect, max_pixel_scan
 from conftest import gray_frame, peak_traced_bytes, pinned_models
 from thermotrack import pipeline
-from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox
+from thermotrack.annotations import GroundTruthLabel, NormBBox, PixelBBox, serialize_yolo
 from thermotrack.detectors import (
-    BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector, ReplayDetector
+    BlobDetector, Detection, Detector, DetectorConfig, ExternalAdapter, ExternalDetector, ReplayDetector, _Boxes
 )
 from thermotrack.frameio import ThermalFrame, gray_to_bgr, save_frame
 from thermotrack.pipeline import (
@@ -93,7 +94,7 @@ class TestAreaFilter:
 
         class Fixed(Detector):
             def _detect_raw(self, frame):
-                return [Detection(box, 0.9) for box in boxes]
+                return _Boxes.of(boxes, [0.9] * len(boxes), [0] * len(boxes))
 
         assert scaled_min_area(100.0, width, height) == side * side
         frame = gray_frame(width, height, value=50)
@@ -192,7 +193,7 @@ class TestProcessFrame:
 
         class Fixed(Detector):
             def _detect_raw(self, frame):
-                return [Detection(PixelBBox(40 + 150 * i, 60, 140 + 150 * i, 180), 0.9) for i in range(4)]
+                return _Boxes.of([PixelBBox(40 + 150 * i, 60, 140 + 150 * i, 180) for i in range(4)], [0.9] * 4, [0] * 4)
 
         frame = ThermalFrame(rng.integers(0, 256, (640, 640), dtype=np.uint8))
         detector = Fixed(DetectorConfig())
@@ -326,10 +327,26 @@ def test_crowd_readings_follow_each_pinned_model(tmp_path, name):
         assert read == rows
 
 
-def test_stream_reads_the_model_once_and_builds_no_objects(monkeypatch, tmp_path):
+@pytest.mark.parametrize("kind", ["blob", "replay", "external"])
+def test_stream_reads_the_model_once_and_builds_no_objects(monkeypatch, tmp_path, kind):
     """The stream path asks the model for one 256-pixel table per session and
-    carries detections as arrays, from the detector to the log and overlay."""
-    frames = [frame for frame, _, _ in generate_sequence(SequenceSpec(frames=3, layout="dense", seed=41))]
+    carries detections as arrays, from the detector to the log and overlay.
+    Whatever the detector, it builds no ``Detection`` or ``TempReading``; the
+    only ``PixelBBox``es are those ``denormalize`` gives replay and external."""
+    scenes = list(generate_sequence(SequenceSpec(frames=3, layout="dense", seed=41)))
+    frames = [frame for frame, _, _ in scenes]
+    adapter = contextlib.nullcontext()
+    if kind == "blob":
+        detector = BlobDetector(BLOB_CFG)
+    elif kind == "replay":
+        detector = ReplayDetector({frame.source_id: labels for frame, labels, _ in scenes})
+    else:
+        labels_dir = tmp_path / "labels"
+        labels_dir.mkdir()
+        for frame, labels, _ in scenes:
+            (labels_dir / f"{frame.source_id}.txt").write_text(serialize_yolo([label.bbox for label in labels]))
+        adapter = ExternalAdapter([sys.executable, str(STUB), "labels", str(labels_dir), "0.9"])
+        detector = ExternalDetector(adapter)
     batches = []
     predict_batch = FittedRegressor.predict_batch
 
@@ -342,10 +359,11 @@ def test_stream_reads_the_model_once_and_builds_no_objects(monkeypatch, tmp_path
 
     monkeypatch.setattr(FittedRegressor, "predict_batch", counted)
     monkeypatch.setattr(FittedRegressor, "predict", forbidden)
-    for cls in (Detection, PixelBBox, TempReading):
+    for cls in (Detection, TempReading) + ((PixelBBox,) if kind == "blob" else ()):
         monkeypatch.setattr(cls, "__init__", forbidden)
     cfg = PipelineConfig(log_path=tmp_path / "log.csv", output_dir=tmp_path / "out")
-    summary = run_stream(frames, BlobDetector(BLOB_CFG), LAW, cfg)
+    with adapter:
+        summary = run_stream(frames, detector, LAW, cfg)
     assert (summary.frames, summary.errors) == (3, 0) and summary.readings > 0
     assert batches == [256]
 
