@@ -130,20 +130,23 @@ def _add_detector_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--adapter-timeout", type=float, help="seconds to wait for the handshake and for each whole response")
 
 
-# The flags only one detector reads, by argparse dest.
+# The flags that not every detector reads, by argparse dest, with the detectors
+# that read them. Replay confidences are always 1.0, so no threshold moves them.
 _DETECTOR_FLAGS = {
-    "blob": ("blob_threshold", "blob_min_area", "blob_max_aspect"),
-    "external": ("adapter_timeout",),
+    "blob_threshold": ("blob",),
+    "blob_min_area": ("blob",),
+    "blob_max_aspect": ("blob",),
+    "adapter_timeout": ("external",),
+    "conf_threshold": ("blob", "external"),
 }
 
 
 def _reject_unused_flags(args, detector: str) -> None:
     """Fail on a flag given on the command line that ``detector`` does not
     read; config-file keys are not checked."""
-    for owner, flags in _DETECTOR_FLAGS.items():
-        for flag in flags:
-            if owner != detector and getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} does not apply to the {detector} detector")
+    for flag, readers in _DETECTOR_FLAGS.items():
+        if detector not in readers and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to the {detector} detector")
 
 
 def _build_detector(args, config, section: str, dataset_dir: str | Path | None):

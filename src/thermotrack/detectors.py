@@ -260,10 +260,11 @@ def _blob_boxes(frame: ThermalFrame, cfg: DetectorConfig) -> _Boxes:
 
 
 class Detector:
-    """Contract: detect() -> thresholded, NMS-clean detections, best first."""
+    """Contract: detect() -> thresholded, NMS-clean detections, best first.
+    Without a config, ``DetectorConfig()``'s defaults apply (replay keeps its own NMS default)."""
 
-    def __init__(self, config: DetectorConfig):
-        self.config = config
+    def __init__(self, config: DetectorConfig | None = None):
+        self.config = config or DetectorConfig()
 
     def detect(self, frame: ThermalFrame) -> list[Detection]:
         return self._boxes(frame).detections()
@@ -300,9 +301,6 @@ class ReplayDetector(Detector):
 
 class BlobDetector(Detector):
     """In-house thermal blob baseline; stateless and safe to share across streams."""
-
-    def __init__(self, config: DetectorConfig | None = None):
-        super().__init__(config or DetectorConfig())
 
     def _detect_raw(self, frame: ThermalFrame) -> _Boxes:
         return _blob_boxes(frame, self.config)
@@ -445,8 +443,7 @@ class ExternalAdapter:
                 self._proc.terminate()
                 self._proc.wait(timeout=2)
             except (OSError, subprocess.TimeoutExpired):
-                self._proc.kill()
-                self._proc.wait()
+                self._stop()
         self._proc.stdout.close()
         shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
@@ -461,7 +458,7 @@ class ExternalDetector(Detector):
     """Bridges the detector contract onto an ExternalAdapter."""
 
     def __init__(self, adapter: ExternalAdapter, config: DetectorConfig | None = None):
-        super().__init__(config or DetectorConfig())
+        super().__init__(config)
         self.adapter = adapter
 
     def _detect_raw(self, frame: ThermalFrame) -> _Boxes:

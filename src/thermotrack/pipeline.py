@@ -288,7 +288,8 @@ def run_stream(
     position as frame_index. Log rows are appended and flushed per frame,
     so a crash leaves a usable partial log. A frame is drawn only to be
     saved. A frame that fails to load, process or draw is counted, logged
-    and skipped; log/output I/O errors abort the stream.
+    as one warning ``skipping frame <position>: <reason>`` and skipped;
+    log/output I/O errors abort the stream.
     """
     temps, labels = _model_table(model), [None] * 256
     summary = StreamSummary()
@@ -311,7 +312,9 @@ def run_stream(
                 annotated = _draw(frame, rows, cfg, labels) if out_dir is not None else None
             except (PipelineFrameError, ValueError, OSError) as exc:
                 summary.errors += 1
-                logger.warning("skipping frame %d: %s", position, exc)
+                # A PipelineFrameError's text already names the frame, whose index is position.
+                prefix = "" if isinstance(exc, PipelineFrameError) else f"frame {position}: "
+                logger.warning("skipping %s%s", prefix, exc)
                 summary.record_latency((time.perf_counter() - start) * 1000.0)
                 continue
             if log_handle is not None:

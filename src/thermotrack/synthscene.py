@@ -16,7 +16,7 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -97,9 +97,10 @@ def generate(spec: SceneSpec) -> tuple[ThermalFrame, list[GroundTruthLabel], lis
     labels: list[GroundTruthLabel] = []
     temperatures: list[float] = []
     for face in spec.faces:
-        box = face.bbox()
-        if box.x1 < 0 or box.y1 < 0 or box.x2 > spec.width or box.y2 > spec.height:
+        # Before face.bbox(): a box past the left or top edge cannot be built.
+        if not (face.rx <= face.cx < spec.width - face.rx and face.ry <= face.cy < spec.height - face.ry):
             raise ValueError(f"face at ({face.cx}, {face.cy}) overflows the frame")
+        box = face.bbox()
         peak = peak_intensity(face.temperature_c, spec.beta0, spec.beta1)
         if not noise_floor < peak <= 255:
             raise ValueError(
@@ -258,33 +259,30 @@ def generate_sequence(
         yield generate(spec)
 
 
-_SCENE_KEYS = {
-    "width": int, "height": int, "frames": int,
-    "background_level": int, "noise_amplitude": int,
-    "beta0": float, "beta1": float, "seed": int,
-}
-_FACE_KEYS = {
-    "layout": str, "sparse_count": int, "dense_min": int, "dense_max": int,
-    "temp_min_c": float, "temp_max_c": float, "radius_min": int, "radius_max": int,
-}
+# The [faces] keys of a spec file; every other SequenceSpec field is a [scene] key.
+_FACE_KEYS = (
+    "layout", "sparse_count", "dense_min", "dense_max", "temp_min_c", "temp_max_c", "radius_min", "radius_max",
+)
 
 
 def load_sequence_spec(path: str | Path) -> SequenceSpec:
-    """Read a sequence spec from a key=value file with [scene] and [faces]
-    sections; unknown keys are rejected, missing keys take defaults."""
+    """Read a ``SequenceSpec`` from a key=value file with [scene] and [faces]
+    sections: each key is a field, cast to the type of its default; unknown
+    keys are rejected, missing keys take defaults."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read scene spec {path}")
+    casts = {f.name: type(f.default) for f in fields(SequenceSpec)}
     kwargs: dict = {}
-    for section, schema in (("scene", _SCENE_KEYS), ("faces", _FACE_KEYS)):
+    for section in ("scene", "faces"):
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in casts or (key in _FACE_KEYS) != (section == "faces"):
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                kwargs[key] = schema[key](raw)
+                kwargs[key] = casts[key](raw)
             except ValueError:
                 raise ValueError(f"{path}: bad value {raw!r} for {key}") from None
     return SequenceSpec(**kwargs)

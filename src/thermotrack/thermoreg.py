@@ -38,9 +38,6 @@ from . import _forest
 from ._forest import is_finite
 from .frameio import atomic_write_text
 
-LINEAR_KINDS = ("linear", "ridge", "lasso", "elastic_net")
-MODEL_KINDS = LINEAR_KINDS + ("knn", "decision_tree")
-
 MODEL_FORMAT = "thermotrack-model"
 MODEL_FORMAT_VERSION = 1
 
@@ -59,16 +56,9 @@ DEFAULT_GRIDS: dict[str, list[dict]] = {
         {"max_depth": d, "min_samples_leaf": m} for d in (1, 2, 3, 4) for m in (1, 3, 5)
     ],
 }
-
-# Hyperparameter names of each kind, exactly as grids and model JSON spell them.
-_HYPERPARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "linear": (),
-    "ridge": ("lambda",),
-    "lasso": ("lambda",),
-    "elastic_net": ("lambda", "mix"),
-    "knn": ("k",),
-    "decision_tree": ("max_depth", "min_samples_leaf"),
-}
+MODEL_KINDS = tuple(DEFAULT_GRIDS)
+# ModelSpec rejects a grid point that leaves a name out, so each kind's first point names them all.
+_HYPERPARAM_NAMES = {kind: tuple(grid[0]) for kind, grid in DEFAULT_GRIDS.items()}
 
 
 def _is_int(value) -> bool:
@@ -91,6 +81,7 @@ _LINEAR_FIXED: dict[str, dict[str, float]] = {
     "lasso": {"mix": 1.0},
     "elastic_net": {},
 }
+LINEAR_KINDS = tuple(_LINEAR_FIXED)
 
 
 class NoViableModelError(RuntimeError):
@@ -707,7 +698,9 @@ def save_model(model: FittedRegressor, path: str | Path) -> None:
     """Persist a model as a versioned JSON text document.
 
     Floats are serialized through their shortest round-trip representation,
-    so a reloaded linear-family model predicts bit-identically.
+    so a reloaded linear-family model predicts bit-identically. An undefined
+    score (a NaN R2, say) is written as ``null``, since JSON has no NaN;
+    ``load_model`` reads a null ``train_mse`` or ``train_r2`` back as NaN.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -720,7 +713,11 @@ def save_model(model: FittedRegressor, path: str | Path) -> None:
         "training_digest": model.training_digest,
         "provenance": model.provenance,
     }
-    atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or an infinity: read each back as null, every other value as itself
+        text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent=2, sort_keys=True)
+    atomic_write_text(Path(path), text + "\n")
 
 
 def _params_problem(kind: str, params) -> str | None:
@@ -762,8 +759,8 @@ def load_model(path: str | Path) -> FittedRegressor:
         kind=doc["kind"],
         params=doc["params"],
         hyperparams=doc.get("hyperparams", {}),
-        train_mse=doc.get("train_mse", float("nan")),
-        train_r2=doc.get("train_r2", float("nan")),
+        train_mse=float("nan") if doc.get("train_mse") is None else doc["train_mse"],
+        train_r2=float("nan") if doc.get("train_r2") is None else doc["train_r2"],
         training_digest=doc.get("training_digest", ""),
         provenance=doc.get("provenance"),
     )

@@ -942,6 +942,7 @@ fever_threshold = 37.5
             ("replay", ["--adapter-timeout", "1.5"], "--adapter-timeout"),
             ("blob", ["--blob-min-area", "40", "--adapter-timeout", "1.5"], "--adapter-timeout"),
             ("external", ["--adapter-timeout", "1.5", "--blob-max-aspect", "3.0"], "--blob-max-aspect"),
+            ("replay", ["--conf-threshold", "0.5"], "--conf-threshold"),
         ],
     )
     def test_flag_the_detector_ignores_is_data_error(

@@ -449,6 +449,19 @@ class TestRunStream:
         assert summary.frames == 19
         assert summary.errors == 1
 
+    def test_skip_warning_names_the_frame_once(self, tmp_path, caplog):
+        class Failing(BlobDetector):
+            def _detect_raw(self, frame):
+                raise RuntimeError("boom")
+
+        missing = tmp_path / "missing.pgm"
+        with caplog.at_level("WARNING", logger=pipeline.logger.name):
+            summary = run_stream([gray_frame(32, 32), missing], Failing(BLOB_CFG), LAW, PipelineConfig())
+        assert summary.errors == 2
+        first, second = (record.getMessage() for record in caplog.records)
+        assert first == "skipping frame 0: detector failed: boom"
+        assert second.startswith("skipping frame 1: ") and second.count("frame 1") == 1
+
     def test_frames_accepted_directly(self):
         seq = SequenceSpec(frames=5, layout="sparse", sparse_count=1, seed=5)
         frames = [frame for frame, _, _ in generate_sequence(seq)]

@@ -67,11 +67,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="outside"):
             generate(spec)
 
-    def test_face_overflowing_frame_rejected(self):
-        with pytest.raises(ValueError):
-            generate(SceneSpec(faces=[FaceSpec(2, 2, 8, 8, 36.0)]))  # spills past the origin
-        with pytest.raises(ValueError, match="overflows"):
-            generate(SceneSpec(faces=[FaceSpec(158, 60, 8, 8, 36.0)]))  # spills past the right edge
+    @pytest.mark.parametrize(
+        "cx, cy", [(2, 60), (80, 2), (158, 60), (80, 118)], ids=["left", "top", "right", "bottom"]
+    )
+    def test_face_overflowing_frame_rejected(self, cx, cy):
+        with pytest.raises(ValueError, match=rf"face at \({cx}, {cy}\) overflows the frame"):
+            generate(SceneSpec(faces=[FaceSpec(cx, cy, 8, 8, 36.0)]))
+
+    def test_face_touching_every_edge_accepted(self):
+        _, labels, _ = generate(SceneSpec(faces=[FaceSpec(8, 8, 8, 8, 36.0), FaceSpec(151, 111, 8, 8, 36.0)]))
+        assert len(labels) == 2
 
     def test_labels_round_trip_through_label_files(self):
         _, _, labels, _ = (None, *_dense_spec(seed=21)[1:])
@@ -178,6 +183,25 @@ temp_max_c = 38.0
         path = tmp_path / "scene.cfg"
         path.write_text("[scene]\nwormholes = 3\n")
         with pytest.raises(ValueError, match="unknown key"):
+            load_sequence_spec(path)
+
+    @pytest.mark.parametrize(
+        "text, key, section",
+        [("[scene]\nlayout = sparse\n", "layout", "scene"), ("[faces]\nwidth = 64\n", "width", "faces")],
+    )
+    def test_key_of_the_other_section_rejected(self, tmp_path, text, key, section):
+        path = tmp_path / "scene.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in \[{section}\]"):
+            load_sequence_spec(path)
+
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("[faces]\ntemp_min_c = 33\n")
+        seq = load_sequence_spec(path)
+        assert type(seq.temp_min_c) is float and seq.temp_min_c == 33.0
+        path.write_text("[scene]\nframes = 2.5\n")
+        with pytest.raises(ValueError, match="bad value '2.5' for frames"):
             load_sequence_spec(path)
 
     def test_missing_file_rejected(self, tmp_path):

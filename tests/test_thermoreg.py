@@ -434,6 +434,28 @@ class TestCrossValidation:
             kfold_partition(4, 5, seed=0)
 
 
+class TestModelSpec:
+    def test_kinds_in_order(self):
+        assert LINEAR_KINDS == ("linear", "ridge", "lasso", "elastic_net")
+        assert MODEL_KINDS == LINEAR_KINDS + ("knn", "decision_tree")
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            ("linear", []),
+            ("ridge", ["lambda"]),
+            ("lasso", ["lambda"]),
+            ("elastic_net", ["lambda", "mix"]),
+            ("knn", ["k"]),
+            ("decision_tree", ["max_depth", "min_samples_leaf"]),
+        ],
+    )
+    def test_unknown_hyperparameter_names_the_kinds_own(self, kind, names):
+        with pytest.raises(ValueError) as info:
+            ModelSpec(kind, {"bogus": 1})
+        assert str(info.value) == f"{kind} takes hyperparameters {names}, got ['bogus']"
+
+
 class TestGridSearch:
     def test_noiseless_ridge_grid_prefers_zero_lambda(self):
         report = grid_search(
@@ -897,6 +919,29 @@ class TestPersistence:
         assert doc["format"] == "thermotrack-model"
         assert doc["version"] == 1
         assert doc["training_digest"].startswith("sha256:")
+
+    def test_undefined_scores_are_written_as_null(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        samples = _noisy_line(n=20)
+        report = grid_search(samples, {"ridge": [{"lambda": 0.1}]}, k_folds=20, seed=0)
+        model = select_model(samples, report)
+        assert math.isnan(model.provenance["cv_mean_r2"])  # leave-one-out folds have no R2
+        path = tmp_path / "loo.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["provenance"]["cv_mean_r2"] is None
+        assert doc["train_r2"] == model.train_r2
+
+    def test_constant_temperatures_load_with_nan_r2(self, tmp_path):
+        model = ModelSpec("linear", {}).fit([CalibrationSample(p, 36.0) for p in (50.0, 100.0, 150.0)])
+        path = tmp_path / "flat.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["train_r2"] is None
+        loaded = load_model(path)
+        assert math.isnan(loaded.train_r2)
+        assert loaded.train_mse == model.train_mse
 
     @pytest.mark.parametrize(
         "kind, params",
