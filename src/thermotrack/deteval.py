@@ -5,18 +5,23 @@ Detections are pooled across images with a single global confidence sort
 (single-class accumulation), which keeps every number deterministic and
 checkable against a brute-force precision/recall enumeration.
 
-An evaluation builds one (images x detections x truths) IoU tensor, with
-the scalar ``iou``'s integer steps so each value is bit-identical to it,
-and claims truths for all swept thresholds at once. A detection whose
-reachable truths (IoU at least the lowest threshold) no other detection
-reaches is scored from its best IoU alone; one walk over the detection
-ranks settles the rest, visiting only the ranks that hold a detection
-reaching a shared truth. Only a truth of positive IoU can be claimed, so
-each walked rank looks at K candidates a detection: K is the most
-positive-IoU truths of any detection at a walked rank (at worst every
-truth). ``match_greedy`` is the one-image, one-threshold call of that
-pass. ``_ap_rows`` scores every threshold's pooled flags in one pass;
-``average_precision`` is its one-row call.
+An evaluation groups images by the bit length of their detection count
+and of their truth count, and builds one (images x detections x truths)
+IoU tensor per group, so an image pads to under twice its own boxes
+whatever the largest image holds. Each value takes the scalar ``iou``'s
+integer steps, so it is bit-identical to it. Claims are made for all
+swept thresholds at once. A detection whose reachable truths (IoU at
+least the lowest threshold) no other detection reaches is scored from its
+best IoU alone; one walk over the detection ranks settles the rest,
+visiting only the ranks that hold a detection reaching a shared truth.
+Only a truth of positive IoU can be claimed, so each walked rank looks at
+K candidates a detection: K is the most positive-IoU truths of any
+detection at a walked rank (at worst every truth). The claim rule is per
+image, so the groups' flags, put back in image order, are those of one
+pass. ``match_greedy`` is the one-image, one-threshold call of that pass.
+``_ap_rows`` scores every threshold's pooled flags in one pass and sums a
+term only where a detection hits; ``average_precision`` is its one-row
+call.
 """
 
 from __future__ import annotations
@@ -110,11 +115,15 @@ def _check_sorted_desc(confidences: np.ndarray) -> None:
         raise ValueError("detections must be sorted by descending confidence")
 
 
-def _pad_boxes(boxes_per_image: Sequence[Sequence[PixelBBox]]) -> tuple[np.ndarray, np.ndarray]:
+def _counts(items_per_image: Sequence[Sequence[object]]) -> np.ndarray:
+    """How many items each image holds, as an int64 array."""
+    return np.fromiter(map(len, items_per_image), dtype=np.int64, count=len(items_per_image))
+
+
+def _pad_boxes(boxes_per_image: Sequence[Sequence[PixelBBox]], counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corners as an (images, n, 4) int64 array zero-padded to the longest
     image (n >= 1, so an empty set still has a column), and the (images, n)
-    mask of real boxes."""
-    counts = np.fromiter((len(boxes) for boxes in boxes_per_image), dtype=np.int64, count=len(boxes_per_image))
+    mask of real boxes; ``counts`` is ``_counts(boxes_per_image)``."""
     valid = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
     corners = np.zeros((*valid.shape, 4), dtype=np.int64)
     flat = chain.from_iterable(map(_CORNERS, chain.from_iterable(boxes_per_image)))
@@ -158,6 +167,42 @@ def _match_flags(
     Returns the (thresholds, detections) true-positive flags and the
     detections' confidences, both over each image's detections in turn.
 
+    Images whose detection counts and truth counts have the same bit
+    lengths share one ``_claim_pass``, so an image pads to under twice its
+    own boxes. Each group's flags and confidences are written back to
+    their images' places, so the caller's stable confidence sort meets tied
+    confidences in image order. A set of one group is one pass.
+    """
+    det_counts, gt_counts = _counts(dets_per_image), _counts(gts_per_image)
+    # frexp's exponent of a count is its bit length, and a length stays below 64.
+    group = np.frexp(det_counts)[1] * 64 + np.frexp(gt_counts)[1]
+    if np.all(group == group[:1]):
+        return _claim_pass(dets_per_image, gts_per_image, det_counts, gt_counts, thresholds)
+    flags = np.empty((len(thresholds), int(det_counts.sum())), dtype=bool)
+    confs = np.empty(flags.shape[1])
+    det_group = np.repeat(group, det_counts)
+    for key in np.unique(group):
+        images = np.flatnonzero(group == key)
+        at = det_group == key
+        flags[:, at], confs[at] = _claim_pass(
+            [dets_per_image[i] for i in images],
+            [gts_per_image[i] for i in images],
+            det_counts[images],
+            gt_counts[images],
+            thresholds,
+        )
+    return flags, confs
+
+
+def _claim_pass(
+    dets_per_image: Sequence[Sequence["Detection"]],
+    gts_per_image: Sequence[Sequence[PixelBBox]],
+    det_counts: np.ndarray,
+    gt_counts: np.ndarray,
+    thresholds: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_match_flags`` over images padded to one (images x D x G) tensor.
+
     A detection reaches a truth of IoU at least the lowest threshold (and
     above 0); only a reached truth can be claimed. A truth that one
     detection alone reaches is claimed by it or by nobody, so a detection
@@ -171,11 +216,11 @@ def _match_flags(
     detections would make are left out: no walked detection reaches those
     truths, so none of them can decide a walked detection's hit.
     """
-    dets, det_valid = _pad_boxes([[d.bbox for d in image] for image in dets_per_image])
+    dets, det_valid = _pad_boxes([[d.bbox for d in image] for image in dets_per_image], det_counts)
     confs = np.full(det_valid.shape, -np.inf)
     confs[det_valid] = [d.confidence for image in dets_per_image for d in image]
     _check_sorted_desc(confs)  # -inf padding never rises
-    ious = _iou_tensor(dets, _pad_boxes(gts_per_image)[0])
+    ious = _iou_tensor(dets, _pad_boxes(gts_per_image, gt_counts)[0])
     images, ranks, truths = ious.shape
     thr = np.asarray(thresholds, dtype=float)[:, None]
     # Only a positive IoU is claimed, so padded rows and columns never hit.
@@ -183,8 +228,8 @@ def _match_flags(
     flags = (best >= thr[:, :, None]) & (best > 0.0)
     reach = (ious >= thr.min()) & (ious > 0.0)
     shared = np.count_nonzero(reach, axis=1) >= 2
-    walked = np.flatnonzero(np.any(reach & shared[:, None, :], axis=(0, 2)))
-    if walked.size:
+    if shared.any():
+        walked = np.flatnonzero(np.any(reach & shared[:, None, :], axis=(0, 2)))
         ious = ious[:, walked]
         k = max(int(np.count_nonzero(ious > 0.0, axis=2).max()), 1)
         cand = np.argsort(-ious, axis=2, kind="stable")[:, :, :k]
@@ -242,19 +287,33 @@ def average_precision(match: MatchResult, confidences: Sequence[float]) -> float
 
 def _ap_rows(flags: np.ndarray, num_gt: int) -> list[float]:
     """``average_precision`` of each row of (rows, detections) ranked flags,
-    all against ``num_gt`` truths, from one cumulative pass over the block."""
+    all against ``num_gt`` truths, from terms at the hits alone.
+
+    A miss adds the term +0.0, since its recall step is x - x, and the k-th
+    hit's step subtracts fl((k-1)/n) from fl(k/n), as the full-rank
+    difference of the running recall does. At a hit the envelope is the
+    highest precision of that hit and the later hits of its row: a miss's
+    precision is below that of the hit before it."""
     rows, ranks = flags.shape
-    tp = np.cumsum(flags, axis=1)
-    if ranks and np.any(tp[:, -1] > num_gt):
+    hits = np.count_nonzero(flags, axis=1)
+    if np.any(hits > num_gt):
         raise ValueError("more true positives than ground-truth boxes")
     if num_gt == 0 or ranks == 0:
         return [1.0 if num_gt == ranks == 0 else 0.0] * rows
-    precision = tp / np.arange(1, ranks + 1)
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    recall_steps = np.diff(tp / num_gt, axis=1, prepend=0.0)
+    ends = np.cumsum(hits)
+    starts = ends - hits
+    # Each hit's running count in its row, and its rank counted from 1.
+    k = np.arange(1, int(hits.sum()) + 1) - np.repeat(starts, hits)
+    rank = np.flatnonzero(flags) - np.repeat(np.arange(rows) * ranks, hits) + 1
+    envelope = k / rank  # each hit's precision, made its envelope row by row
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    for start, end in bounds:
+        row = envelope[start:end][::-1]  # a view: the running maximum from the row's last hit
+        np.maximum.accumulate(row, out=row)
+    terms = (np.diff(np.arange(num_gt + 1) / num_gt)[k - 1] * envelope).tolist()
     # fsum: the recall steps telescope exactly, so a perfect detector scores
     # exactly 1.0 instead of drifting an ulp below.
-    return [math.fsum(row) for row in (recall_steps * envelope).tolist()]
+    return [math.fsum(terms[start:end]) for start, end in bounds]
 
 
 def map_over_thresholds(
@@ -271,7 +330,7 @@ def map_over_thresholds(
     """
     if len(dets_per_image) != len(gts_per_image):
         raise ValueError("detections and ground truths must cover the same images")
-    if not thresholds:
+    if len(thresholds) == 0:
         raise ValueError("at least one IoU threshold is required")
     for thr in thresholds:
         _check_threshold(thr)

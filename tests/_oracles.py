@@ -149,6 +149,23 @@ def ap_enumeration(flags, num_gt):
     return ap
 
 
+def ap_rows_full_rank(flags, num_gt):
+    """``deteval._ap_rows`` as a sum over every rank: each rank's recall
+    step (+0.0 at a miss) times the precision envelope there, summed with
+    ``math.fsum`` row by row, for the bit-identity check of the library's
+    sum over the hits alone."""
+    rows, ranks = flags.shape
+    tp = np.cumsum(flags, axis=1)
+    if ranks and np.any(tp[:, -1] > num_gt):
+        raise ValueError("more true positives than ground-truth boxes")
+    if num_gt == 0 or ranks == 0:
+        return [1.0 if num_gt == ranks == 0 else 0.0] * rows
+    precision = tp / np.arange(1, ranks + 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    recall_steps = np.diff(tp / num_gt, axis=1, prepend=0.0)
+    return [math.fsum(row) for row in (recall_steps * envelope).tolist()]
+
+
 def nms_keep(boxes_with_conf, threshold):
     """Reference greedy suppression over (corners, confidence) pairs.
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import ap_enumeration, full_width_report, greedy_match_flags, iou_corners
+from _oracles import ap_enumeration, ap_rows_full_rank, full_width_report, greedy_match_flags, iou_corners
+from conftest import peak_traced_bytes
 from thermotrack.annotations import PixelBBox
 from thermotrack import deteval, synthscene
 from thermotrack.annotations import denormalize
@@ -169,6 +170,34 @@ class TestAveragePrecision:
             assert worse <= base + 1e-12
 
 
+@st.composite
+def ap_blocks(draw):
+    """A (rows, ranks) block of ranked hit flags and a truth count of at
+    least every row's hits."""
+    ranks = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=ranks, max_size=ranks), min_size=1, max_size=4))
+    flags = np.array(rows, dtype=bool).reshape(len(rows), ranks)
+    return flags, int(flags.sum(axis=1).max()) + draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ap_blocks())
+@example((np.zeros((2, 5), dtype=bool), 3))
+@example((np.zeros((3, 0), dtype=bool), 0))
+@example((np.zeros((3, 0), dtype=bool), 2))
+@example((np.array([[True, False, True, True], [False, False, False, False], [False, True, True, True]]), 3))
+def test_ap_rows_is_full_rank_sum(block):
+    # The hit-only sum equals the sum over every rank to the last bit: all-miss
+    # rows, zero-rank blocks and rows with as many hits as truths included.
+    flags, num_gt = block
+    hits = flags.sum(axis=1)
+    event(f"zero ranks: {flags.shape[1] == 0}")
+    event(f"all-miss row: {bool(np.any(hits == 0))}")
+    event(f"a row hits every truth: {bool(np.any(hits == num_gt))}")
+    got = [ap.hex() for ap in deteval._ap_rows(flags, num_gt)]
+    assert got == [ap.hex() for ap in ap_rows_full_rank(flags, num_gt)]
+
+
 class TestMapOverThresholds:
     def test_perfect_detector_scores_one_everywhere(self):
         gts = [[PixelBBox(2, 2, 12, 12)], [PixelBBox(5, 5, 9, 9), PixelBBox(20, 20, 30, 28)]]
@@ -245,6 +274,15 @@ class TestMapOverThresholds:
         dets, gts = self._shifted_detections()
         assert map_over_thresholds(dets, gts, thresholds).to_text() == expected
 
+    def test_array_sweep_is_the_tuple_sweep(self):
+        dets, gts = self._shifted_detections()
+        for thresholds in (DEFAULT_IOU_THRESHOLDS, (0.5, 0.75), (0.75,)):
+            # repr: every field, a NaN map_50 and the float keys included.
+            swept = map_over_thresholds(dets, gts, np.array(thresholds))
+            assert repr(swept) == repr(map_over_thresholds(dets, gts, thresholds))
+        with pytest.raises(ValueError, match="at least one IoU threshold"):
+            map_over_thresholds(dets, gts, np.array([]))
+
     def test_one_claim_pass_scores_every_threshold(self, monkeypatch):
         # One batched claim pass per evaluation, with no scalar IoU or
         # per-image matching under it; its flags are match_greedy's.
@@ -303,15 +341,22 @@ class TestMapOverThresholds:
         assert "ap_0.95=1.000000" in text
 
 
-def _dense_blob_set():
-    """Blob detections and truths of 50 dense 160x120 frames (12-15 faces each)."""
-    seq = synthscene.SequenceSpec(frames=50, layout="dense", seed=5)
-    blob = BlobDetector(DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1))
+BLOB_CFG = DetectorConfig(intensity_threshold=32, min_blob_area=40, confidence_threshold=0.1)
+
+
+def _blob_set(spec):
+    """Blob detections and truth boxes of every frame of ``spec``."""
+    blob = BlobDetector(BLOB_CFG)
     dets, gts = [], []
-    for frame, labels, _ in synthscene.generate_sequence(seq):
+    for frame, labels, _ in synthscene.generate_sequence(spec):
         dets.append(blob.detect(frame))
         gts.append([denormalize(label.bbox, frame.width, frame.height) for label in labels])
     return dets, gts
+
+
+def _dense_blob_set():
+    """Blob detections and truths of 50 dense 160x120 frames (12-15 faces each)."""
+    return _blob_set(synthscene.SequenceSpec(frames=50, layout="dense", seed=5))
 
 
 def _exact_report(report):
@@ -338,6 +383,19 @@ def test_report_floats_pinned_exactly(name):
     make_set, thresholds = PINNED_EVALUATIONS[name]
     dets, gts = make_set()
     assert _exact_report(map_over_thresholds(dets, gts, thresholds)) == EVAL_REPORT_PINS[name]
+
+
+def test_one_crowded_image_costs_only_its_own_pairs():
+    # 100 sparse 160x120 frames (3 faces) and one 150-face 640x480 frame. Padded
+    # to the crowded frame, every sparse image would cost 150 x 150 pairs.
+    sparse = _blob_set(synthscene.SequenceSpec(frames=100, layout="sparse", seed=1))
+    crowd = _blob_set(
+        synthscene.SequenceSpec(width=640, height=480, frames=1, layout="dense", dense_min=150, dense_max=150, seed=2)
+    )
+    assert len(crowd[0][0]) == len(crowd[1][0]) == 150
+    mixed = (sparse[0] + crowd[0], sparse[1] + crowd[1])
+    alone = max(peak_traced_bytes(map_over_thresholds, *part) for part in (sparse, crowd))
+    assert peak_traced_bytes(map_over_thresholds, *mixed) <= 2 * alone
 
 
 def test_iou_oracle_agreement(rng):
@@ -500,10 +558,44 @@ def _walked_ranks(images, lowest):
         ([], []),
     ]
 )
+# Four size buckets: 1, 5 and 9 detections and an image with truths but no
+# detections. Confidences 1.0, 0.75 and 0.5 tie across the buckets, so the
+# flags must go back to image order before the stable confidence sort.
+@example(
+    [
+        ([(PixelBBox(0, 0, 2, 1), 0.75)], [PixelBBox(0, 0, 2, 1), PixelBBox(1, 0, 3, 1)]),
+        (
+            [
+                (PixelBBox(0, 0, 2, 2), 1.0),
+                (PixelBBox(0, 0, 2, 2), 0.75),
+                (PixelBBox(1, 1, 3, 3), 0.75),
+                (PixelBBox(2, 0, 4, 2), 0.5),
+                (PixelBBox(0, 2, 2, 4), 0.5),
+            ],
+            [PixelBBox(0, 0, 2, 2), PixelBBox(1, 1, 3, 3), PixelBBox(2, 0, 4, 2)],
+        ),
+        (
+            [
+                (PixelBBox(0, 0, 1, 1), 1.0),
+                (PixelBBox(1, 0, 2, 1), 1.0),
+                (PixelBBox(2, 0, 3, 1), 0.75),
+                (PixelBBox(3, 0, 4, 1), 0.75),
+                (PixelBBox(0, 1, 1, 2), 0.75),
+                (PixelBBox(0, 0, 4, 1), 0.5),
+                (PixelBBox(0, 0, 3, 3), 0.5),
+                (PixelBBox(1, 1, 4, 4), 0.5),
+                (PixelBBox(0, 0, 4, 4), 0.5),
+            ],
+            [PixelBBox(0, 0, 4, 1), PixelBBox(0, 0, 3, 3)],
+        ),
+        ([], [PixelBBox(0, 0, 1, 1), PixelBBox(3, 3, 4, 4)]),
+    ]
+)
 @example([([], [])])
 @example([])
 def test_candidate_walk_report_is_full_width_report(images):
     event(f"K={_positive_truths(images)}")
+    event(f"size buckets: {len({(len(dets).bit_length(), len(gts).bit_length()) for dets, gts in images})}")
     dets = [
         [Detection(box, conf) for box, conf in sorted(image_dets, key=lambda d: -d[1])]
         for image_dets, _ in images
@@ -530,7 +622,9 @@ near_million_boxes = st.builds(
 def test_iou_tensor_is_scalar_iou_bit_for_bit(images):
     dets = [image_dets for image_dets, _ in images]
     gts = [image_gts for _, image_gts in images]
-    tensor = deteval._iou_tensor(deteval._pad_boxes(dets)[0], deteval._pad_boxes(gts)[0])
+    tensor = deteval._iou_tensor(
+        deteval._pad_boxes(dets, deteval._counts(dets))[0], deteval._pad_boxes(gts, deteval._counts(gts))[0]
+    )
     expected = np.zeros_like(tensor)  # padded pairs read 0.0
     for i, (image_dets, image_gts) in enumerate(images):
         for a, det in enumerate(image_dets):
